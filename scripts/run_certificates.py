@@ -32,7 +32,7 @@ def main():
     for lnB in lnBs:
         B = np.exp(lnB)
         cert = certify_projected(B, args.alpha)
-        _, breakdown = pekar_minimize(PhysParams(B, args.alpha), tol=1e-10)
+        sol, breakdown = pekar_minimize(PhysParams(B, args.alpha), tol=1e-10)
         gap = B - cert.p0_bound
         sandwich = cert.p0_bound <= breakdown.total
         floor = analytic_infimum_floor(cert.ledger.kappa1, cert.cutoffs.gamma,
@@ -40,7 +40,7 @@ def main():
         assert cert.I_value >= floor, "variational energy broke its envelope"
         print(f"{lnB:5.1f} {str(cert.valid):>6} {cert.ledger.kappa1:8.4f} "
               f"{cert.I_value:10.3f} {gap:12.3f} {gap / lnB ** 2:13.5f} "
-              f"{breakdown.total - B:12.5f} {str(sandwich):>9}")
+              f"{sol.energy:12.5f} {str(sandwich):>9}")
         if args.json_dir:
             path = os.path.join(args.json_dir, f"certificate_lnB{lnB:g}.json")
             with open(path, "w", encoding="utf-8") as fh:

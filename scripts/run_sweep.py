@@ -35,9 +35,9 @@ def main():
           f"{'(B-E)/lnB^2':>12}")
     for r in records:
         lnB = np.log(r.B)
-        deficit = -(r.E_kin3 + r.E_coulomb)
-        print(f"{lnB:5.1f} {r.E_total - r.B:14.6f} {r.trial_E - r.B:12.6f} "
-              f"{deficit / lnB ** 2:12.8f}")
+        gap = r.E_kin3 + r.E_coulomb
+        print(f"{lnB:5.1f} {gap:14.6f} {r.trial_E - r.B:12.6f} "
+              f"{-gap / lnB ** 2:12.8f}")
 
     if len(records) >= 4:
         fit = fit_asymptotics(records)

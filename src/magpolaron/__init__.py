@@ -4,18 +4,16 @@ effective 1D problem, a Coulomb-energy decomposition ledger, and certified
 lower bounds for the projected quantized-field operator."""
 
 from .certificate import (ConstantsLedger, CutoffParams, LowerBoundCertificate,
-                          analytic_infimum_floor, block_coupling, block_error,
+                          analytic_infimum_floor, block_error,
                           certificate_to_dict, certify_projected,
                           conditional_full_bound, coupling_v, default_cutoffs,
                           effective_infimum, kappa, kappa1, kappa2,
-                          localization_error, rough_lower_formula,
-                          total_coupling_weight)
+                          localization_error, total_coupling_weight)
 from .decomposition import (DecompositionLedger, coulomb_D_product,
                             d_product_fourier, d_product_grid, d_product_real,
                             decompose, first_excited_radial, ground_radial,
                             kernel_remainder, kernel_remainder_coefficient,
-                            log_kernel, log_kernel_far, log_kernel_near,
-                            main_coefficient, offdiag_bound_check,
+                            log_kernel, main_coefficient, offdiag_bound_check,
                             smooth_remainder_bound)
 from .errors import (ConvergenceError, DomainTooSmallError, FitError,
                      InvalidFieldError, MagpolaronError, ParameterError,
@@ -26,8 +24,7 @@ from .landau import (HIGHER_LEVEL_FACTOR, RadialTransverseDensity,
                      TransverseGaussian, effective_potential,
                      effective_potential_fourier, effective_potential_general,
                      lll_projector_kernel, projected_phase_factor,
-                     transverse_kinetic, twisted_kernel, twisted_norm_bound,
-                     twisted_norm_check)
+                     transverse_kinetic, twisted_kernel, twisted_norm_bound)
 from .oned import (SHARP_GN_Q4, OneDProblem, OneDSolution, WeightedProblem,
                    closed_form_energy, closed_form_minimizer,
                    distance_to_profile, gn_gap, gn_ratio, sharp_gn_constant,

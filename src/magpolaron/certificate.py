@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ParameterError
 from .grids import Grid1D, standard_grid
@@ -45,7 +44,6 @@ class CutoffParams:
     gamma: float
     L: float
     M: int
-    kb_policy: str = "midpoint"
 
     def __post_init__(self):
         if not self.K3 > 0 or not self.K > 0:
@@ -134,21 +132,12 @@ def coupling_v(k3, Kperp: float):
 
 
 def total_coupling_weight(K3: float, Kperp: float) -> float:
-    """R = int_{|k3|<=K3} v(k3)^2 dk3 by adaptive quadrature."""
-    val, _ = integrate.quad(
-        lambda k: np.pi * (np.log(Kperp ** 2 + k * k) - np.log1p(k * k)),
-        0.0, K3, limit=400, epsabs=1e-10, epsrel=1e-12)
-    return 2.0 * val
-
-
-def block_coupling(k_lo: float, k_hi: float, Kperp: float) -> float:
-    """Per-block coupling norm V(b) = (int_b v^2)^(1/2)."""
-    if not k_hi > k_lo:
-        raise ParameterError("block must have positive width")
-    val, _ = integrate.quad(
-        lambda k: np.pi * (np.log(Kperp ** 2 + k * k) - np.log1p(k * k)),
-        k_lo, k_hi, limit=400, epsabs=1e-10, epsrel=1e-12)
-    return float(np.sqrt(val))
+    """R = int_{|k3|<=K3} v(k3)^2 dk3 = 2 pi (F(K3, Kperp) - F(K3, 1)) with
+    the antiderivative F(k, a) = k ln(a^2+k^2) - 2k + 2a arctan(k/a) of
+    ln(a^2+k^2), which vanishes at k = 0."""
+    def F(k, a):
+        return k * np.log(a * a + k * k) - 2 * k + 2 * a * np.arctan(k / a)
+    return float(2 * np.pi * (F(K3, Kperp) - F(K3, 1.0)))
 
 
 def localization_error(L: float) -> float:
@@ -282,19 +271,13 @@ def certify_projected(B: float, alpha: float, K: Optional[float] = None,
 def conditional_full_bound(cert: LowerBoundCertificate, C_M: float) -> float:
     """Extend the projected bound to the full operator, conditionally on the
     caller-supplied reduction constant:
-    p0_bound - C_M (ln B)^2 sqrt(K/B) - 1/4."""
+    p0_bound - C_M (ln B)^2 sqrt(K/B) - firstcut_constant."""
     if C_M < 0:
         raise ParameterError("C_M must be nonnegative")
     lnB = np.log(cert.params.B)
-    penalty = C_M * lnB ** 2 * np.sqrt(cert.K / cert.params.B) + 0.25
+    penalty = (C_M * lnB ** 2 * np.sqrt(cert.K / cert.params.B)
+               + cert.ledger.firstcut_constant)
     return cert.p0_bound - penalty
-
-
-def rough_lower_formula(B: float, alpha: float, C: float) -> float:
-    """Ground-sector scalar form of the crude bound: B - C (ln B)^2."""
-    if not B > 1:
-        raise ParameterError("B must exceed 1")
-    return B - C * np.log(B) ** 2
 
 
 def certificate_to_dict(cert: LowerBoundCertificate) -> dict:
@@ -313,7 +296,6 @@ def certificate_to_dict(cert: LowerBoundCertificate) -> dict:
         "gamma": cert.cutoffs.gamma,
         "L": cert.cutoffs.L,
         "M": cert.cutoffs.M,
-        "kb_policy": cert.cutoffs.kb_policy,
         "kappa": led.kappa,
         "kappa1": led.kappa1,
         "kappa2": led.kappa2,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -142,7 +143,7 @@ def cmd_minimize(args) -> int:
     print(f"  kinetic(3)   = {_fmt(breakdown.longitudinal_kinetic)}")
     print(f"  coulomb      = {_fmt(breakdown.coulomb)} "
           f"(+/- {breakdown.coulomb_error:.2e})")
-    print(f"  E_total - B  = {_fmt(breakdown.total - B)}")
+    print(f"  E_total - B  = {_fmt(sol.energy)}")
     print(f"iters={sol.iterations} residual={sol.gradient_residual:.3e}")
     return EXIT_OK
 
@@ -175,7 +176,7 @@ def cmd_sweep(args) -> int:
     write_sweep_csv(records, out)
     print(f"wrote {len(records)} rows to {out}")
     for r in records:
-        print(f"  B={r.B:.6g}  E_total-B={r.E_total - r.B:+.8g}  "
+        print(f"  B={r.B:.6g}  E_total-B={r.E_kin3 + r.E_coulomb:+.8g}  "
               f"trial-B={r.trial_E - r.B:+.8g}")
     return EXIT_OK
 
@@ -215,18 +216,15 @@ def cmd_certify(args) -> int:
     K = _merged(args, "K")
     K = parse_b(K) if K is not None else None
     cutoffs = None
-    overrides = {key: _merged(args, key) for key in
-                 ("K3", "Kperp", "gamma", "L", "M")}
-    if any(v is not None for v in overrides.values()):
+    overrides = {}
+    for key in ("K3", "Kperp", "gamma", "L", "M"):
+        val = _merged(args, key)
+        if val is not None:
+            overrides[key] = int(val) if key == "M" else float(val)
+    if overrides:
         defaults = cert_mod.default_cutoffs(
             B, alpha, K if K is not None else B * np.log(B) ** (-4.0 / 3.0))
-        cutoffs = cert_mod.CutoffParams(
-            K=defaults.K,
-            K3=float(overrides["K3"]) if overrides["K3"] is not None else defaults.K3,
-            Kperp=float(overrides["Kperp"]) if overrides["Kperp"] is not None else defaults.Kperp,
-            gamma=float(overrides["gamma"]) if overrides["gamma"] is not None else defaults.gamma,
-            L=float(overrides["L"]) if overrides["L"] is not None else defaults.L,
-            M=int(overrides["M"]) if overrides["M"] is not None else defaults.M)
+        cutoffs = dataclasses.replace(defaults, **overrides)
     cert = cert_mod.certify_projected(B, alpha, K, cutoffs)
     cm = _merged(args, "C_M")
     if cm is not None:

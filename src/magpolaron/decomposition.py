@@ -185,30 +185,6 @@ def log_kernel(r, B: float):
     return out if out.ndim else float(out)
 
 
-def log_kernel_near(r, B: float):
-    """Short-range piece -ln(sqrt(B) r) supported on r <= 1/sqrt(B)."""
-    if B <= 1:
-        raise ParameterError("log kernel defined for B > 1")
-    r = np.asarray(r, dtype=float)
-    out = np.zeros_like(r)
-    inside = (r > 0) & (r <= 1.0 / np.sqrt(B))
-    out[inside] = -np.log(np.sqrt(B) * r[inside])
-    out[r == 0] = np.inf
-    return out if out.ndim else float(out)
-
-
-def log_kernel_far(r, B: float):
-    """Bounded complement: the full kernel minus its short-range piece."""
-    r = np.asarray(r, dtype=float)
-    full = log_kernel(r, B)
-    near = log_kernel_near(r, B)
-    out = np.where(r > 0, full - near, np.log(
-        1.0 + np.sqrt(1.0 + np.log(B) ** 2 / B)))
-    # at r -> 0 the difference tends to ln 2; r=0 entries above are a
-    # placeholder bound, never used under integrals
-    return out if out.ndim else float(out)
-
-
 def smooth_remainder_bound(f: Field1D, B: float) -> float:
     """Norm bound (ln B/2) m^2 + 4 (ln B)^{-1/2} m^{5/4} kin^{3/4} on the
     closure remainder, with m = int f^2 and kin = int |f'|^2."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special as _sc
+import scipy.special as _sc
 
 from .errors import InvalidFieldError, ParameterError
 from .special import (EULER_GAMMA, erfcx, exp_scaled_e1,
@@ -114,29 +114,6 @@ def twisted_norm_bound(k_perp, B: float) -> float:
     """Operator-norm bound 2 e^{|k|^2/4B} for the twisted kernel."""
     k = np.asarray(k_perp, dtype=float)
     return float(2.0 * np.exp(np.sum(k * k) / (4.0 * B)))
-
-
-def twisted_norm_check(k_perp, B: float, states, nodes, weights):
-    """Apply the twisted kernel to normalized transverse states by quadrature
-    and compare against the norm bound.
-
-    states: list of complex arrays sampled on `nodes` ((N,2) points with
-    quadrature `weights`).  Returns (ok, margins) where margins are
-    bound - measured norm for each state.
-    """
-    bound = twisted_norm_bound(k_perp, B)
-    psi_mat = np.stack([np.asarray(s, dtype=complex) for s in states], axis=-1)
-    weighted = weights[:, None] * psi_mat
-    out = np.empty_like(psi_mat)
-    chunk = max(1, int(2e6 // len(nodes)))
-    for i in range(0, len(nodes), chunk):
-        blk = twisted_kernel(nodes[i:i + chunk, None, :], nodes[None, :, :],
-                             k_perp, B)
-        out[i:i + chunk] = blk @ weighted
-    norms_in = np.sqrt(np.sum(weights[:, None] * np.abs(psi_mat) ** 2, axis=0))
-    norms_out = np.sqrt(np.sum(weights[:, None] * np.abs(out) ** 2, axis=0))
-    margins = list(bound - norms_out / norms_in)
-    return all(m >= 0 for m in margins), margins
 
 
 # ----------------------------------------------------------------------------

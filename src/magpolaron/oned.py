@@ -16,13 +16,15 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special as _sc
+import scipy.special as _sc
 
 from .errors import (ConvergenceError, DomainTooSmallError, InvalidFieldError,
                      ParameterError, ResolutionError)
-from .grids import Field1D, Grid1D, centroid, kinetic, mass, quartic
+from .grids import (Field1D, Grid1D, centroid, kinetic, mass, quartic,
+                    shift_field)
 
 SHARP_GN_Q4 = 3.0 ** 0.125
+_RECENTER_EVERY = 50  # sphere-flow iterations between translation resets
 
 
 @dataclass(frozen=True)
@@ -126,8 +128,7 @@ def sharp_gn_constant(q: float) -> float:
 
 def _minimize_on_sphere(grid: Grid1D, akin: float, weights: np.ndarray,
                         lam: float, mass_target: float, tol: float,
-                        max_iter: int = 5000, f0: Optional[np.ndarray] = None,
-                        recenter_every: int = 50):
+                        max_iter: int = 5000, f0: Optional[np.ndarray] = None):
     """Minimize akin*int f'^2 - lam*dk*sum_m weights_m |rho_hat_m|^2 on the
     sphere int f^2 = mass_target.
 
@@ -140,33 +141,32 @@ def _minimize_on_sphere(grid: Grid1D, akin: float, weights: np.ndarray,
     dk = np.pi / T
     phase = np.exp(1j * k * T)
 
-    if f0 is None:
-        f = np.exp(-t * t / 2.0)
-    else:
-        f = np.asarray(f0, dtype=float).copy()
+    f = np.exp(-t * t / 2.0) if f0 is None else np.array(f0, dtype=float)
     nrm = h * np.sum(f * f)
     if nrm <= 0:
         raise InvalidFieldError("initial field must be nonzero")
     f *= np.sqrt(mass_target / nrm)
 
-    def energy(fv):
+    def state(fv):
+        """(energy, fft(fv), rho_hat) of a field on the sphere."""
         F = np.fft.fft(fv)
         kin = akin * (h / n) * np.sum(k * k * np.abs(F) ** 2)
         rho_hat = h * phase * np.fft.fft(fv * fv)
         pot = lam * dk * np.sum(weights * (rho_hat.real ** 2 + rho_hat.imag ** 2))
-        return kin - pot
+        return kin - pot, F, rho_hat
 
-    def energy_state(fv):
-        F = np.fft.fft(fv)
-        kin = akin * (h / n) * np.sum(k * k * np.abs(F) ** 2)
-        rho_hat = h * phase * np.fft.fft(fv * fv)
-        pot = lam * dk * np.sum(weights * (rho_hat.real ** 2 + rho_hat.imag ** 2))
+    def flow_weight(rho_hat):
         # W = -(1/2) delta(potential term)/delta f / f ; flow term is W*f
-        W = 4.0 * np.pi * lam * (dk / (2 * np.pi)) * n * np.real(
+        return 4.0 * np.pi * lam * (dk / (2 * np.pi)) * n * np.real(
             np.fft.ifft(weights * rho_hat * np.conj(phase)))
-        return kin - pot, W, F
 
-    E, W, F = energy_state(f)
+    def recenter(fv):
+        c = h * np.sum(t * fv * fv) / mass_target
+        fv = np.real(np.fft.ifft(np.fft.fft(fv) * np.exp(1j * k * c)))
+        return fv * np.sqrt(mass_target / (h * np.sum(fv * fv)))
+
+    E, F, rho_hat = state(f)
+    W = flow_weight(rho_hat)
     theta = 1.0
     residual = np.inf
     for it in range(1, max_iter + 1):
@@ -180,36 +180,42 @@ def _minimize_on_sphere(grid: Grid1D, akin: float, weights: np.ndarray,
         d -= (h * np.sum(f * d) / mass_target) * f
         slope = h * np.sum(r * d)
         theta = min(theta * 1.5, 50.0)
-        accepted = False
         for _ in range(60):
             fn = f + theta * d
             fn *= np.sqrt(mass_target / (h * np.sum(fn * fn)))
-            En = energy(fn)
+            En, Fn, rho_hat = state(fn)
             if En <= E - 1e-4 * theta * slope + 1e-14 * (1 + abs(E)):
-                accepted = True
                 break
             theta *= 0.5
-        if not accepted:
+        else:
             # line search exhausted: gradient is at the numerical floor
             break
         rel_change = abs(En - E) / max(abs(En), 1e-300)
-        f = fn
-        E, W, F = energy_state(f)
-        if it % recenter_every == 0:
-            c = h * np.sum(t * f * f) / mass_target
-            f = np.real(np.fft.ifft(np.fft.fft(f) * np.exp(1j * k * c)))
-            f *= np.sqrt(mass_target / (h * np.sum(f * f)))
-            E, W, F = energy_state(f)
+        f, E, F = fn, En, Fn
+        if it % _RECENTER_EVERY == 0:
+            f = recenter(f)
+            E, F, rho_hat = state(f)
         if rel_change < tol and residual < np.sqrt(tol) * (1 + abs(E)):
-            c = h * np.sum(t * f * f) / mass_target
-            f = np.real(np.fft.ifft(np.fft.fft(f) * np.exp(1j * k * c)))
-            f *= np.sqrt(mass_target / (h * np.sum(f * f)))
-            return f, energy(f), it, residual
+            f = recenter(f)
+            return f, state(f)[0], it, residual
+        W = flow_weight(rho_hat)
     if residual < np.sqrt(tol) * (1 + abs(E)):
         return f, E, max_iter, residual
     raise ConvergenceError(
         f"sphere minimizer stalled: residual {residual:.3e} after {it} iterations",
         iterations=it, residual=residual)
+
+
+def _solve_rescaled(g: Grid1D, mu: float, akin: float, weights: np.ndarray,
+                    lam: float, mass_target: float, tol: float, max_iter: int,
+                    f0: Optional[np.ndarray]) -> OneDSolution:
+    """Sphere flow on the rescaled problem, mapped back: minimizer
+    f(t) = sqrt(mu) q(mu t) on the grid (n, half_width/mu), energy mu^2 E_q."""
+    vals, E_int, iters, res = _minimize_on_sphere(
+        g, akin, weights, lam, mass_target, tol, max_iter=max_iter, f0=f0)
+    out_grid = Grid1D(g.n, g.half_width / mu) if mu != 1.0 else g
+    minimizer = Field1D(out_grid, np.sqrt(mu) * vals)
+    return OneDSolution(mu * mu * E_int, minimizer, iters, res)
 
 
 def solve_numeric(p: OneDProblem, g: Grid1D, tol: float,
@@ -231,12 +237,8 @@ def solve_numeric(p: OneDProblem, g: Grid1D, tol: float,
     if g.half_width * a * b_int < 8.0:
         raise DomainTooSmallError(
             "minimizer width exceeds the grid: need half_width*a*b >= 8")
-    weights = np.ones(g.n)
-    vals, E_int, iters, res = _minimize_on_sphere(
-        g, 1.0, weights, b_int / (2 * np.pi), a, tol, max_iter=max_iter, f0=init)
-    out_grid = Grid1D(g.n, g.half_width / mu) if mu != 1.0 else g
-    minimizer = Field1D(out_grid, np.sqrt(mu) * vals)
-    return OneDSolution(mu * mu * E_int, minimizer, iters, res)
+    return _solve_rescaled(g, mu, 1.0, np.ones(g.n), b_int / (2 * np.pi), a,
+                           tol, max_iter, init)
 
 
 def solve_weighted(wp: WeightedProblem, g: Grid1D, tol: float,
@@ -275,21 +277,14 @@ def solve_weighted(wp: WeightedProblem, g: Grid1D, tol: float,
     cutoff = wp.cutoff_k3 / mu
     weights = np.asarray(wp.weight(np.abs(k) * mu), dtype=float)
     frac = np.clip((cutoff - (np.abs(k) - dk / 2)) / dk, 0.0, 1.0)
-    weights = weights * frac
-    vals, E_int, iters, res = _minimize_on_sphere(
-        g, wp.kappa1, weights, wp.prefactor_lambda / mu, 1.0, tol,
-        max_iter=max_iter, f0=init)
-    out_grid = Grid1D(g.n, g.half_width / mu) if mu != 1.0 else g
-    minimizer = Field1D(out_grid, np.sqrt(mu) * vals)
-    return OneDSolution(mu * mu * E_int, minimizer, iters, res)
+    return _solve_rescaled(g, mu, wp.kappa1, weights * frac,
+                           wp.prefactor_lambda / mu, 1.0, tol, max_iter, init)
 
 
 def distance_to_profile(sol_field: Field1D, p: OneDProblem) -> float:
     """L2 distance of |f| to the centered closed-form profile, after
     recentering at the density centroid (the minimizer is unique only up to
     translation and sign)."""
-    from .grids import shift_field
-
     f = shift_field(sol_field, centroid(sol_field))
     ref = closed_form_minimizer(p, f.grid)
     d2 = f.grid.spacing * np.sum((np.abs(f.values) - ref.values) ** 2)

@@ -23,7 +23,7 @@ from .errors import FitError, ParameterError
 from .grids import Field1D, Grid1D, kinetic, mass
 from .landau import effective_potential_fourier_cell_average, \
     effective_potential_fourier
-from .oned import OneDSolution, _minimize_on_sphere
+from .oned import OneDSolution, _solve_rescaled
 
 NORMALIZATION_TOL = 1e-6
 
@@ -148,7 +148,8 @@ def pekar_minimize(params: PhysParams, grid: Optional[Grid1D] = None,
 
     Returns (OneDSolution, EnergyBreakdown).  The flow runs on the dual-grid
     discretization of the interaction; the reported breakdown re-evaluates the
-    minimizer through the dual-path Coulomb integrals.
+    minimizer through the dual-path Coulomb integrals, and the solution's
+    energy is the binding deficit E - B taken from those components.
     """
     if not tol > 0:
         raise ParameterError("tol must be positive")
@@ -161,12 +162,11 @@ def pekar_minimize(params: PhysParams, grid: Optional[Grid1D] = None,
     weights = interaction_weights(grid, B)
     b0 = max(1.0, alpha * np.log(B) / 2.0)
     f0 = 1.0 / np.cosh(b0 * grid.points() / 2.0)
-    vals, _, iters, res = _minimize_on_sphere(
-        grid, 1.0, weights, alpha / (4 * np.pi ** 2), 1.0, tol,
-        max_iter=max_iter, f0=f0)
-    minimizer = Field1D(grid, vals)
-    breakdown = pekar_energy(PekarProductState(params, minimizer))
-    sol = OneDSolution(breakdown.total - B, minimizer, iters, res)
+    sol = _solve_rescaled(grid, 1.0, 1.0, weights, alpha / (4 * np.pi ** 2),
+                          1.0, tol, max_iter, f0)
+    breakdown = pekar_energy(PekarProductState(params, sol.minimizer))
+    # the deficit E - B from its components: B's ulp would swamp total - B
+    sol.energy = breakdown.longitudinal_kinetic + breakdown.coulomb
     return sol, breakdown
 
 

@@ -6,7 +6,7 @@ test suite validates each closed form against adaptive quadrature.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special as _sc
+import scipy.special as _sc
 
 EULER_GAMMA = np.euler_gamma
 

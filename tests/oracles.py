@@ -2,12 +2,15 @@
 
 These deliberately avoid the package's production evaluation paths: closed
 forms are checked against adaptive or panel quadrature of their defining
-integrals, transverse objects against 2D tensor Gauss-Legendre grids, and
-Coulomb energies against the analytic transform of the sech-squared density.
-They may be slow; they exist only under tests/.
+integrals, transverse objects against 2D tensor Gauss-Legendre grids (the
+twisted kernel is applied to states by brute-force quadrature to test its
+norm bound), and Coulomb energies against the analytic transform of the
+sech-squared density.  They may be slow; they exist only under tests/.
 """
 import numpy as np
 from scipy import integrate, special
+
+from magpolaron import twisted_kernel, twisted_norm_bound
 
 
 def sech_profile(a, b):
@@ -116,6 +119,29 @@ def transverse_reduction_residual(z, B, n1d=20):
     return full - reduced
 
 
+def twisted_norm_check(k_perp, B, states, nodes, weights):
+    """Apply the twisted kernel to normalized transverse states by quadrature
+    and compare against the norm bound.
+
+    states: list of complex arrays sampled on `nodes` ((N,2) points with
+    quadrature `weights`).  Returns (ok, margins) where margins are
+    bound - measured norm for each state.
+    """
+    bound = twisted_norm_bound(k_perp, B)
+    psi_mat = np.stack([np.asarray(s, dtype=complex) for s in states], axis=-1)
+    weighted = weights[:, None] * psi_mat
+    out = np.empty_like(psi_mat)
+    chunk = max(1, int(2e6 // len(nodes)))
+    for i in range(0, len(nodes), chunk):
+        blk = twisted_kernel(nodes[i:i + chunk, None, :], nodes[None, :, :],
+                             k_perp, B)
+        out[i:i + chunk] = blk @ weighted
+    norms_in = np.sqrt(np.sum(weights[:, None] * np.abs(psi_mat) ** 2, axis=0))
+    norms_out = np.sqrt(np.sum(weights[:, None] * np.abs(out) ** 2, axis=0))
+    margins = list(bound - norms_out / norms_in)
+    return all(m >= 0 for m in margins), margins
+
+
 def u_weight_quad(k3, B):
     """Radial quadrature of the transverse momentum integral behind the
     Fourier-side weight."""
@@ -123,6 +149,15 @@ def u_weight_quad(k3, B):
         lambda r: 2 * np.pi * np.exp(-r * r / B) * r / (r * r + k3 * k3),
         0, np.inf, limit=200)
     return val
+
+
+def coupling_weight_quad(K3, Kperp):
+    """Adaptive quadrature of R = int_{|k|<=K3} pi (ln(Kperp^2+k^2) -
+    ln(1+k^2)) dk."""
+    val, _ = integrate.quad(
+        lambda k: np.pi * (np.log(Kperp ** 2 + k * k) - np.log1p(k * k)),
+        0.0, K3, limit=400, epsabs=1e-10, epsrel=1e-12)
+    return 2.0 * val
 
 
 def exp_scaled_e1_quad(x):

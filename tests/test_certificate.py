@@ -1,13 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from magpolaron import (CutoffParams, ParameterError, PhysParams,
-                        analytic_infimum_floor, block_coupling, block_error,
+                        analytic_infimum_floor, block_error,
                         certificate_to_dict, certify_projected,
                         conditional_full_bound, coupling_v, default_cutoffs,
                         kappa, kappa1, kappa2, localization_error,
-                        pekar_minimize, rough_lower_formula,
-                        total_coupling_weight)
+                        pekar_minimize, total_coupling_weight)
 from magpolaron.special import exp_scaled_e1
 
 import oracles
@@ -83,26 +84,18 @@ class TestCoupling:
         k = np.linspace(0.0, 200.0, 20)
         assert np.all(coupling_v(k, Kperp) ** 2 <= 2 * np.pi * np.log(Kperp) + 1e-12)
 
-    def test_total_weight_quadrature_vs_antiderivative(self):
-        K3, Kperp = 89.0, 1e4
-        R = total_coupling_weight(K3, Kperp)
-
-        def F(k, a):
-            return k * np.log(a * a + k * k) - 2 * k + 2 * a * np.arctan(k / a)
-        closed = 2 * np.pi * ((F(K3, Kperp) - F(0, Kperp)) - (F(K3, 1.0) - F(0, 1.0)))
-        assert R == pytest.approx(closed, rel=1e-10)
+    @pytest.mark.parametrize("lnB,alpha", [(8.0, 2.0), (12.0, 1.0),
+                                           (20.0, 0.5), (30.0, 2.0)])
+    def test_total_weight_closed_form_vs_quadrature(self, lnB, alpha):
+        B = np.exp(lnB)
+        cut = default_cutoffs(B, alpha, B * lnB ** (-4.0 / 3.0))
+        assert total_coupling_weight(cut.K3, cut.Kperp) == pytest.approx(
+            oracles.coupling_weight_quad(cut.K3, cut.Kperp), rel=1e-12)
 
     def test_total_weight_consistency_bound(self):
         K3, Kperp = 89.0, 1e4
         R = total_coupling_weight(K3, Kperp)
         assert R <= 2 * (2 * np.pi * K3 * np.log(Kperp))
-
-    def test_blocks_partition_total(self):
-        K3, Kperp, M = 30.0, 1e3, 7
-        edges = np.linspace(-K3, K3, M + 1)
-        total = sum(block_coupling(lo, hi, Kperp) ** 2
-                    for lo, hi in zip(edges[:-1], edges[1:]))
-        assert total == pytest.approx(total_coupling_weight(K3, Kperp), rel=1e-9)
 
 
 class TestErrorTerms:
@@ -252,6 +245,11 @@ class TestConditionalAndRough:
         cert = certify_projected(np.exp(12.0), 1.0)
         assert conditional_full_bound(cert, 0.0) == cert.p0_bound - 0.25
 
+    def test_firstcut_constant_from_ledger(self):
+        cert = certify_projected(np.exp(12.0), 1.0)
+        cert.ledger = dataclasses.replace(cert.ledger, firstcut_constant=0.5)
+        assert conditional_full_bound(cert, 0.0) == cert.p0_bound - 0.5
+
     def test_penalty_shape(self):
         lnB = 16.0
         B = np.exp(lnB)
@@ -265,16 +263,3 @@ class TestConditionalAndRough:
         cert = certify_projected(np.exp(12.0), 1.0)
         vals = [conditional_full_bound(cert, c) for c in (0.0, 1.0, 2.0)]
         assert vals[0] > vals[1] > vals[2]
-
-    def test_rough_formula(self):
-        assert rough_lower_formula(np.exp(10.0), 1.0, 0.0) == np.exp(10.0)
-        assert rough_lower_formula(np.exp(10.0), 1.0, 1.0) == pytest.approx(
-            np.exp(10.0) - 100.0, rel=1e-14)
-
-    def test_rough_vs_certificate_reported(self):
-        # the crude bound with a unit constant sits below the itemized
-        # certificate chain at moderate B (consistency, not asserted sharply)
-        B = np.exp(16.0)
-        cert = certify_projected(B, 1.0)
-        rough = rough_lower_formula(B, 1.0, 3.0)
-        assert np.isfinite(rough) and np.isfinite(cert.p0_bound)

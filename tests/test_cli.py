@@ -41,6 +41,16 @@ class TestMinimizeAndTrial:
         out = capsys.readouterr().out
         assert "E_total - B  = -" in out
 
+    def test_minimize_deficit_from_components_at_e30(self, capsys):
+        # the ulp of B = e^30 is ~2e-3, so E_total - B would lose the deficit
+        # to rounding; it must come from the kinetic and Coulomb components
+        from magpolaron import PhysParams, pekar_minimize
+        sol, bd = pekar_minimize(PhysParams(parse_b("e30"), 1.0))
+        assert sol.energy == bd.longitudinal_kinetic + bd.coulomb
+        assert main(["minimize", "--B", "e30"]) == EXIT_OK
+        expected = format(sol.energy, ".17g")
+        assert f"E_total - B  = {expected}\n" in capsys.readouterr().out
+
     def test_minimize_zero_coupling(self, capsys):
         assert main(["minimize", "--B", "e8", "--alpha", "0"]) == EXIT_OK
         assert "degenerate" in capsys.readouterr().out

@@ -6,8 +6,7 @@ from magpolaron import (Field1D, Grid1D, ParameterError, ResolutionError,
                         d_product_real, decompose, first_excited_radial,
                         ground_radial, kernel_remainder,
                         kernel_remainder_coefficient, kinetic, log_kernel,
-                        log_kernel_far, log_kernel_near, main_coefficient,
-                        mass, offdiag_bound_check, quartic,
+                        main_coefficient, mass, offdiag_bound_check, quartic,
                         smooth_remainder_bound, standard_grid)
 
 from conftest import sech_field
@@ -83,37 +82,6 @@ class TestMainCoefficient:
 
 
 class TestLogKernel:
-    def test_far_part_bounded(self):
-        B = 1e3
-        bound = np.log(1 + np.sqrt(1 + np.log(B) ** 2 / B))
-        radii = np.geomspace(1e-4, 10.0, 10)
-        assert np.all(log_kernel_far(radii, B) <= bound + 1e-12)
-
-    def test_near_part_boundary(self):
-        B = 50.0
-        assert log_kernel_near(1.0 / np.sqrt(B), B) == pytest.approx(0.0, abs=1e-14)
-        assert log_kernel_near(2.0 / np.sqrt(B), B) == 0.0
-
-    def test_split_reconstructs(self):
-        B = 1e4
-        r = np.geomspace(1e-5, 5.0, 50)
-        total = log_kernel_near(r, B) + log_kernel_far(r, B)
-        assert np.allclose(total, log_kernel(r, B), rtol=1e-12)
-
-    @pytest.mark.parametrize("B", [1.0 + 1e-9, 1e4])
-    def test_near_part_l2_norm(self, B):
-        # int_0^1 s ln^2 s ds = 1/4 gives the exact norm sqrt(pi/2)/sqrt(B);
-        # quadrature runs in the scaled variable s = sqrt(B) r
-        from scipy import integrate
-        base, _ = integrate.quad(lambda s: s * np.log(s) ** 2, 0, 1.0)
-        assert base == pytest.approx(0.25, rel=1e-11)
-        val, _ = integrate.quad(
-            lambda s: log_kernel_near(np.array([s / np.sqrt(B)]), B)[0] ** 2
-            * 2 * np.pi * s / B,
-            0, 1.0, epsabs=1e-13, epsrel=1e-12)
-        assert np.sqrt(val) == pytest.approx(
-            np.sqrt(np.pi / 2.0 / B), rel=1e-10)
-
     def test_zero_radius_guarded(self):
         assert log_kernel(0.0, 10.0) == np.inf
 
