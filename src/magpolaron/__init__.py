@@ -20,11 +20,10 @@ from .errors import (ConvergenceError, DomainTooSmallError, FitError,
                      ResolutionError)
 from .grids import (DensityProfile, Field1D, Grid1D, centroid, density_fourier,
                     kinetic, mass, quartic, shift_field, standard_grid)
-from .landau import (HIGHER_LEVEL_FACTOR, RadialTransverseDensity,
-                     TransverseGaussian, effective_potential,
+from .landau import (RadialTransverseDensity, effective_potential,
                      effective_potential_fourier, effective_potential_general,
                      lll_projector_kernel, projected_phase_factor,
-                     transverse_kinetic, twisted_kernel, twisted_norm_bound)
+                     twisted_kernel, twisted_norm_bound)
 from .oned import (SHARP_GN_Q4, OneDProblem, OneDSolution, WeightedProblem,
                    closed_form_energy, closed_form_minimizer,
                    distance_to_profile, gn_gap, gn_ratio, sharp_gn_constant,

@@ -24,7 +24,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError, ResolutionError
-from .grids import Field1D, density_fourier_at, kinetic, mass, quartic
+from .grids import (Field1D, density_correlation_at, density_fourier_at,
+                    density_power, kinetic, mass, quartic)
 from .landau import (RadialTransverseDensity, effective_potential,
                      effective_potential_fourier, effective_potential_general)
 from .special import gauss_legendre_panels, geometric_edges
@@ -34,28 +35,6 @@ GRID_KERNEL_GUARD = 1.0
 
 # ----------------------------------------------------------------------------
 # correlation helpers
-
-
-def _density_spectrum(f: Field1D):
-    """(k >= 0 dual nodes, |rho_hat|^2 there, dk); rho = f^2."""
-    g = f.grid
-    k = g.wavenumbers()
-    rho_hat = g.spacing * np.fft.fft(f.values ** 2)  # phases cancel in |.|^2
-    power = rho_hat.real ** 2 + rho_hat.imag ** 2
-    half = g.n // 2
-    return np.abs(k[: half + 1]), power[: half + 1], np.pi / g.half_width
-
-
-def _correlation_at(f: Field1D, z: np.ndarray) -> np.ndarray:
-    """C(z) = int rho(x) rho(x+z) dx from the dual-grid power spectrum."""
-    k_pos, power, dk = _density_spectrum(f)
-    coeff = power.copy()
-    coeff[1:-1] *= 2.0  # fold negative wavenumbers
-    out = np.empty(len(z))
-    chunk = max(1, int(4e6 // len(k_pos)))
-    for i in range(0, len(z), chunk):
-        out[i:i + chunk] = np.cos(np.outer(z[i:i + chunk], k_pos)) @ coeff
-    return out * dk / (2 * np.pi)
 
 
 def _panel_nodes_for_kernel(f: Field1D, inner_scale: float):
@@ -73,7 +52,7 @@ def longitudinal_double_integral(f: Field1D, kernel_at: Callable,
                                  inner_scale: float) -> float:
     """(1/2) iint f^2(x) f^2(y) kernel(x-y) dx dy for an even decaying kernel."""
     z, w = _panel_nodes_for_kernel(f, inner_scale)
-    C = _correlation_at(f, z)
+    C = density_correlation_at(f, z)
     return float(np.sum(w * C * kernel_at(z)))
 
 
@@ -137,11 +116,9 @@ def d_product_grid(f: Field1D, B: float) -> float:
     z = np.abs(lags) * h
     trap = h * np.sum(corr * effective_potential(z, B))
 
-    k_pos, power, dk = _density_spectrum(f)
-    fold = power.copy()
-    fold[1:-1] *= 2.0
-    c0 = float(np.sum(fold) * dk / (2 * np.pi))
-    c2 = -float(np.sum(fold * k_pos ** 2) * dk / (2 * np.pi))
+    k_pos, measure = density_power(f)
+    c0 = float(np.sum(measure))  # C(0)
+    c2 = -float(np.sum(measure * k_pos ** 2))  # C''(0)
     correction = -(h ** 2) * B * c0 / 12.0 \
         + (h ** 4) * (B * B * c0 + 3.0 * B * c2) / 720.0
     return float(0.5 * (trap + correction))
@@ -199,11 +176,8 @@ def smooth_remainder_bound(f: Field1D, B: float) -> float:
 def kernel_remainder_coefficient(B: float) -> float:
     """Gaussian average of the log kernel over the transverse difference
     density: (1/2) int_0^inf e^{-u^2/4} K(u/sqrt(B)) u du."""
-    if B <= 1:
-        raise ParameterError("kernel remainder defined for B > 1")
-    lnB = np.log(B)
     nodes, w = gauss_legendre_panels(geometric_edges(1e-8, 20.0), order=16)
-    vals = np.log1p(np.sqrt(1.0 + (lnB * nodes) ** 2 / B)) - np.log(nodes)
+    vals = log_kernel(nodes / np.sqrt(B), B)
     # the [0, 1e-8] piece is bounded by eps^2 (|ln eps| + 1) ~ 1e-15, dropped
     return float(0.5 * np.sum(w * np.exp(-nodes ** 2 / 4.0) * nodes * vals))
 

@@ -5,6 +5,8 @@ Conventions:
   - continuum transform rho_hat(k) = int e^{-ikt} rho(t) dt, approximated by
     h * sum_j e^{-ik t_j} rho_j on the dual grid k_m = 2*pi*fftfreq(n, h)
   - dual spacing is pi/T, and Parseval reads  int |rho_hat|^2 dk = 2*pi*int rho^2
+  - the phase e^{ikT} of t_0 = -T cancels in |rho_hat|^2; density_power and
+    the sphere flow in oned drop it
 """
 from __future__ import annotations
 
@@ -134,14 +136,36 @@ def density_fourier_at(rho_vals: np.ndarray, grid: Grid1D, k: np.ndarray) -> np.
 
     Evaluates the trigonometric interpolant's transform; O(len(k) * n).
     """
-    t = grid.points()
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    out = np.empty(len(k), dtype=complex)
-    chunk = max(1, int(4e6 // grid.n))
-    for i in range(0, len(k), chunk):
-        kk = k[i:i + chunk]
-        out[i:i + chunk] = grid.spacing * np.exp(-1j * np.outer(kk, t)) @ rho_vals
-    return out
+    return grid.spacing * _dense_sum(lambda x: np.exp(-1j * x), k,
+                                     grid.points(), rho_vals)
+
+
+def density_power(f: Field1D):
+    """One-sided power of rho = f^2 on the dual grid: (k >= 0, measure) with
+    measure = |rho_hat|^2 dk / 2pi = |rho_hat|^2 / 2T and the negative
+    wavenumbers folded in, so C(z) = int rho(x) rho(x+z) dx
+    = sum measure * cos(k z)."""
+    g = f.grid
+    rho_hat = g.spacing * np.fft.rfft(f.values ** 2)
+    measure = (rho_hat.real ** 2 + rho_hat.imag ** 2) / (2.0 * g.half_width)
+    measure[1:-1] *= 2.0  # fold in the negative wavenumbers
+    return 2.0 * np.pi * np.fft.rfftfreq(g.n, g.spacing), measure
+
+
+def density_correlation_at(f: Field1D, z: np.ndarray) -> np.ndarray:
+    """C(z) = int rho(x) rho(x+z) dx at arbitrary offsets; O(len(z) * n)."""
+    k_pos, measure = density_power(f)
+    return _dense_sum(np.cos, np.asarray(z, dtype=float), k_pos, measure)
+
+
+def _dense_sum(kernel, rows, cols, coeffs) -> np.ndarray:
+    """sum_j kernel(rows_i * cols_j) coeffs_j for every row, in row chunks
+    that keep each dense kernel block near 4e6 entries."""
+    chunk = max(1, int(4e6 // len(cols)))
+    return np.concatenate([np.zeros(0)] + [
+        kernel(np.outer(rows[i:i + chunk], cols)) @ coeffs
+        for i in range(0, len(rows), chunk)])
 
 
 def shift_field(f: Field1D, delta: float) -> Field1D:

@@ -17,30 +17,6 @@ from .errors import InvalidFieldError, ParameterError
 from .special import (EULER_GAMMA, erfcx, exp_scaled_e1,
                       gauss_legendre_panels, geometric_edges)
 
-# spectrum of the transverse kinetic operator is B, 3B, 5B, ...; states out of
-# the lowest level carry at least this multiple of B
-HIGHER_LEVEL_FACTOR = 3.0
-
-
-@dataclass(frozen=True)
-class TransverseGaussian:
-    """Ground transverse profile g_B(x) = sqrt(B/2pi) exp(-B|x|^2/4)."""
-
-    B: float
-
-    def __post_init__(self):
-        if not self.B > 0:
-            raise ParameterError("B must be positive")
-
-    def __call__(self, x_perp: np.ndarray) -> np.ndarray:
-        x = np.asarray(x_perp, dtype=float)
-        r2 = np.sum(x * x, axis=-1)
-        return np.sqrt(self.B / (2 * np.pi)) * np.exp(-self.B * r2 / 4.0)
-
-    def density_radial(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        return self.B / (2 * np.pi) * np.exp(-self.B * r * r / 2.0)
-
 
 @dataclass(frozen=True)
 class RadialTransverseDensity:
@@ -194,9 +170,3 @@ def effective_potential_general(rho: RadialTransverseDensity, z) -> np.ndarray:
     out = np.exp(-np.outer(np.abs(z), k_nodes)) @ (k_w * rho_hat ** 2)
     return out if out.size > 1 else float(out[0])
 
-
-def transverse_kinetic(B: float) -> float:
-    """Transverse energy of the product state: the bottom of the spectrum."""
-    if not B > 0:
-        raise ParameterError("B must be positive")
-    return float(B)

@@ -135,11 +135,9 @@ def _minimize_on_sphere(grid: Grid1D, akin: float, weights: np.ndarray,
     weights live on the FFT-order dual grid (cutoff edge fractions already
     applied).  Returns (values, energy, iterations, residual).
     """
-    n, h, T = grid.n, grid.spacing, grid.half_width
+    n, h, dk = grid.n, grid.spacing, np.pi / grid.half_width
     t = grid.points()
     k = grid.wavenumbers()
-    dk = np.pi / T
-    phase = np.exp(1j * k * T)
 
     f = np.exp(-t * t / 2.0) if f0 is None else np.array(f0, dtype=float)
     nrm = h * np.sum(f * f)
@@ -151,18 +149,18 @@ def _minimize_on_sphere(grid: Grid1D, akin: float, weights: np.ndarray,
         """(energy, fft(fv), rho_hat) of a field on the sphere."""
         F = np.fft.fft(fv)
         kin = akin * (h / n) * np.sum(k * k * np.abs(F) ** 2)
-        rho_hat = h * phase * np.fft.fft(fv * fv)
+        rho_hat = h * np.fft.fft(fv * fv)  # e^{ikT} cancels in |.|^2 and W
         pot = lam * dk * np.sum(weights * (rho_hat.real ** 2 + rho_hat.imag ** 2))
         return kin - pot, F, rho_hat
 
     def flow_weight(rho_hat):
         # W = -(1/2) delta(potential term)/delta f / f ; flow term is W*f
         return 4.0 * np.pi * lam * (dk / (2 * np.pi)) * n * np.real(
-            np.fft.ifft(weights * rho_hat * np.conj(phase)))
+            np.fft.ifft(weights * rho_hat))
 
     def recenter(fv):
-        c = h * np.sum(t * fv * fv) / mass_target
-        fv = np.real(np.fft.ifft(np.fft.fft(fv) * np.exp(1j * k * c)))
+        fld = Field1D(grid, fv)
+        fv = shift_field(fld, centroid(fld)).values
         return fv * np.sqrt(mass_target / (h * np.sum(fv * fv)))
 
     E, F, rho_hat = state(f)

@@ -26,6 +26,7 @@ from .landau import effective_potential_fourier_cell_average, \
 from .oned import OneDSolution, _solve_rescaled
 
 NORMALIZATION_TOL = 1e-6
+_N_AVERAGE = 8  # dual-grid cells on each side of k = 0 given exact averages
 
 
 @dataclass(frozen=True)
@@ -130,13 +131,13 @@ def trial_energy(B: float, alpha: float,
     return EnergyBreakdown(B, kin_exact, -alpha * d_val, alpha * d_err)
 
 
-def interaction_weights(grid: Grid1D, B: float, n_average: int = 8) -> np.ndarray:
+def interaction_weights(grid: Grid1D, B: float) -> np.ndarray:
     """Fourier-side interaction weight on the dual grid, with the cells
     nearest k = 0 replaced by exact cell averages of the log-singular weight."""
     k = grid.wavenumbers()
     dk = np.pi / grid.half_width
     w = effective_potential_fourier(k, B)
-    nearest = np.argsort(np.abs(k))[: 2 * n_average + 1]
+    nearest = np.argsort(np.abs(k))[: 2 * _N_AVERAGE + 1]
     for m in nearest:
         w[m] = effective_potential_fourier_cell_average(k[m], dk, B)
     return w
@@ -197,17 +198,18 @@ def _transverse_weight_quadrature(k3: np.ndarray, B: float) -> np.ndarray:
     """Transverse momentum integral int_0^inf e^{-u/B}/(u + k3^2) du (times pi)
     by adaptive quadrature; the independent route to the Fourier-side weight.
 
-    The logarithmic part near u = 0 is split off in closed form so the
-    remaining integrands are smooth for arbitrarily small k3.
+    Integrated in s = u/B, y = k3^2/B, at unit scale for every B and to a
+    relative tolerance; the log part ln(1 + 1/y) near s = 0 is split off in
+    closed form so the remaining integrands are smooth for arbitrarily small k3.
     """
     out = np.empty(len(k3))
     for i, kk in enumerate(k3):
-        x = kk * kk
+        y = kk * kk / B
         j1, _ = integrate.quad(
-            lambda u: np.expm1(-u / B) / (u + x), 0.0, B, limit=200)
+            lambda s: np.expm1(-s) / (s + y), 0.0, 1.0, limit=200, epsabs=0.0)
         j2, _ = integrate.quad(
-            lambda u: np.exp(-u / B) / (u + x), B, np.inf, limit=200)
-        out[i] = np.pi * (j1 + np.log((B + x) / x) + j2)
+            lambda s: np.exp(-s) / (s + y), 1.0, np.inf, limit=200, epsabs=0.0)
+        out[i] = np.pi * (j1 + np.log1p(1.0 / y) + j2)
     return out
 
 

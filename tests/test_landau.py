@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 from scipy import special as sc
 
-from magpolaron import (HIGHER_LEVEL_FACTOR, ParameterError,
-                        RadialTransverseDensity, TransverseGaussian,
+from magpolaron import (ParameterError, RadialTransverseDensity,
                         effective_potential, effective_potential_fourier,
-                        effective_potential_general, lll_projector_kernel,
-                        projected_phase_factor, transverse_kinetic,
+                        effective_potential_general, ground_radial,
+                        lll_projector_kernel, projected_phase_factor,
                         twisted_kernel, twisted_norm_bound)
 from magpolaron.special import exp_scaled_e1
 
@@ -60,7 +59,7 @@ class TestPhaseFactor:
     def test_gaussian_expectation_by_quadrature(self):
         B, k = 4.0, np.array([1.0, 1.0])
         pts, w = _nodes(B)
-        g = TransverseGaussian(B)(pts)
+        g = ground_radial(B)(np.linalg.norm(pts, axis=-1))
         val = np.sum(w * g * g * np.exp(1j * (pts @ k)))
         assert val.real == pytest.approx(projected_phase_factor(k, B), abs=1e-8)
         assert abs(val.imag) < 1e-10
@@ -94,7 +93,7 @@ class TestTwistedNorm:
     def test_ground_state_zero_momentum(self):
         B = 1.0
         pts, w = _norm_nodes(B)
-        g = TransverseGaussian(B)(pts)
+        g = ground_radial(B)(np.linalg.norm(pts, axis=-1))
         ok, margins = oracles.twisted_norm_check(np.zeros(2), B, [g], pts, w)
         assert ok
         # at zero momentum the twisted operator is the projector itself
@@ -104,7 +103,7 @@ class TestTwistedNorm:
     def test_ground_state_bound(self, kx):
         B = 1.0
         pts, w = _norm_nodes(B)
-        g = TransverseGaussian(B)(pts)
+        g = ground_radial(B)(np.linalg.norm(pts, axis=-1))
         ok, margins = oracles.twisted_norm_check(np.array([kx, 0.0]), B, [g], pts, w)
         assert ok and margins[0] > 0
         # the Gaussian saturates half the bound exactly
@@ -189,36 +188,27 @@ class TestSpecialFunctionAccuracy:
 class TestGeneralPotential:
     def test_reproduces_gaussian_closed_form(self):
         B = 2.0
-        gauss = TransverseGaussian(B)
-        rho = RadialTransverseDensity.from_profile(B, gauss.density_radial)
+        rho = RadialTransverseDensity.from_profile(
+            B, lambda r: ground_radial(B)(r) ** 2)
         for z in (0.0, 0.5, 2.0):
             assert effective_potential_general(rho, z) == pytest.approx(
                 effective_potential(z, B), rel=1e-6)
 
     def test_point_mass_limit(self):
         B = 1e6
-        gauss = TransverseGaussian(B)
-        rho = RadialTransverseDensity.from_profile(B, gauss.density_radial)
+        rho = RadialTransverseDensity.from_profile(
+            B, lambda r: ground_radial(B)(r) ** 2)
         assert effective_potential_general(rho, 1.0) == pytest.approx(1.0, abs=1e-3)
 
     def test_even_in_offset(self):
         B = 3.0
-        gauss = TransverseGaussian(B)
-        rho = RadialTransverseDensity.from_profile(B, gauss.density_radial)
+        rho = RadialTransverseDensity.from_profile(
+            B, lambda r: ground_radial(B)(r) ** 2)
         vals = effective_potential_general(rho, np.array([-1.3, 1.3]))
         assert vals[0] == pytest.approx(vals[1], rel=1e-12)
 
 
 class TestTransverseKinetic:
-    @pytest.mark.parametrize("B", [1.0, 1e6])
-    def test_value(self, B):
-        assert transverse_kinetic(B) == B
-
-    def test_higher_level_constant(self):
-        assert HIGHER_LEVEL_FACTOR == 3.0
-
     def test_validation(self):
-        with pytest.raises(ParameterError):
-            transverse_kinetic(0.0)
         with pytest.raises(ParameterError):
             effective_potential(1.0, -1.0)

@@ -3,11 +3,13 @@ import pytest
 
 from magpolaron import (Field1D, FitError, Grid1D, OneDProblem, ParameterError,
                         PekarProductState, PhysParams, SweepRecord,
-                        closed_form_energy, coherent_infimum, fit_asymptotics,
+                        closed_form_energy, coherent_infimum,
+                        effective_potential_fourier, fit_asymptotics,
                         kinetic, main_coefficient, mass, pekar_energy,
                         pekar_minimize, quartic, scaling_identity_check,
                         standard_grid, sweep, sweep_grid, trial_energy,
                         trial_state)
+from magpolaron.pekar import _transverse_weight_quadrature
 
 from conftest import sech_field
 
@@ -131,6 +133,24 @@ class TestCoherentRoute:
     def test_zero_amplitude_suboptimal(self, f11):
         state = PekarProductState(PhysParams(np.exp(6.0), 1.0), f11)
         assert np.exp(6.0) + kinetic(f11) >= coherent_infimum(state)
+
+    @pytest.mark.parametrize("lnB", [12.0, 20.0, 30.0])
+    def test_transverse_quadrature_pointwise(self, lnB):
+        B = np.exp(lnB)
+        k = np.geomspace(1e-6, 1e4, 41)
+        ratio = _transverse_weight_quadrature(k, B) / effective_potential_fourier(k, B)
+        assert np.max(np.abs(ratio - 1.0)) <= 1e-8
+
+    @pytest.mark.parametrize("lnB", [20.0, 30.0])
+    def test_deficit_matches_energy_at_large_B(self, lnB):
+        # the binding deficit E - B, not a total that B dominates; ulp(B)
+        # bounds what coherent_infimum(...) - B can resolve
+        state = trial_state(np.exp(lnB), 1.0)
+        B = state.params.B
+        e = pekar_energy(state)
+        deficit = e.longitudinal_kinetic + e.coulomb
+        gap = abs((coherent_infimum(state) - B) - deficit)
+        assert gap <= 1e-8 * abs(deficit) + np.spacing(B)
 
 
 class TestSweepAndFit:
