@@ -18,8 +18,8 @@ from .decomposition import (DecompositionLedger, coulomb_D_product,
 from .errors import (ConvergenceError, DomainTooSmallError, FitError,
                      InvalidFieldError, MagpolaronError, ParameterError,
                      ResolutionError)
-from .grids import (DensityProfile, Field1D, Grid1D, centroid, density_fourier,
-                    kinetic, mass, quartic, shift_field, standard_grid)
+from .grids import (Field1D, Grid1D, centroid, kinetic, mass, quartic,
+                    shift_field, standard_grid)
 from .landau import (RadialTransverseDensity, effective_potential,
                      effective_potential_fourier, effective_potential_general,
                      lll_projector_kernel, projected_phase_factor,

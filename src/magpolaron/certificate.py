@@ -10,7 +10,7 @@ operator) takes its constant from the caller and is labeled as such.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -80,7 +80,6 @@ class ConstantsLedger:
 @dataclass
 class LowerBoundCertificate:
     params: PhysParams
-    K: float
     cutoffs: CutoffParams
     ledger: ConstantsLedger
     I_value: float
@@ -157,15 +156,19 @@ def block_error(alpha: float, K3: float, L: float, gamma: float, M: int,
     return alpha * K3 ** 2 * L ** 2 * R / (4.0 * np.pi ** 2 * gamma * M ** 2)
 
 
-def default_cutoffs(B: float, alpha: float, K: float) -> CutoffParams:
+def default_cutoffs(B: float, alpha: float,
+                    K: Optional[float] = None) -> CutoffParams:
     """Standard parameter choices driven by B.
 
-    Kperp = sqrt(B), K3 = kappa^{-1/2} (ln B)^{3/2},
+    K = B (ln B)^{-4/3} unless given, Kperp = sqrt(B),
+    K3 = kappa^{-1/2} (ln B)^{3/2},
     L^2 = kappa^{1/5} K3^{-3/5} (ln Kperp)^{-3/5}, M = floor(1/L^2),
     gamma = kappa^{4/5} K3^{3/5} (ln Kperp)^{-7/5}.
     """
     if B < 1e3:
         raise ParameterError("default cutoffs require B >= 1e3")
+    if K is None:
+        K = B * np.log(B) ** (-4.0 / 3.0)
     if K < np.sqrt(B):
         raise ParameterError("default cutoffs require K >= sqrt(B)")
     kap = kappa(K, alpha)
@@ -208,7 +211,7 @@ def analytic_infimum_floor(kappa1_value: float, gamma: float, Kperp: float,
         12.0 * kappa1_value * (1.0 - gamma) ** 2)
 
 
-def certify_projected(B: float, alpha: float, K: Optional[float] = None,
+def certify_projected(B: float, alpha: float,
                       cutoffs: Optional[CutoffParams] = None,
                       grid: Optional[Grid1D] = None,
                       tol: float = 1e-10) -> LowerBoundCertificate:
@@ -216,14 +219,13 @@ def certify_projected(B: float, alpha: float, K: Optional[float] = None,
 
     p0_bound = kappa2 B + I - M - block_error - pi^2/L^2 - (1 + alpha/2).
     Out-of-range parameters mark the certificate invalid but the ledger is
-    still returned.
+    still returned.  Without cutoffs, default_cutoffs(B, alpha) applies.
     """
     params = PhysParams(B, alpha)
     lnB = np.log(B)
-    if K is None:
-        K = B * lnB ** (-4.0 / 3.0)
     if cutoffs is None:
-        cutoffs = default_cutoffs(B, alpha, K)
+        cutoffs = default_cutoffs(B, alpha)
+    K = cutoffs.K
 
     kap = 1.0 - 8.0 * alpha / (np.pi * K)  # raw value; positivity is flagged
     kap1 = kappa1(kap, cutoffs.K3, B, alpha)
@@ -264,7 +266,7 @@ def certify_projected(B: float, alpha: float, K: Optional[float] = None,
                  and validity["K_at_least_sqrtB"] and validity["kappa_window"]
                  and np.isfinite(p0))
     return LowerBoundCertificate(
-        params=params, K=K, cutoffs=cutoffs, ledger=ledger, I_value=I_value,
+        params=params, cutoffs=cutoffs, ledger=ledger, I_value=I_value,
         p0_bound=float(p0), validity=validity, valid=valid)
 
 
@@ -275,36 +277,21 @@ def conditional_full_bound(cert: LowerBoundCertificate, C_M: float) -> float:
     if C_M < 0:
         raise ParameterError("C_M must be nonnegative")
     lnB = np.log(cert.params.B)
-    penalty = (C_M * lnB ** 2 * np.sqrt(cert.K / cert.params.B)
+    penalty = (C_M * lnB ** 2 * np.sqrt(cert.cutoffs.K / cert.params.B)
                + cert.ledger.firstcut_constant)
     return cert.p0_bound - penalty
 
 
 def certificate_to_dict(cert: LowerBoundCertificate) -> dict:
-    """Flat dictionary with every ledger term named; JSON-ready."""
-    led = cert.ledger
-
+    """Flat dictionary with every cutoff and ledger term named; JSON-ready."""
     def _num(x):
         return None if x is None or not np.isfinite(x) else float(x)
 
     return {
         "B": cert.params.B,
         "alpha": cert.params.alpha,
-        "K": cert.K,
-        "K3": cert.cutoffs.K3,
-        "Kperp": cert.cutoffs.Kperp,
-        "gamma": cert.cutoffs.gamma,
-        "L": cert.cutoffs.L,
-        "M": cert.cutoffs.M,
-        "kappa": led.kappa,
-        "kappa1": led.kappa1,
-        "kappa2": led.kappa2,
-        "R": led.R,
-        "localization_error": led.localization_error,
-        "block_error": led.block_error,
-        "mode_count_error": led.mode_count_error,
-        "projection_constant": led.projection_constant,
-        "firstcut_constant": led.firstcut_constant,
+        **asdict(cert.cutoffs),
+        **asdict(cert.ledger),
         "I_value": _num(cert.I_value),
         "p0_bound": _num(cert.p0_bound),
         "conditional_full_bound": _num(cert.conditional_full_bound),

@@ -30,8 +30,9 @@ EXIT_VALIDATION = 1
 EXIT_CONVERGENCE = 2
 EXIT_INVARIANT = 3
 
-CSV_HEADER = ["B", "alpha", "E_total", "E_kin3", "E_coulomb", "trial_E",
-              "cert_bound", "iters", "residual"]
+CSV_HEADER = [f.name for f in dataclasses.fields(pekar.SweepRecord)]
+#: how each sweep CSV column is read back; every other column is a float
+_CSV_PARSE = {"iters": int, "cert_bound": lambda s: float(s) if s else None}
 
 
 def parse_b(text: str) -> float:
@@ -78,28 +79,19 @@ def write_sweep_csv(records, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for r in records:
-            writer.writerow([
-                _fmt(r.B), _fmt(r.alpha), _fmt(r.E_total), _fmt(r.E_kin3),
-                _fmt(r.E_coulomb), _fmt(r.trial_E), _fmt(r.cert_bound),
-                str(r.iters), _fmt(r.residual)])
+        writer.writerows([_fmt(v) for v in dataclasses.astuple(r)]
+                         for r in records)
 
 
 def read_sweep_csv(path: str):
-    records = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")
         missing = set(CSV_HEADER) - set(reader.fieldnames or [])
         if missing:
             raise ParameterError(f"sweep CSV missing columns: {sorted(missing)}")
-        for row in reader:
-            records.append(pekar.SweepRecord(
-                B=float(row["B"]), alpha=float(row["alpha"]),
-                E_total=float(row["E_total"]), E_kin3=float(row["E_kin3"]),
-                E_coulomb=float(row["E_coulomb"]), trial_E=float(row["trial_E"]),
-                cert_bound=float(row["cert_bound"]) if row["cert_bound"] else None,
-                iters=int(row["iters"]), residual=float(row["residual"])))
-    return records
+        return [pekar.SweepRecord(**{
+            name: _CSV_PARSE.get(name, float)(row[name]) for name in CSV_HEADER})
+            for row in reader]
 
 
 # ----------------------------------------------------------------------------
@@ -214,18 +206,14 @@ def cmd_certify(args) -> int:
     B = parse_b(_merged(args, "B"))
     alpha = float(_merged(args, "alpha", 1.0))
     K = _merged(args, "K")
-    K = parse_b(K) if K is not None else None
-    cutoffs = None
     overrides = {}
     for key in ("K3", "Kperp", "gamma", "L", "M"):
         val = _merged(args, key)
         if val is not None:
             overrides[key] = int(val) if key == "M" else float(val)
-    if overrides:
-        defaults = cert_mod.default_cutoffs(
-            B, alpha, K if K is not None else B * np.log(B) ** (-4.0 / 3.0))
-        cutoffs = dataclasses.replace(defaults, **overrides)
-    cert = cert_mod.certify_projected(B, alpha, K, cutoffs)
+    cutoffs = dataclasses.replace(cert_mod.default_cutoffs(
+        B, alpha, parse_b(K) if K is not None else None), **overrides)
+    cert = cert_mod.certify_projected(B, alpha, cutoffs)
     cm = _merged(args, "C_M")
     if cm is not None:
         cert.conditional_full_bound = cert_mod.conditional_full_bound(
@@ -245,7 +233,7 @@ def cmd_certify(args) -> int:
 
 def _verify_suites():
     """Deterministic invariant battery; yields (name, passed, detail)."""
-    from .grids import DensityProfile, density_fourier, kinetic, quartic
+    from .grids import density_power, kinetic, quartic
 
     grid = standard_grid()
     t = grid.points()
@@ -258,16 +246,15 @@ def _verify_suites():
           and abs(quartic(f11) - 1.0 / 6.0) < 1e-8)
     yield "grid functionals on the sech profile", ok, ""
 
-    # Parseval
+    # Parseval on the production transform: sum measure = h sum rho^2
     rng = np.random.default_rng(202406)
     bump = np.zeros(grid.n)
     for _ in range(4):
         c, s, amp = rng.uniform(-4, 4), rng.uniform(0.7, 2.0), rng.uniform(0.2, 1.0)
         bump += amp * np.exp(-((t - c) / s) ** 2)
-    rho = DensityProfile(grid, bump)
-    k, rho_hat = density_fourier(rho)
-    lhs = (k[1] - k[0]) * np.sum(np.abs(rho_hat) ** 2)
-    rhs = 2 * np.pi * grid.spacing * np.sum(bump ** 2)
+    _, measure = density_power(Field1D(grid, np.sqrt(bump)))
+    lhs = np.sum(measure)
+    rhs = grid.spacing * np.sum(bump ** 2)
     ok = abs(lhs - rhs) <= 1e-10 * abs(rhs)
     yield "Parseval identity on a random density", ok, f"rel={(lhs-rhs)/rhs:.2e}"
 

@@ -3,10 +3,11 @@
 Conventions:
   - grid points t_j = -T + j*h, j = 0..n-1, h = 2T/n (right endpoint excluded)
   - continuum transform rho_hat(k) = int e^{-ikt} rho(t) dt, approximated by
-    h * sum_j e^{-ik t_j} rho_j on the dual grid k_m = 2*pi*fftfreq(n, h)
-  - dual spacing is pi/T, and Parseval reads  int |rho_hat|^2 dk = 2*pi*int rho^2
-  - the phase e^{ikT} of t_0 = -T cancels in |rho_hat|^2; density_power and
-    the sphere flow in oned drop it
+    h * sum_j e^{-ik t_j} rho_j; density_fourier_at evaluates it at any k
+  - on the dual grid k_m = 2*pi*fftfreq(n, h), spacing pi/T, only its power
+    is formed (density_power), so the phase e^{ikT} of t_0 = -T cancels and
+    is dropped, as in the sphere flow in oned; Parseval reads
+    sum measure = h * sum_j rho_j^2
 """
 from __future__ import annotations
 
@@ -73,30 +74,6 @@ class Field1D:
         edge = max(abs(self.values[0]), abs(self.values[-1]))
         return edge < BOUNDARY_DECAY * peak
 
-    def density(self) -> "DensityProfile":
-        return DensityProfile(self.grid, self.values ** 2)
-
-
-@dataclass(frozen=True)
-class DensityProfile:
-    """Nonnegative density samples rho(t_j) on a Grid1D."""
-
-    grid: Grid1D
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid.n,):
-            raise InvalidFieldError(
-                f"expected {self.grid.n} samples, got shape {vals.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise InvalidFieldError("density samples must be finite")
-        if np.any(vals < 0):
-            raise InvalidFieldError("density samples must be nonnegative")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
 
 def mass(f: Field1D) -> float:
     """int f^2 dt by the periodic rectangle rule (spectral on decayed fields)."""
@@ -117,18 +94,6 @@ def kinetic(f: Field1D) -> float:
 def quartic(f: Field1D) -> float:
     """int f^4 dt."""
     return float(f.grid.spacing * np.sum(f.values ** 4))
-
-
-def density_fourier(rho: DensityProfile):
-    """Continuum-scaled transform of a density on the dual grid.
-
-    Returns (k, rho_hat) with k ascending (fftshift order); rho_hat(0) equals
-    the mass and Parseval holds exactly in the discrete sense.
-    """
-    g = rho.grid
-    k = g.wavenumbers()
-    rho_hat = g.spacing * np.exp(1j * k * g.half_width) * np.fft.fft(rho.values)
-    return np.fft.fftshift(k), np.fft.fftshift(rho_hat)
 
 
 def density_fourier_at(rho_vals: np.ndarray, grid: Grid1D, k: np.ndarray) -> np.ndarray:

@@ -44,11 +44,10 @@ class RadialTransverseDensity:
             object.__setattr__(self, name, arr)
 
     @classmethod
-    def from_profile(cls, B: float, profile, n_r: int = 400,
-                     r_max: float | None = None) -> "RadialTransverseDensity":
-        if r_max is None:
-            r_max = 12.0 / np.sqrt(B)
-        nodes, w = gauss_legendre_panels(np.linspace(0.0, r_max, 9), order=n_r // 8)
+    def from_profile(cls, B: float, profile) -> "RadialTransverseDensity":
+        """Samples on 8 Gauss-Legendre panels of order 50 out to 12/sqrt(B)."""
+        nodes, w = gauss_legendre_panels(np.linspace(0.0, 12.0 / np.sqrt(B), 9),
+                                         order=50)
         vals = np.asarray(profile(nodes), dtype=float)
         m = 2 * np.pi * np.sum(w * nodes * vals)
         return cls(B, nodes, vals / m, w)

@@ -25,6 +25,7 @@ from .grids import (Field1D, Grid1D, centroid, kinetic, mass, quartic,
 
 SHARP_GN_Q4 = 3.0 ** 0.125
 _RECENTER_EVERY = 50  # sphere-flow iterations between translation resets
+_MAX_ITER = 5000  # sphere-flow iteration budget unless solve_numeric sets one
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,7 @@ def sharp_gn_constant(q: float) -> float:
 
 def _minimize_on_sphere(grid: Grid1D, akin: float, weights: np.ndarray,
                         lam: float, mass_target: float, tol: float,
-                        max_iter: int = 5000, f0: Optional[np.ndarray] = None):
+                        f0: Optional[np.ndarray], max_iter: int):
     """Minimize akin*int f'^2 - lam*dk*sum_m weights_m |rho_hat_m|^2 on the
     sphere int f^2 = mass_target.
 
@@ -205,12 +206,13 @@ def _minimize_on_sphere(grid: Grid1D, akin: float, weights: np.ndarray,
 
 
 def _solve_rescaled(g: Grid1D, mu: float, akin: float, weights: np.ndarray,
-                    lam: float, mass_target: float, tol: float, max_iter: int,
-                    f0: Optional[np.ndarray]) -> OneDSolution:
+                    lam: float, mass_target: float, tol: float,
+                    f0: Optional[np.ndarray] = None,
+                    max_iter: int = _MAX_ITER) -> OneDSolution:
     """Sphere flow on the rescaled problem, mapped back: minimizer
     f(t) = sqrt(mu) q(mu t) on the grid (n, half_width/mu), energy mu^2 E_q."""
     vals, E_int, iters, res = _minimize_on_sphere(
-        g, akin, weights, lam, mass_target, tol, max_iter=max_iter, f0=f0)
+        g, akin, weights, lam, mass_target, tol, f0, max_iter)
     out_grid = Grid1D(g.n, g.half_width / mu) if mu != 1.0 else g
     minimizer = Field1D(out_grid, np.sqrt(mu) * vals)
     return OneDSolution(mu * mu * E_int, minimizer, iters, res)
@@ -218,7 +220,7 @@ def _solve_rescaled(g: Grid1D, mu: float, akin: float, weights: np.ndarray,
 
 def solve_numeric(p: OneDProblem, g: Grid1D, tol: float,
                   init: Optional[np.ndarray] = None,
-                  max_iter: int = 5000) -> OneDSolution:
+                  max_iter: int = _MAX_ITER) -> OneDSolution:
     """Ground state of the quartic problem by projected gradient flow.
 
     Internally rescaled so the minimizer width is O(1): f(t) = sqrt(mu) q(mu t)
@@ -236,12 +238,10 @@ def solve_numeric(p: OneDProblem, g: Grid1D, tol: float,
         raise DomainTooSmallError(
             "minimizer width exceeds the grid: need half_width*a*b >= 8")
     return _solve_rescaled(g, mu, 1.0, np.ones(g.n), b_int / (2 * np.pi), a,
-                           tol, max_iter, init)
+                           tol, init, max_iter)
 
 
-def solve_weighted(wp: WeightedProblem, g: Grid1D, tol: float,
-                   init: Optional[np.ndarray] = None,
-                   max_iter: int = 5000) -> OneDSolution:
+def solve_weighted(wp: WeightedProblem, g: Grid1D, tol: float) -> OneDSolution:
     """Ground state of the Fourier-weighted problem at unit mass.
 
     Same internal rescaling, driven by the constant-weight surrogate
@@ -276,7 +276,7 @@ def solve_weighted(wp: WeightedProblem, g: Grid1D, tol: float,
     weights = np.asarray(wp.weight(np.abs(k) * mu), dtype=float)
     frac = np.clip((cutoff - (np.abs(k) - dk / 2)) / dk, 0.0, 1.0)
     return _solve_rescaled(g, mu, wp.kappa1, weights * frac,
-                           wp.prefactor_lambda / mu, 1.0, tol, max_iter, init)
+                           wp.prefactor_lambda / mu, 1.0, tol)
 
 
 def distance_to_profile(sol_field: Field1D, p: OneDProblem) -> float:

@@ -27,6 +27,7 @@ from .oned import OneDSolution, _solve_rescaled
 
 NORMALIZATION_TOL = 1e-6
 _N_AVERAGE = 8  # dual-grid cells on each side of k = 0 given exact averages
+_SWEEP_N = 8192  # samples of every sweep grid
 
 
 @dataclass(frozen=True)
@@ -89,10 +90,10 @@ class SweepRecord:
     residual: float
 
 
-def sweep_grid(B: float, alpha: float, n: int = 8192) -> Grid1D:
+def sweep_grid(B: float, alpha: float) -> Grid1D:
     """Fixed-n grid scaled to the expected minimizer width ~ 8/(alpha ln B)."""
     half_width = 60.0 / max(1.0, alpha * np.log(B) / 4.0)
-    return Grid1D(n, half_width)
+    return Grid1D(_SWEEP_N, half_width)
 
 
 def pekar_energy(state: PekarProductState) -> EnergyBreakdown:
@@ -137,14 +138,14 @@ def interaction_weights(grid: Grid1D, B: float) -> np.ndarray:
     k = grid.wavenumbers()
     dk = np.pi / grid.half_width
     w = effective_potential_fourier(k, B)
-    nearest = np.argsort(np.abs(k))[: 2 * _N_AVERAGE + 1]
-    for m in nearest:
+    # FFT order: k = 0 and the _N_AVERAGE cells on either side of it
+    for m in np.r_[:_N_AVERAGE + 1, -_N_AVERAGE:0]:
         w[m] = effective_potential_fourier_cell_average(k[m], dk, B)
     return w
 
 
 def pekar_minimize(params: PhysParams, grid: Optional[Grid1D] = None,
-                   tol: float = 1e-11, max_iter: int = 5000):
+                   tol: float = 1e-11):
     """Minimize the product-ansatz energy over unit-mass longitudinal factors.
 
     Returns (OneDSolution, EnergyBreakdown).  The flow runs on the dual-grid
@@ -164,21 +165,20 @@ def pekar_minimize(params: PhysParams, grid: Optional[Grid1D] = None,
     b0 = max(1.0, alpha * np.log(B) / 2.0)
     f0 = 1.0 / np.cosh(b0 * grid.points() / 2.0)
     sol = _solve_rescaled(grid, 1.0, 1.0, weights, alpha / (4 * np.pi ** 2),
-                          1.0, tol, max_iter, f0)
+                          1.0, tol, f0)
     breakdown = pekar_energy(PekarProductState(params, sol.minimizer))
     # the deficit E - B from its components: B's ulp would swamp total - B
     sol.energy = breakdown.longitudinal_kinetic + breakdown.coulomb
     return sol, breakdown
 
 
-def scaling_identity_check(B: float, alpha: float, f: Field1D,
-                           rel_tol: float = 1e-8):
+def scaling_identity_check(B: float, alpha: float, f: Field1D):
     """Exact coupling rescaling: the energy at (B, alpha) of the rescaled
     state equals alpha^2 times the energy at (B/alpha^2, 1) of the original.
 
     f must be a unit-mass longitudinal factor for the (B/alpha^2, 1) problem;
     its rescaled partner sqrt(alpha) f(alpha t) lives on the shrunken grid.
-    Returns (passed, relative_difference).
+    Returns (passed, relative_difference); passed means at most 1e-8.
     """
     if not alpha > 0:
         raise ParameterError("alpha must be positive")
@@ -191,7 +191,7 @@ def scaling_identity_check(B: float, alpha: float, f: Field1D,
     f_scaled = Field1D(scaled_grid, np.sqrt(alpha) * f.values)
     lhs = pekar_energy(PekarProductState(PhysParams(B, alpha), f_scaled)).total
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-    return rel <= rel_tol, rel
+    return rel <= 1e-8, rel
 
 
 def _transverse_weight_quadrature(k3: np.ndarray, B: float) -> np.ndarray:
@@ -235,10 +235,10 @@ def coherent_infimum(state: PekarProductState) -> float:
 
 
 def _sweep_point(args):
-    lnB, alpha, n, tol, certify = args
+    lnB, alpha, tol, certify = args
     B = float(np.exp(lnB))
     params = PhysParams(B, alpha)
-    grid = sweep_grid(B, alpha, n)
+    grid = sweep_grid(B, alpha)
     sol, breakdown = pekar_minimize(params, grid, tol)
     trial = trial_energy(B, alpha, grid)
     cert_bound = None
@@ -253,12 +253,11 @@ def _sweep_point(args):
         iters=sol.iterations, residual=sol.gradient_residual)
 
 
-def sweep(lnB_values: Sequence[float], alpha: float, n: int = 8192,
-          tol: float = 1e-11, certify: bool = False,
-          workers: int = 1) -> list:
+def sweep(lnB_values: Sequence[float], alpha: float, tol: float = 1e-11,
+          certify: bool = False, workers: int = 1) -> list:
     """Minimize at each B = exp(lnB); records sorted by B regardless of
     completion order.  Points are independent; workers > 1 fans them out."""
-    jobs = [(float(x), alpha, n, tol, certify) for x in lnB_values]
+    jobs = [(float(x), alpha, tol, certify) for x in lnB_values]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_sweep_point, jobs))

@@ -61,11 +61,11 @@ def gauss_legendre_panels(edges, order=16):
     return nodes, weights
 
 
-def geometric_edges(a, b, base=2.0):
-    """Panel edges [0, a, a*base, ...] ending at b (a > 0, b > a)."""
+def geometric_edges(a, b):
+    """Panel edges [0, a, 2a, 4a, ...] ending at b (a > 0, b > a)."""
     if not (0 < a < b):
         raise ValueError("need 0 < a < b")
     edges = [0.0, a]
     while edges[-1] < b:
-        edges.append(min(edges[-1] * base, b))
+        edges.append(min(edges[-1] * 2.0, b))
     return np.asarray(edges)

@@ -222,7 +222,7 @@ class TestCertificate:
         B = np.exp(12.0)
         # tiny K violates K >= sqrt(B) and makes kappa negative
         cut = CutoffParams(K=20.0, K3=10.0, Kperp=5.0, gamma=0.4, L=0.3, M=5)
-        cert = certify_projected(B, 1.0, K=20.0, cutoffs=cut)
+        cert = certify_projected(B, 1.0, cutoffs=cut)
         assert not cert.valid
         assert cert.ledger.kappa < 1.0
         assert not cert.validity["K_at_least_sqrtB"]

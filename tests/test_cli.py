@@ -60,13 +60,20 @@ class TestMinimizeAndTrial:
         assert "(lnB)^2/48 = 3" in capsys.readouterr().out
 
 
+SWEEP_COLUMNS = ["B", "alpha", "E_total", "E_kin3", "E_coulomb", "trial_E",
+                 "cert_bound", "iters", "residual"]
+
+
 class TestSweepCsv:
+    def test_header_literal(self):
+        assert CSV_HEADER == SWEEP_COLUMNS
+
     def test_schema_and_binding(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
         assert main(["sweep", "--alpha", "1", "--B", "e10,e12,e14",
                      "--out", str(out)]) == EXIT_OK
         lines = out.read_text().splitlines()
-        assert lines[0] == ",".join(CSV_HEADER)
+        assert lines[0] == ",".join(SWEEP_COLUMNS)
         assert len(lines) == 4
         records = read_sweep_csv(str(out))
         for r in records:
@@ -92,6 +99,33 @@ class TestSweepCsv:
         direct = run_sweep([10.0], 1.0)
         loaded = read_sweep_csv(str(out))
         assert loaded[0] == direct[0]  # 17 significant digits: exact restore
+
+    def test_reader_parses_each_column(self, tmp_path):
+        out = tmp_path / "s.csv"
+        row = ["3", "1", "2.5", "0.25", "-0.75", "2.75", "", "17", "1e-9"]
+        out.write_text(",".join(SWEEP_COLUMNS) + "\n" + ",".join(row) + "\n")
+        (r,) = read_sweep_csv(str(out))
+        assert r.cert_bound is None
+        assert r.iters == 17 and isinstance(r.iters, int)
+        assert (r.B, r.E_coulomb, r.residual) == (3.0, -0.75, 1e-9)
+
+    @pytest.mark.parametrize("column,text", [
+        ("E_total", ""), ("iters", ""), ("iters", "1.5"), ("residual", "x")])
+    def test_reader_rejects_blank_or_malformed(self, tmp_path, column, text):
+        out = tmp_path / "s.csv"
+        row = dict(zip(SWEEP_COLUMNS,
+                       ["3", "1", "2.5", "0.25", "-0.75", "2.75", "", "17", "1"]))
+        row[column] = text
+        out.write_text(",".join(SWEEP_COLUMNS) + "\n"
+                       + ",".join(row.values()) + "\n")
+        with pytest.raises(ValueError):
+            read_sweep_csv(str(out))
+
+    def test_fit_truncated_row_exits_validation(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        out.write_text(",".join(SWEEP_COLUMNS) + "\n3,1,2.5\n")
+        assert main(["fit", "--in", str(out)]) == EXIT_VALIDATION
+        assert "error" in capsys.readouterr().err
 
     def test_fit_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
@@ -120,6 +154,25 @@ class TestCertifyCommand:
                     "block_error", "mode_count_error", "projection_constant",
                     "firstcut_constant", "assumptions"):
             assert key in payload
+
+    def test_json_key_set(self, tmp_path):
+        out = tmp_path / "c.json"
+        assert main(["certify", "--B", "e12", "--out", str(out)]) == EXIT_OK
+        assert set(json.loads(out.read_text())) == {
+            "B", "alpha", "K", "K3", "Kperp", "gamma", "L", "M",
+            "kappa", "kappa1", "kappa2", "R", "localization_error",
+            "block_error", "mode_count_error", "projection_constant",
+            "firstcut_constant", "I_value", "p0_bound",
+            "conditional_full_bound", "validity", "valid", "assumptions"}
+
+    @pytest.mark.parametrize("extra", [[], ["--K3", "60"]],
+                             ids=["K", "K_and_K3"])
+    def test_explicit_K(self, tmp_path, extra):
+        out = tmp_path / "c.json"
+        main(["certify", "--B", "e12", "--K", "1e9", *extra, "--out", str(out)])
+        payload = json.loads(out.read_text())
+        assert payload["K"] == 1e9
+        assert payload["kappa"] == 1.0 - 8.0 / (np.pi * 1e9)
 
     def test_conditional_flag(self, tmp_path):
         out = tmp_path / "c.json"
