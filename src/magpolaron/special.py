@@ -5,6 +5,8 @@ test suite validates each closed form against adaptive quadrature.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 import scipy.special as _sc
 
@@ -53,12 +55,22 @@ def gauss_legendre_panels(edges, order=16):
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0):
         raise ValueError("panel edges must be strictly increasing")
-    xs, ws = np.polynomial.legendre.leggauss(order)
+    xs, ws = _legendre_rule(order)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * xs[None, :]).ravel()
     weights = (half[:, None] * ws[None, :]).ravel()
     return nodes, weights
+
+
+@lru_cache(maxsize=None)
+def _legendre_rule(order):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order
+    and returned read-only."""
+    xs, ws = np.polynomial.legendre.leggauss(order)
+    xs.setflags(write=False)
+    ws.setflags(write=False)
+    return xs, ws
 
 
 def geometric_edges(a, b):

@@ -4,13 +4,15 @@ These deliberately avoid the package's production evaluation paths: closed
 forms are checked against adaptive or panel quadrature of their defining
 integrals, transverse objects against 2D tensor Gauss-Legendre grids (the
 twisted kernel is applied to states by brute-force quadrature to test its
-norm bound), and Coulomb energies against the analytic transform of the
-sech-squared density.  They may be slow; they exist only under tests/.
+norm bound), Coulomb energies against the analytic transform of the
+sech-squared density, and the off-grid density transforms against their
+dense trigonometric sums.  They may be slow; they exist only under tests/.
 """
 import numpy as np
 from scipy import integrate, special
 
 from magpolaron import twisted_kernel, twisted_norm_bound
+from magpolaron.grids import density_power
 
 
 def sech_profile(a, b):
@@ -232,3 +234,29 @@ def d_bilinear_gaussian_quad(c1, s1, c2, s2, B):
                            -40.0, 0.0, limit=400)
     v2, _ = integrate.quad(integrand, 1.0, np.inf, limit=400)
     return 2.0 * (v1 + v2) / (4 * np.pi ** 2)
+
+
+# ----------------------------------------------------------------------------
+# dense trigonometric sums behind the off-grid density transforms
+
+
+def dense_fourier_at(rho_vals, grid, k):
+    """rho_hat(k) = h * sum_j e^{-ik t_j} rho_j by the dense O(len(k) n) sum."""
+    k = np.atleast_1d(np.asarray(k, dtype=float))
+    return grid.spacing * _dense_sum(lambda x: np.exp(-1j * x), k,
+                                     grid.points(), rho_vals)
+
+
+def dense_correlation_at(f, z):
+    """C(z) = sum measure cos(k z) over density_power by the dense sum."""
+    k_pos, measure = density_power(f)
+    return _dense_sum(np.cos, np.asarray(z, dtype=float), k_pos, measure)
+
+
+def _dense_sum(kernel, rows, cols, coeffs):
+    """sum_j kernel(rows_i * cols_j) coeffs_j for every row, in row chunks
+    that keep each dense kernel block near 4e6 entries."""
+    chunk = max(1, int(4e6 // len(cols)))
+    return np.concatenate([np.zeros(0)] + [
+        kernel(np.outer(rows[i:i + chunk], cols)) @ coeffs
+        for i in range(0, len(rows), chunk)])

@@ -1,11 +1,16 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from magpolaron import (DomainTooSmallError, Field1D, Grid1D,
                         InvalidFieldError, centroid, kinetic, mass, quartic,
-                        shift_field, standard_grid)
-from magpolaron.grids import density_fourier_at, density_power
+                        shift_field, standard_grid, sweep_grid)
+from magpolaron.decomposition import (fourier_side_energy,
+                                      longitudinal_double_integral)
+from magpolaron.grids import (_two_product, density_correlation_at,
+                              density_fourier_at, density_power)
 
 from conftest import bump_field, sech_field
 import oracles
@@ -120,6 +125,88 @@ class TestDensityFourier:
         _, measure = density_power(f)
         rhs = grid.spacing * np.sum(f.values ** 4)
         assert np.sum(measure) == pytest.approx(rhs, rel=1e-10)
+
+
+def _production_nodes(f, B):
+    """The k nodes of the Fourier path and the z nodes of the real path, as
+    the two Coulomb paths pass them to their weight and kernel."""
+    seen = {}
+
+    def record(name):
+        def at(x):
+            seen[name] = np.array(x)
+            return np.zeros_like(x)
+        return at
+
+    fourier_side_energy(f, record("k"))
+    longitudinal_double_integral(f, record("z"), 1.0 / np.sqrt(B))
+    return seen["k"], seen["z"]
+
+
+def _check_against_dense(f, k, z, phase_slack=False):
+    """The fast off-grid transforms against the dense sums: |d rho_hat| <=
+    1e-14 h sum|rho| and |d C| <= 1e-14 C(0).
+
+    With phase_slack the rho_hat bound also allows the dense sum's own
+    first-order rounding of its phases k t_j, eps |k| h sum|rho_j t_j|: on
+    bumps 4 off centre at n = 8192 that alone reaches 2e-14 h sum|rho| in
+    the band and 6e-14 beyond it (against an 80-bit sum, the fast transform
+    stays below 3e-17)."""
+    g = f.grid
+    rho = f.values ** 2
+    bound = 1e-14 * g.spacing * np.sum(np.abs(rho))
+    if phase_slack:
+        bound = bound + np.finfo(float).eps * np.abs(k) * g.spacing \
+            * np.sum(np.abs(rho * g.points()))
+    fast = density_fourier_at(rho, g, k)
+    dense = oracles.dense_fourier_at(rho, g, k)
+    assert np.all(np.abs(fast - dense) <= bound)
+    c0 = np.sum(density_power(f)[1])
+    fast_c = density_correlation_at(f, z)
+    dense_c = oracles.dense_correlation_at(f, z)
+    assert np.max(np.abs(fast_c - dense_c)) <= 1e-14 * c0
+
+
+class TestTrigSum:
+    """density_fourier_at and density_correlation_at against the dense
+    trigonometric sums they replace."""
+
+    @pytest.mark.parametrize("n", [64, 8192])
+    @pytest.mark.parametrize("lnB", [10.0, 30.0])
+    def test_production_nodes(self, n, lnB):
+        # the sech trial state, on the sweep grid's width at n = 8192
+        B = np.exp(lnB)
+        half_width = sweep_grid(B, 1.0).half_width if n == 8192 else 8.0
+        f = sech_field(Grid1D(n, half_width), 1.0, lnB / 2.0)
+        k, z = _production_nodes(f, B)
+        _check_against_dense(f, k, z)
+
+    @pytest.mark.parametrize("n", [64, 8192])
+    def test_edges_and_periodic_reduction(self, n):
+        g = Grid1D(n, 40.0)
+        f = bump_field(g, np.random.default_rng(5))
+        nyquist = np.pi / g.spacing
+        k = nyquist * np.array([0.0, 1.0, -1.0, 0.5, -0.75, 1.5, -1.5, 2.0,
+                                -2.0, 2.5, -2.9, 3.0, -3.0])
+        z = np.array([0.0, g.half_width, 0.5 * g.half_width])
+        _check_against_dense(f, k, z)
+
+    @pytest.mark.parametrize("n", [64, 8192])
+    @given(seed=st.integers(0, 10_000))
+    def test_random_fields_and_nodes(self, n, seed):
+        g = Grid1D(n, 40.0)
+        rng = np.random.default_rng(seed)
+        f = bump_field(g, rng)
+        k = rng.uniform(-3.0, 3.0, 64) * np.pi / g.spacing
+        z = rng.uniform(0.0, g.half_width, 64)
+        _check_against_dense(f, k, z, phase_slack=True)
+
+    @given(a=st.floats(-1e6, 1e6).filter(lambda v: v == 0 or abs(v) > 1e-200),
+           b=st.floats(1e-6, 1e2))
+    def test_argument_product_exact(self, a, b):
+        # x = y * scale is formed as p + e with no rounding at all
+        p, e = _two_product(np.array([a]), b)
+        assert Fraction(p[0]) + Fraction(e[0]) == Fraction(a) * Fraction(b)
 
 
 class TestShift:

@@ -100,6 +100,18 @@ class TestMinimize:
         assert all(r <= 1.05 / 48.0 for r in ratios.values())
         assert ratios[24.0] <= ratios[27.0] <= ratios[30.0]
 
+    @pytest.mark.parametrize("lnB, iters, deficit", [
+        (10.0, 15, -1.8777661796552338),
+        (20.0, 17, -6.8253383555442415),
+        (30.0, 17, -15.463754544185523),
+    ])
+    def test_sweep_numbers_pinned(self, lnB, iters, deficit):
+        # the minimizer's iteration count and deficit E - B on the sweep
+        # grid, pinned so that hot-path changes cannot drift them
+        sol, _ = pekar_minimize(PhysParams(np.exp(lnB), 1.0))
+        assert sol.iterations == iters
+        assert sol.energy == pytest.approx(deficit, rel=1e-13, abs=0.0)
+
 
 class TestScalingIdentity:
     def test_alpha_one_trivial(self, f11):
