@@ -29,6 +29,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CONVERGENCE = 2
 EXIT_INVARIANT = 3
+_LN_DBL_MAX = float(np.log(np.finfo(float).max))  # e^N overflows beyond it
 
 CSV_HEADER = [f.name for f in dataclasses.fields(pekar.SweepRecord)]
 #: how each sweep CSV column is read back; every other column is a float
@@ -36,14 +37,20 @@ _CSV_PARSE = {"iters": int, "cert_bound": lambda s: float(s) if s else None}
 
 
 def parse_b(text: str) -> float:
-    """Parse a field-strength token; 'e12' means e^12, otherwise float."""
+    """Parse a field-strength token; 'e12' means e^12, otherwise float.
+    A value that overflows or is not finite raises ParameterError."""
     text = text.strip()
-    if text.startswith("e") and len(text) > 1:
-        try:
-            return float(np.exp(float(text[1:])))
-        except ValueError:
-            pass
-    return float(text)
+    try:
+        exponent = float(text[1:]) if text.startswith("e") else None
+    except ValueError:
+        exponent = None
+    if exponent is not None and exponent > _LN_DBL_MAX:
+        raise ParameterError(
+            f"B = {text} overflows: ln B must not exceed {_LN_DBL_MAX:.2f}")
+    value = float(np.exp(exponent)) if exponent is not None else float(text)
+    if not np.isfinite(value):
+        raise ParameterError(f"B = {text} is not finite")
+    return value
 
 
 def _fmt(x) -> str:

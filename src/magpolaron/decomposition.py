@@ -108,9 +108,8 @@ def d_product_grid(f: Field1D, B: float) -> float:
             f"h*sqrt(B) = {h * np.sqrt(B):.3g} > {GRID_KERNEL_GUARD}: kernel "
             "sampling too coarse near zero offset; refine the grid")
     rho = f.values ** 2
-    padded = np.concatenate([rho, np.zeros(g.n)])
-    ft = np.fft.fft(padded)
-    corr = h * np.real(np.fft.ifft(ft.real ** 2 + ft.imag ** 2))
+    ft = np.fft.rfft(rho, 2 * g.n)  # zero-padded: no wrap-around
+    corr = h * np.fft.irfft(ft.real ** 2 + ft.imag ** 2, 2 * g.n)
     lags = np.arange(2 * g.n)
     lags[g.n:] -= 2 * g.n
     z = np.abs(lags) * h

@@ -8,9 +8,9 @@ Conventions:
     go through one oversampled-FFT trigonometric sum with Gaussian gridding
     (_trig_sum), O(n log n + 32 len(k)), accurate to a few 1e-16 of
     rho_hat(0) and of C(0)
-  - on the dual grid k_m = 2*pi*fftfreq(n, h), spacing pi/T, only its power
-    is formed (density_power), so the phase e^{ikT} of t_0 = -T cancels and
-    is dropped, as in the sphere flow in oned; Parseval reads
+  - the dual grid is one-sided, k_m = m pi/T, m = 0..n/2 (rfft order), and
+    every on-grid transform is an rfft/irfft pair on it; density_power forms
+    only the power, so the phase e^{ikT} of t_0 = -T drops out; Parseval reads
     sum measure = h * sum_j rho_j^2
 """
 from __future__ import annotations
@@ -48,8 +48,8 @@ class Grid1D:
         return -self.half_width + self.spacing * np.arange(self.n)
 
     def wavenumbers(self) -> np.ndarray:
-        """Dual-grid wavenumbers in FFT order; spacing pi/half_width."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.spacing)
+        """One-sided dual grid m pi/half_width, m = 0..n/2 (rfft order)."""
+        return 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.spacing)
 
 
 def standard_grid(n: int = 4096, half_width: float = 40.0) -> Grid1D:
@@ -88,14 +88,13 @@ def mass(f: Field1D) -> float:
 
 
 def kinetic(f: Field1D) -> float:
-    """int |f'|^2 dt via the Fourier multiplier k^2."""
+    """int |f'|^2 dt = -int f f'' dt, f'' by the Fourier multiplier -k^2."""
     if not f.boundary_decayed():
         raise DomainTooSmallError(
             "field has not decayed at the grid boundary; enlarge half_width")
     g = f.grid
-    F = np.fft.fft(f.values)
-    k = g.wavenumbers()
-    return float(g.spacing / g.n * np.sum(k * k * np.abs(F) ** 2))
+    lap = np.fft.irfft(-g.wavenumbers() ** 2 * np.fft.rfft(f.values), g.n)
+    return float(-g.spacing * np.sum(f.values * lap))
 
 
 def quartic(f: Field1D) -> float:
@@ -124,7 +123,7 @@ def density_power(f: Field1D):
     rho_hat = g.spacing * np.fft.rfft(f.values ** 2)
     measure = (rho_hat.real ** 2 + rho_hat.imag ** 2) / (2.0 * g.half_width)
     measure[1:-1] *= 2.0  # fold in the negative wavenumbers
-    return 2.0 * np.pi * np.fft.rfftfreq(g.n, g.spacing), measure
+    return g.wavenumbers(), measure
 
 
 def density_correlation_at(f: Field1D, z: np.ndarray) -> np.ndarray:
@@ -196,9 +195,9 @@ def _two_product(a: np.ndarray, b: float):
 
 def shift_field(f: Field1D, delta: float) -> Field1D:
     """Spectral translation f(t) -> f(t + delta) on the periodic grid."""
-    k = f.grid.wavenumbers()
-    shifted = np.real(np.fft.ifft(np.fft.fft(f.values) * np.exp(1j * k * delta)))
-    return Field1D(f.grid, shifted)
+    g = f.grid
+    phase = np.exp(1j * g.wavenumbers() * delta)
+    return Field1D(g, np.fft.irfft(np.fft.rfft(f.values) * phase, g.n))
 
 
 def centroid(f: Field1D) -> float:

@@ -130,15 +130,15 @@ def sharp_gn_constant(q: float) -> float:
 def _minimize_on_sphere(grid: Grid1D, akin: float, weights: np.ndarray,
                         lam: float, mass_target: float, tol: float,
                         f0: Optional[np.ndarray], max_iter: int):
-    """Minimize akin*int f'^2 - lam*dk*sum_m weights_m |rho_hat_m|^2 on the
-    sphere int f^2 = mass_target.
+    """Minimize akin*int f'^2 - lam*dk*sum_k w(|k|) |rho_hat(k)|^2 over all
+    dual-grid k on the sphere int f^2 = mass_target.
 
-    weights live on the FFT-order dual grid (cutoff edge fractions already
-    applied).  Returns (values, energy, iterations, residual).
+    weights = w on the one-sided dual grid grid.wavenumbers() (cutoff edge
+    fractions already applied).  Returns (values, energy, iterations, residual).
     """
-    n, h, dk = grid.n, grid.spacing, np.pi / grid.half_width
+    n, h = grid.n, grid.spacing
     t = grid.points()
-    k = grid.wavenumbers()
+    k2 = grid.wavenumbers() ** 2
 
     f = np.exp(-t * t / 2.0) if f0 is None else np.array(f0, dtype=float)
     nrm = h * np.sum(f * f)
@@ -147,42 +147,35 @@ def _minimize_on_sphere(grid: Grid1D, akin: float, weights: np.ndarray,
     f *= np.sqrt(mass_target / nrm)
 
     def state(fv):
-        """(energy, fft(fv), rho_hat) of a field on the sphere."""
-        F = np.fft.fft(fv)
-        kin = akin * (h / n) * np.sum(k * k * np.abs(F) ** 2)
-        rho_hat = h * np.fft.fft(fv * fv)  # e^{ikT} cancels in |.|^2 and W
-        pot = lam * dk * np.sum(weights * (rho_hat.real ** 2 + rho_hat.imag ** 2))
-        return kin - pot, F, rho_hat
-
-    def flow_weight(rho_hat):
-        # W = -(1/2) delta(potential term)/delta f / f ; flow term is W*f
-        return 4.0 * np.pi * lam * (dk / (2 * np.pi)) * n * np.real(
-            np.fft.ifft(weights * rho_hat))
+        """(energy, akin f'', W) of a field on the sphere, with W f the flow
+        term of the attraction; by Parseval the energy is
+        -h sum f (akin f'' + W f / 2)."""
+        lap = akin * np.fft.irfft(-k2 * np.fft.rfft(fv), n)
+        W = 4.0 * np.pi * lam * np.fft.irfft(weights * np.fft.rfft(fv * fv), n)
+        return -h * np.sum(fv * (lap + 0.5 * W * fv)), lap, W
 
     def recenter(fv):
         fld = Field1D(grid, fv)
         fv = shift_field(fld, centroid(fld)).values
         return fv * np.sqrt(mass_target / (h * np.sum(fv * fv)))
 
-    E, F, rho_hat = state(f)
-    W = flow_weight(rho_hat)
+    E, lap, W = state(f)
     theta = 1.0
     residual = np.inf
     for it in range(1, max_iter + 1):
-        lap = np.real(np.fft.ifft(-k * k * F))
-        Lf = akin * lap + W * f
+        Lf = lap + W * f
         mu = h * np.sum(f * Lf) / mass_target
         r = Lf - mu * f
         residual = np.sqrt(h * np.sum(r * r))
         shift = max(np.max(np.abs(W)), 1.0)
-        d = np.real(np.fft.ifft(np.fft.fft(r) / (akin * k * k + shift)))
+        d = np.fft.irfft(np.fft.rfft(r) / (akin * k2 + shift), n)
         d -= (h * np.sum(f * d) / mass_target) * f
         slope = h * np.sum(r * d)
         theta = min(theta * 1.5, 50.0)
         for _ in range(60):
             fn = f + theta * d
             fn *= np.sqrt(mass_target / (h * np.sum(fn * fn)))
-            En, Fn, rho_hat = state(fn)
+            En, lap_n, W_n = state(fn)
             if En <= E - 1e-4 * theta * slope + 1e-14 * (1 + abs(E)):
                 break
             theta *= 0.5
@@ -190,14 +183,13 @@ def _minimize_on_sphere(grid: Grid1D, akin: float, weights: np.ndarray,
             # line search exhausted: gradient is at the numerical floor
             break
         rel_change = abs(En - E) / max(abs(En), 1e-300)
-        f, E, F = fn, En, Fn
+        f, E, lap, W = fn, En, lap_n, W_n
         if it % _RECENTER_EVERY == 0:
             f = recenter(f)
-            E, F, rho_hat = state(f)
+            E, lap, W = state(f)
         if rel_change < tol and residual < np.sqrt(tol) * (1 + abs(E)):
             f = recenter(f)
             return f, state(f)[0], it, residual
-        W = flow_weight(rho_hat)
     if residual < np.sqrt(tol) * (1 + abs(E)):
         return f, E, max_iter, residual
     raise ConvergenceError(
@@ -237,8 +229,8 @@ def solve_numeric(p: OneDProblem, g: Grid1D, tol: float,
     if g.half_width * a * b_int < 8.0:
         raise DomainTooSmallError(
             "minimizer width exceeds the grid: need half_width*a*b >= 8")
-    return _solve_rescaled(g, mu, 1.0, np.ones(g.n), b_int / (2 * np.pi), a,
-                           tol, init, max_iter)
+    return _solve_rescaled(g, mu, 1.0, np.ones(g.n // 2 + 1),
+                           b_int / (2 * np.pi), a, tol, init, max_iter)
 
 
 def solve_weighted(wp: WeightedProblem, g: Grid1D, tol: float) -> OneDSolution:
@@ -273,8 +265,8 @@ def solve_weighted(wp: WeightedProblem, g: Grid1D, tol: float) -> OneDSolution:
     k = g.wavenumbers()
     dk = np.pi / g.half_width
     cutoff = wp.cutoff_k3 / mu
-    weights = np.asarray(wp.weight(np.abs(k) * mu), dtype=float)
-    frac = np.clip((cutoff - (np.abs(k) - dk / 2)) / dk, 0.0, 1.0)
+    weights = np.asarray(wp.weight(k * mu), dtype=float)
+    frac = np.clip((cutoff - (k - dk / 2)) / dk, 0.0, 1.0)
     return _solve_rescaled(g, mu, wp.kappa1, weights * frac,
                            wp.prefactor_lambda / mu, 1.0, tol)
 

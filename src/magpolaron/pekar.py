@@ -11,6 +11,7 @@ ground-state energy; all trend checks are phrased accordingly.
 """
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -26,7 +27,7 @@ from .landau import effective_potential_fourier_cell_average, \
 from .oned import OneDSolution, _solve_rescaled
 
 NORMALIZATION_TOL = 1e-6
-_N_AVERAGE = 8  # dual-grid cells on each side of k = 0 given exact averages
+_N_AVERAGE = 8  # dual-grid cells beside k = 0 given exact averages
 _SWEEP_N = 8192  # samples of every sweep grid
 
 
@@ -38,10 +39,10 @@ class PhysParams:
     alpha: float
 
     def __post_init__(self):
-        if not self.B > 1:
-            raise ParameterError("B must exceed 1")
-        if self.alpha < 0:
-            raise ParameterError("alpha must be nonnegative")
+        if not 1 < self.B < np.inf:
+            raise ParameterError("B must be finite and exceed 1")
+        if not 0 <= self.alpha < np.inf:
+            raise ParameterError("alpha must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -133,13 +134,12 @@ def trial_energy(B: float, alpha: float,
 
 
 def interaction_weights(grid: Grid1D, B: float) -> np.ndarray:
-    """Fourier-side interaction weight on the dual grid, with the cells
-    nearest k = 0 replaced by exact cell averages of the log-singular weight."""
+    """Fourier-side interaction weight on the one-sided dual grid; the cells
+    nearest k = 0 hold exact cell averages of the log-singular weight."""
     k = grid.wavenumbers()
     dk = np.pi / grid.half_width
     w = effective_potential_fourier(k, B)
-    # FFT order: k = 0 and the _N_AVERAGE cells on either side of it
-    for m in np.r_[:_N_AVERAGE + 1, -_N_AVERAGE:0]:
+    for m in range(_N_AVERAGE + 1):
         w[m] = effective_potential_fourier_cell_average(k[m], dk, B)
     return w
 
@@ -237,19 +237,17 @@ def coherent_infimum(state: PekarProductState) -> float:
 def _sweep_point(args):
     lnB, alpha, tol, certify = args
     B = float(np.exp(lnB))
-    params = PhysParams(B, alpha)
     grid = sweep_grid(B, alpha)
-    sol, breakdown = pekar_minimize(params, grid, tol)
+    sol, breakdown = pekar_minimize(PhysParams(B, alpha), grid, tol)
     trial = trial_energy(B, alpha, grid)
     cert_bound = None
     if certify:
         from .certificate import certify_projected
         cert_bound = certify_projected(B, alpha).p0_bound
-    e_kin3 = breakdown.longitudinal_kinetic
-    e_coul = breakdown.coulomb
     return SweepRecord(
-        B=B, alpha=alpha, E_total=B + e_kin3 + e_coul, E_kin3=e_kin3,
-        E_coulomb=e_coul, trial_E=trial.total, cert_bound=cert_bound,
+        B=B, alpha=alpha, E_total=breakdown.total,
+        E_kin3=breakdown.longitudinal_kinetic, E_coulomb=breakdown.coulomb,
+        trial_E=trial.total, cert_bound=cert_bound,
         iters=sol.iterations, residual=sol.gradient_residual)
 
 
@@ -258,6 +256,7 @@ def sweep(lnB_values: Sequence[float], alpha: float, tol: float = 1e-11,
     """Minimize at each B = exp(lnB); records sorted by B regardless of
     completion order.  Points are independent; workers > 1 fans them out."""
     jobs = [(float(x), alpha, tol, certify) for x in lnB_values]
+    workers = min(workers, len(jobs), os.cpu_count() or 1)  # all fork at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_sweep_point, jobs))

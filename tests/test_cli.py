@@ -19,6 +19,17 @@ class TestParsing:
         assert main(["minimize", "--B", "nonsense"]) == EXIT_VALIDATION
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["minimize", "--B", "e710"], ["sweep", "--B", "e10,e710"],
+        ["minimize", "--B", "1e400"], ["certify", "--B", "inf"]])
+    def test_overflowing_or_nonfinite_b_refused(self, argv, capsys):
+        # e^710 overflows a double: a typed refusal naming the token, with
+        # no numpy warning and no later, misleading grid error
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert argv[2].split(",")[-1] in err[0]
+
 
 class TestOned:
     def test_unit_case(self, capsys):

@@ -34,8 +34,12 @@ class TestGrid1D:
             Grid1D(128, 0.0)
 
     def test_dual_spacing(self):
+        # one-sided: n/2 + 1 wavenumbers from 0 to pi/h, as rfft returns them
         g = Grid1D(256, 10.0)
-        k = np.sort(g.wavenumbers())
+        k = g.wavenumbers()
+        assert k.shape == (g.n // 2 + 1,)
+        assert k[0] == 0.0
+        assert k[-1] == pytest.approx(np.pi / g.spacing, rel=1e-15)
         assert np.allclose(np.diff(k), np.pi / g.half_width)
 
 

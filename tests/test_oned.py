@@ -6,7 +6,7 @@ from magpolaron import (ConvergenceError, DomainTooSmallError, Field1D, Grid1D,
                         InvalidFieldError, OneDProblem, ParameterError,
                         SHARP_GN_Q4, WeightedProblem, closed_form_energy,
                         closed_form_minimizer, distance_to_profile, gn_gap,
-                        gn_ratio, kinetic, mass, sharp_gn_constant,
+                        gn_ratio, kinetic, mass, quartic, sharp_gn_constant,
                         solve_numeric, solve_weighted, standard_grid)
 
 from conftest import bump_field, sech_field
@@ -92,6 +92,16 @@ class TestSolveNumeric:
         # internal substitution maps the output onto half_width / (a b / 4)
         assert sol.minimizer.grid.half_width == pytest.approx(16.0, rel=1e-15)
         assert mass(sol.minimizer) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("a,b", [(1.0, 1.0), (1.0, 10.0), (2.0, 1.0),
+                                     (0.5, 2.0)])
+    def test_energy_is_functional_of_minimizer(self, grid, a, b):
+        # the flow's energy -h sum f (f'' + W f / 2) is, by Parseval, the
+        # functional itself, evaluated on the returned minimizer
+        sol = solve_numeric(OneDProblem(a, b), grid, 1e-10)
+        m = sol.minimizer
+        assert sol.energy == pytest.approx(kinetic(m) - b * quartic(m),
+                                           rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("a,b", [(2.0, 1.0), (1.0, 3.0), (0.5, 2.0)])
     def test_scaling_law(self, grid, a, b):

@@ -9,6 +9,7 @@ from magpolaron import (Field1D, FitError, Grid1D, OneDProblem, ParameterError,
                         pekar_minimize, quartic, scaling_identity_check,
                         standard_grid, sweep, sweep_grid, trial_energy,
                         trial_state)
+from magpolaron import pekar
 from magpolaron.pekar import _transverse_weight_quadrature
 
 from conftest import sech_field
@@ -35,6 +36,12 @@ class TestEnergy:
             state = PekarProductState(PhysParams(np.exp(6.0), 1.0), f)
             couls.append(-pekar_energy(state).coulomb)
         assert couls[0] > couls[1] > couls[2] > 0
+
+    @pytest.mark.parametrize("B,alpha", [(np.inf, 1.0), (np.nan, 1.0),
+                                         (1e4, np.inf), (1e4, np.nan)])
+    def test_nonfinite_parameters_rejected(self, B, alpha):
+        with pytest.raises(ParameterError):
+            PhysParams(B, alpha)
 
     def test_normalization_enforced(self, grid):
         f = Field1D(grid, np.exp(-grid.points() ** 2))
@@ -179,6 +186,35 @@ class TestSweepAndFit:
         parallel = sweep([10.0, 12.0], 1.0, workers=2)
         for a, b in zip(serial, parallel):
             assert a == b
+
+    @pytest.mark.parametrize("workers,n_jobs,cpus,expected", [
+        (64, 2, 4, 2), (64, 6, 4, 4), (3, 6, 4, 3), (64, 6, None, None)])
+    def test_pool_bounded_by_jobs_and_cpus(self, monkeypatch, workers, n_jobs,
+                                           cpus, expected):
+        # the pool forks every worker up front, so it must not ask for more
+        # than there are points or CPUs; no real process is started here
+        created = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(pekar, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(pekar.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(pekar, "_sweep_point", lambda job: SweepRecord(
+            np.exp(job[0]), job[1], 0.0, 0.0, 0.0, 0.0, None, 0, 0.0))
+        records = sweep([10.0 + x for x in range(n_jobs)], 1.0, workers=workers)
+        assert len(records) == n_jobs
+        assert created == ([] if expected is None else [expected])
 
     def test_synthetic_recovery(self):
         X = np.arange(10.0, 31.0, 2.0)
