@@ -212,6 +212,7 @@ def cmd_decompose(args) -> int:
 def cmd_certify(args) -> int:
     B = parse_b(_merged(args, "B"))
     alpha = float(_merged(args, "alpha", 1.0))
+    pekar.PhysParams(B, alpha)  # refuses a bad alpha before the cutoffs do
     K = _merged(args, "K")
     overrides = {}
     for key in ("K3", "Kperp", "gamma", "L", "M"):
@@ -332,8 +333,16 @@ def cmd_verify(_args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a malformed command line with ParameterError (exit 1, one
+    error: line) in place of argparse's usage block and exit code 2."""
+
+    def error(self, message):
+        raise ParameterError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="magpolaron",
         description="Ground-state energy laboratory for the magnetopolaron")
     parser.add_argument("--config", help="plain-text key = value file")
@@ -392,8 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except ParameterError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         args._config = load_config(args.config) if args.config else {}
     except (OSError, MagpolaronError) as exc:

@@ -14,10 +14,10 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .decomposition import coulomb_D_product, fourier_side_energy
 from .errors import FitError, ParameterError
@@ -25,10 +25,16 @@ from .grids import Field1D, Grid1D, kinetic, mass
 from .landau import effective_potential_fourier_cell_average, \
     effective_potential_fourier
 from .oned import OneDSolution, _solve_rescaled
+from .special import gauss_legendre_panels
 
 NORMALIZATION_TOL = 1e-6
 _N_AVERAGE = 8  # dual-grid cells beside k = 0 given exact averages
 _SWEEP_N = 8192  # samples of every sweep grid
+# fixed rules of the coherent route's transverse integral, in s = u/B
+_RULE_ORDER = 16  # Gauss-Legendre points per panel
+_PANEL_BASE = 4.0  # ratio of successive panels on [0, 1], geometric toward 0
+_S_FLOOR = 1e-30  # first panel [0, floor]: |integrand| <= 1 bounds it by floor
+_S_TAIL = 48.0  # int_48^inf e^{-s}/(s + y) ds < e^{-47} int_1^inf
 
 
 @dataclass(frozen=True)
@@ -194,23 +200,39 @@ def scaling_identity_check(B: float, alpha: float, f: Field1D):
     return rel <= 1e-8, rel
 
 
+@lru_cache(maxsize=None)
+def _transverse_rule():
+    """Shared nodes s and weighted numerators of the transverse integral:
+    expm1(-s) on geometric panels of [0, 1], e^{-s} on panels of [1, 48]."""
+    n_geo = int(np.ceil(np.log(1.0 / _S_FLOOR) / np.log(_PANEL_BASE)))
+    near = np.r_[0.0, _PANEL_BASE ** -np.arange(n_geo, -1, -1.0)]
+    far = np.r_[1.0, 2.0, np.arange(4.0, _S_TAIL + 1.0, 4.0)]
+    s1, w1 = gauss_legendre_panels(near, _RULE_ORDER)
+    s2, w2 = gauss_legendre_panels(far, _RULE_ORDER)
+    s = np.concatenate([s1, s2])
+    numer = np.concatenate([w1 * np.expm1(-s1), w2 * np.exp(-s2)])
+    s.setflags(write=False)
+    numer.setflags(write=False)
+    return s, numer
+
+
 def _transverse_weight_quadrature(k3: np.ndarray, B: float) -> np.ndarray:
     """Transverse momentum integral int_0^inf e^{-u/B}/(u + k3^2) du (times pi)
-    by adaptive quadrature; the independent route to the Fourier-side weight.
+    by fixed composite Gauss-Legendre rules; the independent route to the
+    Fourier-side weight.
 
-    Integrated in s = u/B, y = k3^2/B, at unit scale for every B and to a
-    relative tolerance; the log part ln(1 + 1/y) near s = 0 is split off in
-    closed form so the remaining integrands are smooth for arbitrarily small k3.
+    Integrated in s = u/B, y = k3^2/B, at unit scale for every B: the sum
+    int_0^1 expm1(-s)/(s + y) ds + int_1^48 e^{-s}/(s + y) ds is one
+    (k x s) matrix product over a node set shared by every k, and the log
+    part ln(1 + 1/y) of int_0^1 ds/(s + y) is split off in closed form.
+    Geometric panels toward s = 0 resolve the pole at s = -y for every y
+    down to the floor.  For smaller y the first panel [0, floor] is not
+    resolved, but |integrand| <= 1 keeps its error near the floor, against
+    a weight above 68.
     """
-    out = np.empty(len(k3))
-    for i, kk in enumerate(k3):
-        y = kk * kk / B
-        j1, _ = integrate.quad(
-            lambda s: np.expm1(-s) / (s + y), 0.0, 1.0, limit=200, epsabs=0.0)
-        j2, _ = integrate.quad(
-            lambda s: np.exp(-s) / (s + y), 1.0, np.inf, limit=200, epsabs=0.0)
-        out[i] = np.pi * (j1 + np.log1p(1.0 / y) + j2)
-    return out
+    s, numer = _transverse_rule()
+    y = np.asarray(k3, dtype=float) ** 2 / B
+    return np.pi * ((1.0 / (y[:, None] + s)) @ numer + np.log1p(1.0 / y))
 
 
 def coherent_infimum(state: PekarProductState) -> float:
@@ -218,15 +240,16 @@ def coherent_infimum(state: PekarProductState) -> float:
 
     The optimal amplitude is eliminated in closed form, leaving the momentum
     integral of |rho_hat|^2 over the Coulomb propagator; the transverse part
-    is integrated by adaptive quadrature rather than the closed form, so this
-    is an independent evaluation path that must agree with pekar_energy.
+    is integrated by fixed Gauss-Legendre rules rather than the closed form,
+    so this is an independent evaluation path that must agree with
+    pekar_energy.
     """
     B, alpha = state.params.B, state.params.alpha
     kin = kinetic(state.f)
     if alpha == 0.0:
         return B + kin
     attraction = fourier_side_energy(
-        state.f, lambda k: _transverse_weight_quadrature(np.atleast_1d(k), B))
+        state.f, lambda k: _transverse_weight_quadrature(k, B))
     return B + kin - alpha * attraction
 
 

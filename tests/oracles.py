@@ -8,6 +8,7 @@ norm bound), Coulomb energies against the analytic transform of the
 sech-squared density, and the off-grid density transforms against their
 dense trigonometric sums.  They may be slow; they exist only under tests/.
 """
+import mpmath
 import numpy as np
 from scipy import integrate, special
 
@@ -151,6 +152,14 @@ def u_weight_quad(k3, B):
         lambda r: 2 * np.pi * np.exp(-r * r / B) * r / (r * r + k3 * k3),
         0, np.inf, limit=200)
     return val
+
+
+def transverse_weight_mp(k, B):
+    """pi e^y E1(y), y = k^2/B, in 40-digit mpmath arithmetic: the transverse
+    momentum integral int_0^inf e^{-u/B}/(u + k^2) du times pi."""
+    with mpmath.workdps(40):
+        y = mpmath.mpf(float(k)) ** 2 / mpmath.mpf(float(B))
+        return float(mpmath.pi * mpmath.exp(y) * mpmath.e1(y))
 
 
 def coupling_weight_quad(K3, Kperp):

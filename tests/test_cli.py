@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import magpolaron
 from magpolaron import ConvergenceError
 from magpolaron.cli import (CSV_HEADER, EXIT_CONVERGENCE, EXIT_INVARIANT,
                             EXIT_OK, EXIT_VALIDATION, main, parse_b,
@@ -29,6 +34,45 @@ class TestParsing:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert argv[2].split(",")[-1] in err[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["minimize", "--B", "e10", "--alpha", "x"],
+        ["sweep", "--B", "e10", "--workers", "two"],
+        ["minimize"], ["bogus"], []])
+    def test_malformed_command_line_exits_validation(self, argv, capsys):
+        # exit 2 is the convergence-failure code, not argparse's
+        assert main(argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert captured.out == ""
+
+    def test_help_exits_ok(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["minimize", "--help"])
+        assert exc.value.code == 0
+        assert "--alpha" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-1"])
+    def test_certify_refuses_bad_alpha(self, alpha, capsys):
+        assert main(["certify", "--B", "e10", "--alpha", alpha]) \
+            == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "alpha" in err[0] and "cutoff" not in err[0]
+
+
+def test_cli_import_skips_integrate_and_optimize():
+    # a fresh interpreter: the CLI's cold start must not pay for QUADPACK
+    # or the optimizers that scipy.integrate pulls in
+    src = str(Path(magpolaron.__file__).resolve().parents[1])
+    code = ("import sys, magpolaron.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestOned:
