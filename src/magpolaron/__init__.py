@@ -7,8 +7,8 @@ from .certificate import (ConstantsLedger, CutoffParams, LowerBoundCertificate,
                           analytic_infimum_floor, block_error,
                           certificate_to_dict, certify_projected,
                           conditional_full_bound, coupling_v, default_cutoffs,
-                          effective_infimum, kappa, kappa1, kappa2,
-                          localization_error, total_coupling_weight)
+                          kappa, kappa1, kappa2, localization_error,
+                          total_coupling_weight)
 from .decomposition import (DecompositionLedger, coulomb_D_product,
                             d_product_fourier, d_product_grid, d_product_real,
                             decompose, first_excited_radial, ground_radial,

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError
-from .grids import Grid1D, standard_grid
+from .grids import standard_grid
 from .oned import WeightedProblem, solve_weighted
 from .pekar import PhysParams
 from .special import exp_scaled_e1
@@ -185,24 +185,6 @@ def default_cutoffs(B: float, alpha: float,
                         L=float(np.sqrt(L2)), M=M)
 
 
-def effective_infimum(kappa1_value: float, gamma: float, K3: float,
-                      Kperp: float, alpha: float,
-                      grid: Optional[Grid1D] = None,
-                      tol: float = 1e-10) -> float:
-    """Variational energy of the weighted 1D problem with weight v^2 and
-    prefactor alpha/(4 pi^2 (1-gamma)), cut off at K3.  Nonpositive."""
-    if not kappa1_value > 0:
-        raise ParameterError("kappa1 must be positive")
-    if grid is None:
-        grid = standard_grid()
-    lam = alpha / (4.0 * np.pi ** 2 * (1.0 - gamma))
-    problem = WeightedProblem(
-        kappa1=kappa1_value, prefactor_lambda=lam,
-        weight=lambda k: coupling_v(k, Kperp) ** 2, cutoff_k3=K3)
-    sol = solve_weighted(problem, grid, tol)
-    return min(sol.energy, 0.0)
-
-
 def analytic_infimum_floor(kappa1_value: float, gamma: float, Kperp: float,
                            alpha: float) -> float:
     """Closed-form lower envelope -alpha^2 (ln Kperp)^2/(12 kappa1 (1-gamma)^2)
@@ -212,12 +194,14 @@ def analytic_infimum_floor(kappa1_value: float, gamma: float, Kperp: float,
 
 
 def certify_projected(B: float, alpha: float,
-                      cutoffs: Optional[CutoffParams] = None,
-                      grid: Optional[Grid1D] = None,
-                      tol: float = 1e-10) -> LowerBoundCertificate:
+                      cutoffs: Optional[CutoffParams] = None
+                      ) -> LowerBoundCertificate:
     """Assemble the projected-operator lower bound with every term itemized.
 
     p0_bound = kappa2 B + I - M - block_error - pi^2/L^2 - (1 + alpha/2).
+    I <= 0 is the variational energy of the weighted 1D problem (weight v^2,
+    prefactor alpha/(4 pi^2 (1-gamma)), cut off at K3) on standard_grid() to
+    tol 1e-10.
     Out-of-range parameters mark the certificate invalid but the ledger is
     still returned.  Without cutoffs, default_cutoffs(B, alpha) applies.
     """
@@ -237,8 +221,11 @@ def certify_projected(B: float, alpha: float,
     if alpha == 0.0:
         I_value = 0.0
     elif kap1 > 0:
-        I_value = effective_infimum(kap1, cutoffs.gamma, cutoffs.K3,
-                                    cutoffs.Kperp, alpha, grid, tol)
+        lam = alpha / (4.0 * np.pi ** 2 * (1.0 - cutoffs.gamma))
+        problem = WeightedProblem(
+            kap1, lam, lambda k: coupling_v(k, cutoffs.Kperp) ** 2, cutoffs.K3)
+        sol = solve_weighted(problem, standard_grid(), 1e-10)
+        I_value = min(sol.energy, 0.0)
     else:
         I_value = np.nan
 

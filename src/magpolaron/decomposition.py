@@ -43,8 +43,7 @@ def _panel_nodes_for_kernel(f: Field1D, inner_scale: float):
     c0 = quartic(f)
     m = mass(f)
     width = m * m / c0 if c0 > 0 else g.half_width
-    delta = max(min(inner_scale, width) / 4.0, g.half_width * 1e-14)
-    edges = geometric_edges(delta, g.half_width)
+    edges = geometric_edges(min(inner_scale, width) / 4.0, g.half_width)
     return gauss_legendre_panels(edges, order=16)
 
 

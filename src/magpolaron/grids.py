@@ -3,11 +3,12 @@
 Conventions:
   - grid points t_j = -T + j*h, j = 0..n-1, h = 2T/n (right endpoint excluded)
   - continuum transform rho_hat(k) = int e^{-ikt} rho(t) dt, approximated by
-    h * sum_j e^{-ik t_j} rho_j; density_fourier_at evaluates it at any k
-  - off the dual grid, density_fourier_at and density_correlation_at both
-    go through one oversampled-FFT trigonometric sum with Gaussian gridding
-    (_trig_sum), O(n log n + 32 len(k)), accurate to a few 1e-16 of
-    rho_hat(0) and of C(0)
+    h * sum_j e^{-ik t_j} rho_j; density_fourier_at evaluates it on the band
+    |k| <= pi/h
+  - off the dual grid, density_fourier_at and density_correlation_at (on
+    |z| <= T) both go through one oversampled-FFT trigonometric sum with
+    Gaussian gridding (_trig_sum), O(n log n + 32 len(k)), accurate to a few
+    1e-16 of rho_hat(0) and of C(0)
   - the dual grid is one-sided, k_m = m pi/T, m = 0..n/2 (rfft order), and
     every on-grid transform is an rfft/irfft pair on it; density_power forms
     only the power, so the phase e^{ikT} of t_0 = -T drops out; Parseval reads
@@ -24,7 +25,6 @@ from .errors import DomainTooSmallError, InvalidFieldError
 BOUNDARY_DECAY = 1e-8
 _OVERSAMPLE = 2  # fine-grid factor of the trigonometric sum
 _TAPS = 16  # Gaussian taps on each side of an off-grid point
-_TWO_PI_TAIL = 2.4492935982947064e-16  # 2 pi - fl(2 pi)
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ def quartic(f: Field1D) -> float:
 
 
 def density_fourier_at(rho_vals: np.ndarray, grid: Grid1D, k: np.ndarray) -> np.ndarray:
-    """rho_hat(k) = h * sum_j e^{-ik t_j} rho_j at arbitrary wavenumbers.
+    """rho_hat(k) = h * sum_j e^{-ik t_j} rho_j on the band |k| <= pi/h.
 
     Evaluates the trigonometric interpolant's transform. Since
     t_j = (j - n/2) h it is h times the centred trigonometric sum at x = -k h.
@@ -127,21 +127,20 @@ def density_power(f: Field1D):
 
 
 def density_correlation_at(f: Field1D, z: np.ndarray) -> np.ndarray:
-    """C(z) = int rho(x) rho(x+z) dx at arbitrary offsets.
+    """C(z) = int rho(x) rho(x+z) dx on |z| <= T.
 
-    The cosine series over density_power with k_m = m pi / T: the terms
-    m < n/2 are the real part of the trigonometric sum at x = pi z / T, the
-    Nyquist term is added on its own. O(n log n + 32 len(z)); the error
-    stays within a few 1e-16 of C(0).
+    The cosine series over density_power with k_m = m pi / T is the real part
+    of the trigonometric sum at x = pi z / T; the Nyquist term sits in the
+    m = -n/2 slot, since Re e^{-inx/2} = cos(nx/2). O(n log n + 32 len(z));
+    the error stays within a few 1e-16 of C(0).
     """
     _, measure = density_power(f)
     n = f.grid.n
     coeffs = np.zeros(n)
+    coeffs[0] = measure[-1]
     coeffs[n // 2:] = measure[:-1]
     z = np.asarray(z, dtype=float)
-    scale = np.pi / f.grid.half_width
-    return (_trig_sum(coeffs, z, scale).real
-            + measure[-1] * np.cos((n // 2) * scale * z))
+    return _trig_sum(coeffs, z, np.pi / f.grid.half_width).real
 
 
 def _trig_sum(c: np.ndarray, y: np.ndarray, scale: float) -> np.ndarray:
@@ -152,9 +151,7 @@ def _trig_sum(c: np.ndarray, y: np.ndarray, scale: float) -> np.ndarray:
     The coefficients are deconvolved by e^{m^2 tau} and summed on the
     _OVERSAMPLE-times finer periodic grid by one FFT; each x then gathers
     2 _TAPS fine-grid values through the Gaussian e^{-(x - x_l)^2 / 4 tau}.
-    x is formed exactly as the pair fl(y scale) + rounding error and reduced
-    by whole periods 2 pi, so near a multiple of 2 pi the reduced argument
-    keeps its full relative precision.
+    Accurate for |x| <= pi, the band every caller stays in.
     """
     n = len(c)
     size = _OVERSAMPLE * n
@@ -164,11 +161,8 @@ def _trig_sum(c: np.ndarray, y: np.ndarray, scale: float) -> np.ndarray:
     spread[m] = c * np.exp(tau * m * m)  # mode m at index m mod size
     fine = np.fft.ifft(spread)
 
-    x, x_err = _two_product(np.asarray(y, dtype=float), scale)
-    turns = np.round(x / (2.0 * np.pi))
-    # exact for |turns| <= 2 (Sterbenz), within ulp(x) beyond
-    x = (x - turns * (2.0 * np.pi)) + (x_err - turns * _TWO_PI_TAIL)
-    u = x * (size / (2.0 * np.pi))  # position in fine-grid cells
+    # position in fine-grid cells
+    u = np.asarray(y, dtype=float) * scale * (size / (2.0 * np.pi))
     left = np.floor(u)
     taps = np.arange(1 - _TAPS, _TAPS + 1)
     dist = (u - left)[:, None] - taps
@@ -177,20 +171,6 @@ def _trig_sum(c: np.ndarray, y: np.ndarray, scale: float) -> np.ndarray:
                    * dist * dist)
     gathered = fine[(left.astype(np.int64)[:, None] + taps) % size]
     return np.sqrt(np.pi / tau) * np.sum(gauss * gathered, axis=1)
-
-
-def _two_product(a: np.ndarray, b: float):
-    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker's product on
-    Veltkamp halves)."""
-    def halves(v):
-        big = 134217729.0 * v  # 2^27 + 1
-        hi = big - (big - v)
-        return hi, v - hi
-
-    p = a * b
-    a_hi, a_lo = halves(a)
-    b_hi, b_lo = halves(b)
-    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
 def shift_field(f: Field1D, delta: float) -> Field1D:

@@ -113,24 +113,22 @@ def pekar_energy(state: PekarProductState) -> EnergyBreakdown:
     return EnergyBreakdown(B, kin, -alpha * d_val, alpha * d_err)
 
 
-def trial_state(B: float, alpha: float = 1.0,
-                grid: Optional[Grid1D] = None) -> PekarProductState:
-    """Sech profile with coupling ln(B)/2, unit mass, on the sweep grid."""
+def trial_state(B: float, alpha: float = 1.0) -> PekarProductState:
+    """Sech profile with coupling ln(B)/2, unit mass, on the sweep grid of
+    coupling max(alpha, 1)."""
     if B <= np.e:
         raise ParameterError("trial state defined for B > e")
-    if grid is None:
-        grid = sweep_grid(B, max(alpha, 1.0))
+    grid = sweep_grid(B, max(alpha, 1.0))
     b = np.log(B) / 2.0
     t = grid.points()
     vals = (np.sqrt(b) / 2.0) / np.cosh(b * t / 2.0)
     return PekarProductState(PhysParams(B, alpha), Field1D(grid, vals))
 
 
-def trial_energy(B: float, alpha: float,
-                 grid: Optional[Grid1D] = None) -> EnergyBreakdown:
+def trial_energy(B: float, alpha: float) -> EnergyBreakdown:
     """Breakdown for the trial state; the longitudinal kinetic term is the
     exact (ln B)^2/48 rather than its quadrature."""
-    state = trial_state(B, alpha, grid)
+    state = trial_state(B, alpha)
     lnB = np.log(B)
     kin_exact = lnB * lnB / 48.0
     if alpha == 0.0:
@@ -150,9 +148,9 @@ def interaction_weights(grid: Grid1D, B: float) -> np.ndarray:
     return w
 
 
-def pekar_minimize(params: PhysParams, grid: Optional[Grid1D] = None,
-                   tol: float = 1e-11):
-    """Minimize the product-ansatz energy over unit-mass longitudinal factors.
+def pekar_minimize(params: PhysParams, tol: float = 1e-11):
+    """Minimize the product-ansatz energy over unit-mass longitudinal factors
+    on sweep_grid(B, alpha).
 
     Returns (OneDSolution, EnergyBreakdown).  The flow runs on the dual-grid
     discretization of the interaction; the reported breakdown re-evaluates the
@@ -162,8 +160,7 @@ def pekar_minimize(params: PhysParams, grid: Optional[Grid1D] = None,
     if not tol > 0:
         raise ParameterError("tol must be positive")
     B, alpha = params.B, params.alpha
-    if grid is None:
-        grid = sweep_grid(B, alpha)
+    grid = sweep_grid(B, alpha)
     if alpha == 0.0:
         sol = OneDSolution(0.0, None, 0, 0.0, degenerate=True)
         return sol, EnergyBreakdown(B, 0.0, 0.0, 0.0)
@@ -179,8 +176,9 @@ def pekar_minimize(params: PhysParams, grid: Optional[Grid1D] = None,
 
 
 def scaling_identity_check(B: float, alpha: float, f: Field1D):
-    """Exact coupling rescaling: the energy at (B, alpha) of the rescaled
-    state equals alpha^2 times the energy at (B/alpha^2, 1) of the original.
+    """Exact coupling rescaling: the deficit E - B at (B, alpha) of the
+    rescaled state equals alpha^2 times the deficit at (B/alpha^2, 1) of the
+    original; both come from their components, so B cannot hide an error.
 
     f must be a unit-mass longitudinal factor for the (B/alpha^2, 1) problem;
     its rescaled partner sqrt(alpha) f(alpha t) lives on the shrunken grid.
@@ -191,11 +189,12 @@ def scaling_identity_check(B: float, alpha: float, f: Field1D):
     B_reduced = B / alpha ** 2
     if B_reduced <= 1:
         raise ParameterError("B/alpha^2 must exceed 1")
-    rhs = alpha ** 2 * pekar_energy(
-        PekarProductState(PhysParams(B_reduced, 1.0), f)).total
+    low = pekar_energy(PekarProductState(PhysParams(B_reduced, 1.0), f))
+    rhs = alpha ** 2 * (low.longitudinal_kinetic + low.coulomb)
     scaled_grid = Grid1D(f.grid.n, f.grid.half_width / alpha)
     f_scaled = Field1D(scaled_grid, np.sqrt(alpha) * f.values)
-    lhs = pekar_energy(PekarProductState(PhysParams(B, alpha), f_scaled)).total
+    high = pekar_energy(PekarProductState(PhysParams(B, alpha), f_scaled))
+    lhs = high.longitudinal_kinetic + high.coulomb
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
     return rel <= 1e-8, rel
 
@@ -258,11 +257,10 @@ def coherent_infimum(state: PekarProductState) -> float:
 
 
 def _sweep_point(args):
-    lnB, alpha, tol, certify = args
+    lnB, alpha, certify = args
     B = float(np.exp(lnB))
-    grid = sweep_grid(B, alpha)
-    sol, breakdown = pekar_minimize(PhysParams(B, alpha), grid, tol)
-    trial = trial_energy(B, alpha, grid)
+    sol, breakdown = pekar_minimize(PhysParams(B, alpha))
+    trial = trial_energy(B, alpha)
     cert_bound = None
     if certify:
         from .certificate import certify_projected
@@ -274,11 +272,12 @@ def _sweep_point(args):
         iters=sol.iterations, residual=sol.gradient_residual)
 
 
-def sweep(lnB_values: Sequence[float], alpha: float, tol: float = 1e-11,
-          certify: bool = False, workers: int = 1) -> list:
-    """Minimize at each B = exp(lnB); records sorted by B regardless of
-    completion order.  Points are independent; workers > 1 fans them out."""
-    jobs = [(float(x), alpha, tol, certify) for x in lnB_values]
+def sweep(lnB_values: Sequence[float], alpha: float, certify: bool = False,
+          workers: int = 1) -> list:
+    """Minimize at each B = exp(lnB) to tol 1e-11; records sorted by B
+    regardless of completion order.  Points are independent; workers > 1
+    fans them out."""
+    jobs = [(float(x), alpha, certify) for x in lnB_values]
     workers = min(workers, len(jobs), os.cpu_count() or 1)  # all fork at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -171,7 +171,7 @@ class TestAcceptance:
 
     def test_criterion_09_asymptotic_fit(self):
         t0 = time.time()
-        records = sweep(list(np.arange(10.0, 31.0, 2.0)), 1.0, tol=1e-11)
+        records = sweep(list(np.arange(10.0, 31.0, 2.0)), 1.0)
         fit = fit_asymptotics(records)
         assert abs(fit.c2 - 1.0 / 48.0) <= 0.25 / 48.0
         assert fit.c3 > 0

@@ -173,6 +173,18 @@ class TestEffectiveInfimum:
 
 
 class TestCertificate:
+    @pytest.mark.parametrize("lnB, alpha, I_value, p0_bound", [
+        (12.0, 1.0, -37.09442771583225, 162317.16912399614),
+        (20.0, 2.0, -260.16264694031696, 485163877.08408004),
+        (30.0, 0.5, -16.938595355301562, 10686474580144.71),
+    ])
+    def test_certify_numbers_pinned(self, lnB, alpha, I_value, p0_bound):
+        # the weighted solve runs on standard_grid() to tol 1e-10; pinned so
+        # that neither can drift
+        cert = certify_projected(np.exp(lnB), alpha)
+        assert cert.I_value == pytest.approx(I_value, rel=1e-13, abs=0.0)
+        assert cert.p0_bound == p0_bound
+
     def test_alpha_zero_assembly(self):
         B = np.exp(12.0)
         cert = certify_projected(B, 0.0)

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -9,8 +7,8 @@ from magpolaron import (DomainTooSmallError, Field1D, Grid1D,
                         shift_field, standard_grid, sweep_grid)
 from magpolaron.decomposition import (fourier_side_energy,
                                       longitudinal_double_integral)
-from magpolaron.grids import (_two_product, density_correlation_at,
-                              density_fourier_at, density_power)
+from magpolaron.grids import (density_correlation_at, density_fourier_at,
+                              density_power)
 
 from conftest import bump_field, sech_field
 import oracles
@@ -154,8 +152,7 @@ def _check_against_dense(f, k, z, phase_slack=False):
     With phase_slack the rho_hat bound also allows the dense sum's own
     first-order rounding of its phases k t_j, eps |k| h sum|rho_j t_j|: on
     bumps 4 off centre at n = 8192 that alone reaches 2e-14 h sum|rho| in
-    the band and 6e-14 beyond it (against an 80-bit sum, the fast transform
-    stays below 3e-17)."""
+    the band (against an 80-bit sum, the fast transform stays below 3e-17)."""
     g = f.grid
     rho = f.values ** 2
     bound = 1e-14 * g.spacing * np.sum(np.abs(rho))
@@ -183,15 +180,17 @@ class TestTrigSum:
         half_width = sweep_grid(B, 1.0).half_width if n == 8192 else 8.0
         f = sech_field(Grid1D(n, half_width), 1.0, lnB / 2.0)
         k, z = _production_nodes(f, B)
+        # interior Gauss-Legendre nodes: both paths stay inside their band
+        assert np.all((k > 0) & (k < np.pi / f.grid.spacing))
+        assert np.all((z > 0) & (z < f.grid.half_width))
         _check_against_dense(f, k, z)
 
     @pytest.mark.parametrize("n", [64, 8192])
-    def test_edges_and_periodic_reduction(self, n):
+    def test_band_edges(self, n):
         g = Grid1D(n, 40.0)
         f = bump_field(g, np.random.default_rng(5))
         nyquist = np.pi / g.spacing
-        k = nyquist * np.array([0.0, 1.0, -1.0, 0.5, -0.75, 1.5, -1.5, 2.0,
-                                -2.0, 2.5, -2.9, 3.0, -3.0])
+        k = nyquist * np.array([0.0, 1.0, -1.0, 0.5, -0.75, 1e-3, -0.999])
         z = np.array([0.0, g.half_width, 0.5 * g.half_width])
         _check_against_dense(f, k, z)
 
@@ -201,16 +200,9 @@ class TestTrigSum:
         g = Grid1D(n, 40.0)
         rng = np.random.default_rng(seed)
         f = bump_field(g, rng)
-        k = rng.uniform(-3.0, 3.0, 64) * np.pi / g.spacing
+        k = rng.uniform(-1.0, 1.0, 64) * np.pi / g.spacing
         z = rng.uniform(0.0, g.half_width, 64)
         _check_against_dense(f, k, z, phase_slack=True)
-
-    @given(a=st.floats(-1e6, 1e6).filter(lambda v: v == 0 or abs(v) > 1e-200),
-           b=st.floats(1e-6, 1e2))
-    def test_argument_product_exact(self, a, b):
-        # x = y * scale is formed as p + e with no rounding at all
-        p, e = _two_product(np.array([a]), b)
-        assert Fraction(p[0]) + Fraction(e[0]) == Fraction(a) * Fraction(b)
 
 
 class TestShift:

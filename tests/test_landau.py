@@ -89,37 +89,40 @@ def _lll_state(pts, B, coeffs):
     return out
 
 
+@pytest.fixture(scope="module")
+def twisted_margins():
+    """Margins of oracles.twisted_norm_check at B = 1 for each k = (kx, 0)
+    the tests use, over the ground state and five random lowest-level states
+    (seed 17); the O(N^2) kernel is applied once per k."""
+    B = 1.0
+    pts, w = _norm_nodes(B)
+    states = [ground_radial(B)(np.linalg.norm(pts, axis=-1))]
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        c = rng.normal(size=4) + 1j * rng.normal(size=4)
+        states.append(_lll_state(pts, B, c))
+    return {kx: oracles.twisted_norm_check(np.array([kx, 0.0]), B, states,
+                                           pts, w)[1]
+            for kx in (0.0, 1.0, 3.0)}
+
+
 class TestTwistedNorm:
-    def test_ground_state_zero_momentum(self):
-        B = 1.0
-        pts, w = _norm_nodes(B)
-        g = ground_radial(B)(np.linalg.norm(pts, axis=-1))
-        ok, margins = oracles.twisted_norm_check(np.zeros(2), B, [g], pts, w)
-        assert ok
+    def test_ground_state_zero_momentum(self, twisted_margins):
+        margin = twisted_margins[0.0][0]
+        assert margin >= 0
         # at zero momentum the twisted operator is the projector itself
-        assert margins[0] == pytest.approx(2.0 - 1.0, abs=1e-8)
+        assert margin == pytest.approx(2.0 - 1.0, abs=1e-8)
 
     @pytest.mark.parametrize("kx", [1.0, 3.0])
-    def test_ground_state_bound(self, kx):
-        B = 1.0
-        pts, w = _norm_nodes(B)
-        g = ground_radial(B)(np.linalg.norm(pts, axis=-1))
-        ok, margins = oracles.twisted_norm_check(np.array([kx, 0.0]), B, [g], pts, w)
-        assert ok and margins[0] > 0
+    def test_ground_state_bound(self, twisted_margins, kx):
+        margin = twisted_margins[kx][0]
+        assert margin > 0
         # the Gaussian saturates half the bound exactly
-        measured = twisted_norm_bound(np.array([kx, 0.0]), B) - margins[0]
+        measured = twisted_norm_bound(np.array([kx, 0.0]), 1.0) - margin
         assert measured == pytest.approx(np.exp(kx * kx / 4.0), rel=1e-6)
 
-    def test_random_lowest_level_states(self):
-        B = 1.0
-        pts, w = _norm_nodes(B)
-        rng = np.random.default_rng(17)
-        states = []
-        for _ in range(5):
-            c = rng.normal(size=4) + 1j * rng.normal(size=4)
-            states.append(_lll_state(pts, B, c))
-        ok, margins = oracles.twisted_norm_check(np.array([3.0, 0.0]), B, states, pts, w)
-        assert ok
+    def test_random_lowest_level_states(self, twisted_margins):
+        margins = twisted_margins[3.0][1:]
         assert all(m > 0 for m in margins)
 
 

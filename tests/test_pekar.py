@@ -4,6 +4,7 @@ import pytest
 from magpolaron import (Field1D, FitError, Grid1D, OneDProblem, ParameterError,
                         PekarProductState, PhysParams, SweepRecord,
                         closed_form_energy, coherent_infimum,
+                        d_product_fourier, d_product_real,
                         effective_potential_fourier, fit_asymptotics,
                         kinetic, main_coefficient, mass, pekar_energy,
                         pekar_minimize, quartic, scaling_identity_check,
@@ -120,6 +121,16 @@ class TestMinimize:
         assert sol.iterations == iters
         assert sol.energy == pytest.approx(deficit, rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("lnB", [100.0, 300.0])
+    def test_dual_paths_agree_at_large_B(self, lnB):
+        # the real path's first panel must reach the kernel scale
+        # 1/(4 sqrt B), 5e-23 at ln B = 100, or V's corner goes unresolved
+        B = np.exp(lnB)
+        sol, _ = pekar_minimize(PhysParams(B, 1.0))
+        d_real = d_product_real(sol.minimizer, B)
+        d_four = d_product_fourier(sol.minimizer, B)
+        assert abs(d_real - d_four) <= 1e-13 * abs(d_four)
+
 
 class TestScalingIdentity:
     def test_alpha_one_trivial(self, f11):
@@ -137,6 +148,25 @@ class TestScalingIdentity:
         f = sech_field(g, 1.0, 2.0)
         passed, rel = scaling_identity_check(np.exp(6.0), 0.5, f)
         assert passed, f"relative defect {rel}"
+
+    def test_compares_deficits_not_totals(self, monkeypatch):
+        # at ln B = 30 a 1e-6 error in one side's Coulomb energy is ~1e-11 of
+        # the total but ~1e-6 of the deficit E - B; the check must see it
+        B = np.exp(30.0)
+        f = trial_state(B / 4.0).f
+        passed, rel = scaling_identity_check(B, 2.0, f)
+        assert passed and rel < 1e-12
+        exact = pekar.pekar_energy
+
+        def skewed(state):
+            bd = exact(state)
+            if state.params.alpha != 1.0:
+                bd.coulomb *= 1.0 + 1e-6
+            return bd
+
+        monkeypatch.setattr(pekar, "pekar_energy", skewed)
+        passed, rel = scaling_identity_check(B, 2.0, f)
+        assert not passed and rel > 1e-7
 
 
 class TestCoherentRoute:
