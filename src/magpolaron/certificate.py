@@ -218,9 +218,7 @@ def certify_projected(B: float, alpha: float,
     loc = localization_error(cutoffs.L)
     blk = block_error(alpha, cutoffs.K3, cutoffs.L, cutoffs.gamma, cutoffs.M, R)
 
-    if alpha == 0.0:
-        I_value = 0.0
-    elif kap1 > 0:
+    if kap1 > 0:
         lam = alpha / (4.0 * np.pi ** 2 * (1.0 - cutoffs.gamma))
         problem = WeightedProblem(
             kap1, lam, lambda k: coupling_v(k, cutoffs.Kperp) ** 2, cutoffs.K3)

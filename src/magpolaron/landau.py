@@ -101,14 +101,16 @@ def effective_potential(z, B: float):
     if not B > 0:
         raise ParameterError("B must be positive")
     z = np.asarray(z, dtype=float)
-    return 0.5 * np.sqrt(np.pi * B) * erfcx(0.5 * np.sqrt(B) * np.abs(z))
+    sqrt_b = np.sqrt(B)  # not sqrt(pi B): pi B overflows from ln B ~ 708.6
+    return 0.5 * np.sqrt(np.pi) * sqrt_b * erfcx(0.5 * sqrt_b * np.abs(z))
 
 
 def effective_potential_fourier(k3, B: float):
     """Fourier-side weight U(k;B) = pi e^{k^2/B} E1(k^2/B).
 
-    Diverges logarithmically at k = 0; tiny arguments switch to the by-hand
-    expansion pi (ln B - gamma - 2 ln|k|).
+    Diverges logarithmically at k = 0 (inf there); tiny arguments switch to
+    the by-hand expansion pi (ln B - gamma - 2 ln|k|), formed from ln|k| and
+    ln B since k^2/B underflows at large B.
     """
     if not B > 0:
         raise ParameterError("B must be positive")
@@ -119,8 +121,8 @@ def effective_potential_fourier(k3, B: float):
     out = np.empty_like(x)
     tiny = x < 1e-12
     if np.any(tiny):
-        safe = np.maximum(x[tiny], 1e-300)
-        out[tiny] = np.pi * (-EULER_GAMMA - np.log(safe))
+        with np.errstate(divide="ignore"):
+            out[tiny] = np.pi * (-EULER_GAMMA - 2.0 * np.log(k[tiny]) + np.log(B))
     big = ~tiny
     if np.any(big):
         out[big] = np.pi * exp_scaled_e1(x[big])

@@ -25,7 +25,7 @@ from .grids import (Field1D, Grid1D, centroid, kinetic, mass, quartic,
 
 SHARP_GN_Q4 = 3.0 ** 0.125
 _RECENTER_EVERY = 50  # sphere-flow iterations between translation resets
-_MAX_ITER = 5000  # sphere-flow iteration budget unless solve_numeric sets one
+_MAX_ITER = 5000  # sphere-flow iteration budget
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,11 @@ class OneDSolution:
     minimizer: Optional[Field1D]
     iterations: int
     gradient_residual: float
-    degenerate: bool = False
+
+    @property
+    def degenerate(self) -> bool:
+        """Zero coupling: the infimum is not attained."""
+        return self.minimizer is None
 
 
 @dataclass(frozen=True)
@@ -129,12 +133,14 @@ def sharp_gn_constant(q: float) -> float:
 
 def _minimize_on_sphere(grid: Grid1D, akin: float, weights: np.ndarray,
                         lam: float, mass_target: float, tol: float,
-                        f0: Optional[np.ndarray], max_iter: int):
+                        f0: Optional[np.ndarray]):
     """Minimize akin*int f'^2 - lam*dk*sum_k w(|k|) |rho_hat(k)|^2 over all
     dual-grid k on the sphere int f^2 = mass_target.
 
     weights = w on the one-sided dual grid grid.wavenumbers() (cutoff edge
-    fractions already applied).  Returns (values, energy, iterations, residual).
+    fractions already applied).  Returns (values, energy, iterations, residual)
+    of the recentred field once the flow stops, by convergence, budget or an
+    exhausted line search; ConvergenceError unless the residual passes.
     """
     n, h = grid.n, grid.spacing
     t = grid.points()
@@ -161,8 +167,7 @@ def _minimize_on_sphere(grid: Grid1D, akin: float, weights: np.ndarray,
 
     E, lap, W = state(f)
     theta = 1.0
-    residual = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         Lf = lap + W * f
         mu = h * np.sum(f * Lf) / mass_target
         r = Lf - mu * f
@@ -188,31 +193,28 @@ def _minimize_on_sphere(grid: Grid1D, akin: float, weights: np.ndarray,
             f = recenter(f)
             E, lap, W = state(f)
         if rel_change < tol and residual < np.sqrt(tol) * (1 + abs(E)):
-            f = recenter(f)
-            return f, state(f)[0], it, residual
-    if residual < np.sqrt(tol) * (1 + abs(E)):
-        return f, E, max_iter, residual
-    raise ConvergenceError(
-        f"sphere minimizer stalled: residual {residual:.3e} after {it} iterations",
-        iterations=it, residual=residual)
+            break
+    if not residual < np.sqrt(tol) * (1 + abs(E)):
+        raise ConvergenceError(
+            f"sphere minimizer stalled: residual {residual:.3e} after {it} "
+            "iterations", iterations=it, residual=residual)
+    f = recenter(f)
+    return f, state(f)[0], it, residual
 
 
 def _solve_rescaled(g: Grid1D, mu: float, akin: float, weights: np.ndarray,
                     lam: float, mass_target: float, tol: float,
-                    f0: Optional[np.ndarray] = None,
-                    max_iter: int = _MAX_ITER) -> OneDSolution:
+                    f0: Optional[np.ndarray] = None) -> OneDSolution:
     """Sphere flow on the rescaled problem, mapped back: minimizer
     f(t) = sqrt(mu) q(mu t) on the grid (n, half_width/mu), energy mu^2 E_q."""
     vals, E_int, iters, res = _minimize_on_sphere(
-        g, akin, weights, lam, mass_target, tol, f0, max_iter)
+        g, akin, weights, lam, mass_target, tol, f0)
     out_grid = Grid1D(g.n, g.half_width / mu) if mu != 1.0 else g
     minimizer = Field1D(out_grid, np.sqrt(mu) * vals)
     return OneDSolution(mu * mu * E_int, minimizer, iters, res)
 
 
-def solve_numeric(p: OneDProblem, g: Grid1D, tol: float,
-                  init: Optional[np.ndarray] = None,
-                  max_iter: int = _MAX_ITER) -> OneDSolution:
+def solve_numeric(p: OneDProblem, g: Grid1D, tol: float) -> OneDSolution:
     """Ground state of the quartic problem by projected gradient flow.
 
     Internally rescaled so the minimizer width is O(1): f(t) = sqrt(mu) q(mu t)
@@ -223,14 +225,14 @@ def solve_numeric(p: OneDProblem, g: Grid1D, tol: float,
         raise ParameterError("tol must be positive")
     a, b = p.mass_a, p.coupling_b
     if b == 0.0:
-        return OneDSolution(0.0, None, 0, 0.0, degenerate=True)
+        return OneDSolution(0.0, None, 0, 0.0)
     mu = max(1.0, a * b / 4.0)
     b_int = b / mu
     if g.half_width * a * b_int < 8.0:
         raise DomainTooSmallError(
             "minimizer width exceeds the grid: need half_width*a*b >= 8")
     return _solve_rescaled(g, mu, 1.0, np.ones(g.n // 2 + 1),
-                           b_int / (2 * np.pi), a, tol, init, max_iter)
+                           b_int / (2 * np.pi), a, tol)
 
 
 def solve_weighted(wp: WeightedProblem, g: Grid1D, tol: float) -> OneDSolution:
@@ -249,7 +251,7 @@ def solve_weighted(wp: WeightedProblem, g: Grid1D, tol: float) -> OneDSolution:
         raise ParameterError("weight must be finite and nonnegative on [0, K3]")
     w_sup = float(np.max(w_probe))
     if wp.prefactor_lambda * w_sup == 0.0:
-        return OneDSolution(0.0, None, 0, 0.0, degenerate=True)
+        return OneDSolution(0.0, None, 0, 0.0)
 
     b_tilde = 2 * np.pi * wp.prefactor_lambda * w_sup / wp.kappa1
     mu = max(1.0, b_tilde / 4.0)

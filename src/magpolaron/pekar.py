@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -24,7 +24,8 @@ from .errors import FitError, ParameterError
 from .grids import Field1D, Grid1D, kinetic, mass
 from .landau import effective_potential_fourier_cell_average, \
     effective_potential_fourier
-from .oned import OneDSolution, _solve_rescaled
+from .oned import (OneDProblem, OneDSolution, _solve_rescaled,
+                   closed_form_minimizer)
 from .special import gauss_legendre_panels
 
 NORMALIZATION_TOL = 1e-6
@@ -114,27 +115,21 @@ def pekar_energy(state: PekarProductState) -> EnergyBreakdown:
 
 
 def trial_state(B: float, alpha: float = 1.0) -> PekarProductState:
-    """Sech profile with coupling ln(B)/2, unit mass, on the sweep grid of
-    coupling max(alpha, 1)."""
+    """Closed-form unit-mass minimizer at coupling b = ln(B)/2, the sech
+    profile, on its own grid of half-width 120/b; alpha does not change it."""
     if B <= np.e:
         raise ParameterError("trial state defined for B > e")
-    grid = sweep_grid(B, max(alpha, 1.0))
     b = np.log(B) / 2.0
-    t = grid.points()
-    vals = (np.sqrt(b) / 2.0) / np.cosh(b * t / 2.0)
-    return PekarProductState(PhysParams(B, alpha), Field1D(grid, vals))
+    f = closed_form_minimizer(OneDProblem(1.0, b), Grid1D(_SWEEP_N, 120.0 / b))
+    return PekarProductState(PhysParams(B, alpha), f)
 
 
 def trial_energy(B: float, alpha: float) -> EnergyBreakdown:
     """Breakdown for the trial state; the longitudinal kinetic term is the
     exact (ln B)^2/48 rather than its quadrature."""
-    state = trial_state(B, alpha)
     lnB = np.log(B)
-    kin_exact = lnB * lnB / 48.0
-    if alpha == 0.0:
-        return EnergyBreakdown(B, kin_exact, 0.0, 0.0)
-    d_val, d_err = coulomb_D_product(state.f, B)
-    return EnergyBreakdown(B, kin_exact, -alpha * d_val, alpha * d_err)
+    return replace(pekar_energy(trial_state(B, alpha)),
+                   longitudinal_kinetic=lnB * lnB / 48.0)
 
 
 def interaction_weights(grid: Grid1D, B: float) -> np.ndarray:
@@ -162,8 +157,7 @@ def pekar_minimize(params: PhysParams, tol: float = 1e-11):
     B, alpha = params.B, params.alpha
     grid = sweep_grid(B, alpha)
     if alpha == 0.0:
-        sol = OneDSolution(0.0, None, 0, 0.0, degenerate=True)
-        return sol, EnergyBreakdown(B, 0.0, 0.0, 0.0)
+        return OneDSolution(0.0, None, 0, 0.0), EnergyBreakdown(B, 0.0, 0.0, 0.0)
     weights = interaction_weights(grid, B)
     b0 = max(1.0, alpha * np.log(B) / 2.0)
     f0 = 1.0 / np.cosh(b0 * grid.points() / 2.0)
@@ -245,8 +239,6 @@ def coherent_infimum(state: PekarProductState) -> float:
     """
     B, alpha = state.params.B, state.params.alpha
     kin = kinetic(state.f)
-    if alpha == 0.0:
-        return B + kin
     attraction = fourier_side_energy(
         state.f, lambda k: _transverse_weight_quadrature(k, B))
     return B + kin - alpha * attraction

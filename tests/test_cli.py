@@ -75,6 +75,20 @@ def test_cli_import_skips_integrate_and_optimize():
     assert proc.stdout.strip() == "[]"
 
 
+def test_module_entry_minimize_at_e709():
+    # a fresh interpreter through `python -m magpolaron`: a numpy warning on
+    # stderr, invisible to in-process tests, fails here
+    src = str(Path(magpolaron.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "magpolaron", "minimize", "--B", "e709",
+         "--alpha", "1"], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    (line,) = [x for x in proc.stdout.splitlines() if "E_total - B" in x]
+    assert np.isfinite(float(line.split("=")[1]))
+
+
 class TestOned:
     def test_unit_case(self, capsys):
         assert main(["oned", "--a", "1", "--b", "1"]) == EXIT_OK
@@ -284,6 +298,29 @@ class TestExitCodes:
     def test_decompose_ok(self, capsys):
         assert main(["decompose", "--B", "e6"]) == EXIT_OK
         assert "within bound: yes" in capsys.readouterr().out
+
+    def test_decompose_ledger_independent_of_alpha(self, capsys):
+        # the trial state is the alpha-free sech profile on its own grid
+        assert main(["decompose", "--B", "e15", "--alpha", "1"]) == EXIT_OK
+        unit = capsys.readouterr().out
+        assert main(["decompose", "--B", "e15", "--alpha", "5"]) == EXIT_OK
+        assert capsys.readouterr().out == unit
+
+    def test_verify_compares_deficits(self, monkeypatch, capsys):
+        # at B = e^6 an error of 1e-7 of the deficit E - B is ~2.5e-10 of
+        # the total; the classical-amplitude check must still fail
+        import magpolaron.cli as cli
+        exact = cli.pekar.coherent_infimum
+
+        def off(state):
+            bd = cli.pekar.pekar_energy(state)
+            return exact(state) + 1e-7 * abs(bd.longitudinal_kinetic
+                                            + bd.coulomb)
+
+        monkeypatch.setattr(cli.pekar, "coherent_infimum", off)
+        assert main(["verify"]) == EXIT_INVARIANT
+        assert "[FAIL] classical-amplitude energy route" in \
+            capsys.readouterr().out
 
     def test_oned_disagreement_maps_to_exit_three(self, monkeypatch, capsys):
         import magpolaron.cli as cli

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from magpolaron import oned
 from magpolaron import (ConvergenceError, DomainTooSmallError, Field1D, Grid1D,
                         InvalidFieldError, OneDProblem, ParameterError,
                         SHARP_GN_Q4, WeightedProblem, closed_form_energy,
@@ -60,12 +61,16 @@ class TestSolveNumeric:
         assert sol.energy == pytest.approx(-100 / 12, rel=1e-4)
 
     def test_determinism_of_minimum(self, grid):
+        # the unit problem's flow (lam = 1/(2 pi), flat weight) from two
+        # random starts, passed as the flow's own f0, ends at one minimum
         rng = np.random.default_rng(5)
         energies = []
         for _ in range(2):
             init = np.abs(bump_field(grid, rng).values) + 1e-3
-            sol = solve_numeric(OneDProblem(1.0, 1.0), grid, 1e-10, init=init)
-            energies.append(sol.energy)
+            _, energy, _, _ = oned._minimize_on_sphere(
+                grid, 1.0, np.ones(grid.n // 2 + 1), 1.0 / (2 * np.pi), 1.0,
+                1e-10, init)
+            energies.append(energy)
         assert energies[0] == pytest.approx(energies[1], abs=1e-8)
 
     def test_degenerate_coupling(self, grid):
@@ -78,10 +83,21 @@ class TestSolveNumeric:
         sol = solve_numeric(OneDProblem(1.0, 2.0), grid, 1e-9)
         assert sol.energy <= 0.0
 
-    def test_convergence_error_reports(self, grid):
+    def test_convergence_error_reports(self, grid, monkeypatch):
+        monkeypatch.setattr(oned, "_MAX_ITER", 2)
         with pytest.raises(ConvergenceError) as err:
-            solve_numeric(OneDProblem(1.0, 1.0), grid, 1e-14, max_iter=2)
+            solve_numeric(OneDProblem(1.0, 1.0), grid, 1e-14)
         assert err.value.residual is not None
+        assert err.value.iterations == 2
+
+    def test_exhausted_line_search_exit(self, grid):
+        # NaN weights make every trial energy NaN, so the first line search
+        # runs out; the flow stops there and reports that iteration
+        weights = np.full(grid.n // 2 + 1, np.nan)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ConvergenceError) as err:
+            oned._minimize_on_sphere(grid, 1.0, weights, 1.0, 1.0, 1e-8, None)
+        assert err.value.iterations == 1
 
     def test_wide_minimizer_guarded(self, grid):
         with pytest.raises(DomainTooSmallError):

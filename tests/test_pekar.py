@@ -72,6 +72,22 @@ class TestTrialState:
         bd = trial_energy(np.exp(10.0), 1.0)
         assert bd.total < np.exp(10.0)
 
+    @pytest.mark.parametrize("lnB", [1.05, 10.0, 30.0])
+    def test_one_decayed_field_for_every_alpha(self, lnB):
+        # the sech profile at coupling ln B/2 does not depend on alpha, and
+        # neither does its grid
+        B = np.exp(lnB)
+        fields = [trial_state(B, alpha).f for alpha in (0.5, 1.0, 5.0)]
+        for f in fields:
+            assert f.boundary_decayed()
+            assert f.grid == fields[0].grid
+            assert np.array_equal(f.values, fields[0].values)
+
+    def test_coulomb_linear_in_alpha(self):
+        # one field for every alpha: the Coulomb energy is exactly alpha * D
+        B = np.exp(30.0)
+        assert trial_energy(B, 5.0).coulomb == 5.0 * trial_energy(B, 1.0).coulomb
+
 
 class TestMinimize:
     def test_below_trial(self):
@@ -121,10 +137,11 @@ class TestMinimize:
         assert sol.iterations == iters
         assert sol.energy == pytest.approx(deficit, rel=1e-13, abs=0.0)
 
-    @pytest.mark.parametrize("lnB", [100.0, 300.0])
+    @pytest.mark.parametrize("lnB", [100.0, 300.0, 700.0, 709.0])
     def test_dual_paths_agree_at_large_B(self, lnB):
         # the real path's first panel must reach the kernel scale
-        # 1/(4 sqrt B), 5e-23 at ln B = 100, or V's corner goes unresolved
+        # 1/(4 sqrt B), 5e-23 at ln B = 100, or V's corner goes unresolved;
+        # from ln B ~ 650 k^2/B underflows and from ~ 708.6 pi B overflows
         B = np.exp(lnB)
         sol, _ = pekar_minimize(PhysParams(B, 1.0))
         d_real = d_product_real(sol.minimizer, B)
