@@ -19,7 +19,7 @@ from .errors import (ConvergenceError, DomainTooSmallError, FitError,
                      InvalidFieldError, MagpolaronError, ParameterError,
                      ResolutionError)
 from .grids import (Field1D, Grid1D, centroid, kinetic, mass, quartic,
-                    shift_field, standard_grid)
+                    shift_field)
 from .landau import (RadialTransverseDensity, effective_potential,
                      effective_potential_fourier, effective_potential_general,
                      lll_projector_kernel, projected_phase_factor,

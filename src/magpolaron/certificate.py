@@ -16,7 +16,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError
-from .grids import standard_grid
 from .oned import WeightedProblem, solve_weighted
 from .pekar import PhysParams
 from .special import exp_scaled_e1
@@ -200,8 +199,8 @@ def certify_projected(B: float, alpha: float,
 
     p0_bound = kappa2 B + I - M - block_error - pi^2/L^2 - (1 + alpha/2).
     I <= 0 is the variational energy of the weighted 1D problem (weight v^2,
-    prefactor alpha/(4 pi^2 (1-gamma)), cut off at K3) on standard_grid() to
-    tol 1e-10.
+    prefactor alpha/(4 pi^2 (1-gamma)), cut off at K3), by solve_weighted at
+    every coupling.
     Out-of-range parameters mark the certificate invalid but the ledger is
     still returned.  Without cutoffs, default_cutoffs(B, alpha) applies.
     """
@@ -222,7 +221,7 @@ def certify_projected(B: float, alpha: float,
         lam = alpha / (4.0 * np.pi ** 2 * (1.0 - cutoffs.gamma))
         problem = WeightedProblem(
             kap1, lam, lambda k: coupling_v(k, cutoffs.Kperp) ** 2, cutoffs.K3)
-        sol = solve_weighted(problem, standard_grid(), 1e-10)
+        sol = solve_weighted(problem)
         I_value = min(sol.energy, 0.0)
     else:
         I_value = np.nan

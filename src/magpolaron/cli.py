@@ -21,7 +21,7 @@ from . import certificate as cert_mod
 from . import decomposition as dec
 from . import pekar
 from .errors import ConvergenceError, MagpolaronError, ParameterError
-from .grids import Field1D, standard_grid, mass as field_mass
+from .grids import Field1D, Grid1D, mass as field_mass
 from .oned import (OneDProblem, closed_form_energy, distance_to_profile,
                    gn_ratio, SHARP_GN_Q4, solve_numeric)
 
@@ -111,7 +111,7 @@ def cmd_oned(args) -> int:
     tol = float(_merged(args, "tol", 1e-8))
     problem = OneDProblem(a, b)
     exact = closed_form_energy(problem)
-    sol = solve_numeric(problem, standard_grid(), tol)
+    sol = solve_numeric(problem, tol)
     if sol.degenerate:
         print(f"a={a} b={b}: closed-form energy 0 (degenerate: infimum not attained)")
         return EXIT_OK
@@ -243,7 +243,7 @@ def _verify_suites():
     """Deterministic invariant battery; yields (name, passed, detail)."""
     from .grids import density_power, kinetic, quartic
 
-    grid = standard_grid()
+    grid = Grid1D(4096, 40.0)
     t = grid.points()
 
     # closed-form functionals
@@ -280,7 +280,7 @@ def _verify_suites():
     yield "sharp interpolation ratio floor", ok, f"min ratio={worst:.9f}"
 
     # coupling rescaling identity
-    gscale = standard_grid(4096, 20.0)
+    gscale = Grid1D(4096, 20.0)
     f12 = Field1D(gscale, (np.sqrt(2.0) / 2.0) / np.cosh(gscale.points()))
     passed, rel = pekar.scaling_identity_check(np.exp(8.0), 2.0, f12)
     yield "coupling rescaling identity", passed, f"rel={rel:.2e}"
@@ -380,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="Coulomb decomposition ledger")
     p.add_argument("--B", required=True)
-    p.add_argument("--alpha", type=float)
+    p.add_argument("--alpha", type=float,
+                   help="validated only: the ledger is the same for every alpha")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("certify", help="projected lower-bound certificate")

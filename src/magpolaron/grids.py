@@ -52,10 +52,6 @@ class Grid1D:
         return 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.spacing)
 
 
-def standard_grid(n: int = 4096, half_width: float = 40.0) -> Grid1D:
-    return Grid1D(n, half_width)
-
-
 @dataclass(frozen=True)
 class Field1D:
     """Real longitudinal wavefunction samples f(t_j) on a Grid1D."""

@@ -12,6 +12,7 @@ backtracking line search, translation fixed by periodic recentering.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -19,13 +20,14 @@ import numpy as np
 import scipy.special as _sc
 
 from .errors import (ConvergenceError, DomainTooSmallError, InvalidFieldError,
-                     ParameterError, ResolutionError)
+                     ParameterError)
 from .grids import (Field1D, Grid1D, centroid, kinetic, mass, quartic,
                     shift_field)
 
 SHARP_GN_Q4 = 3.0 ** 0.125
 _RECENTER_EVERY = 50  # sphere-flow iterations between translation resets
 _MAX_ITER = 5000  # sphere-flow iteration budget
+_GRID = Grid1D(4096, 40.0)  # the one grid of the unit-width rescaled flow
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,13 @@ class OneDProblem:
             raise ParameterError("mass_a must be positive")
         if self.coupling_b < 0:
             raise ParameterError("coupling_b must be nonnegative")
+        try:  # also refuses an infinite or NaN value
+            energy = closed_form_energy(self)
+        except OverflowError:
+            energy = math.inf
+        if not math.isfinite(energy):
+            raise ParameterError("-b^2 a^3/12 is not a finite double at "
+                                 f"a={self.mass_a}, b={self.coupling_b}")
 
 
 @dataclass
@@ -206,45 +215,48 @@ def _solve_rescaled(g: Grid1D, mu: float, akin: float, weights: np.ndarray,
                     lam: float, mass_target: float, tol: float,
                     f0: Optional[np.ndarray] = None) -> OneDSolution:
     """Sphere flow on the rescaled problem, mapped back: minimizer
-    f(t) = sqrt(mu) q(mu t) on the grid (n, half_width/mu), energy mu^2 E_q."""
+    f(t) = sqrt(mu) q(mu t) on the grid (n, half_width/mu), energy mu^2 E_q,
+    residual mu^2 ||r_q||.  A ConvergenceError keeps ||r_q||, which the
+    flow's tolerance is compared with."""
     vals, E_int, iters, res = _minimize_on_sphere(
         g, akin, weights, lam, mass_target, tol, f0)
-    out_grid = Grid1D(g.n, g.half_width / mu) if mu != 1.0 else g
-    minimizer = Field1D(out_grid, np.sqrt(mu) * vals)
-    return OneDSolution(mu * mu * E_int, minimizer, iters, res)
+    minimizer = Field1D(Grid1D(g.n, g.half_width / mu), np.sqrt(mu) * vals)
+    return OneDSolution(mu * mu * E_int, minimizer, iters, mu * mu * res)
 
 
-def solve_numeric(p: OneDProblem, g: Grid1D, tol: float) -> OneDSolution:
+def _unit_scale(b_eff: float) -> float:
+    """mu = b_eff/4, mapping effective coupling b_eff to the unit-width
+    problem on _GRID, unless the returned grid's span 2T/mu overflows."""
+    mu = b_eff / 4.0
+    if not mu > 2.0 * _GRID.half_width / np.finfo(float).max:
+        raise ParameterError(f"coupling {b_eff:g} too weak for a double grid")
+    return mu
+
+
+def solve_numeric(p: OneDProblem, tol: float) -> OneDSolution:
     """Ground state of the quartic problem by projected gradient flow.
 
-    Internally rescaled so the minimizer width is O(1): f(t) = sqrt(mu) q(mu t)
-    with mu = max(1, a*b/4); the returned minimizer lives on the grid
-    (n, half_width/mu).
+    Solved as the unit-width rescaling f(t) = sqrt(mu) q(mu t), mu = a*b/4,
+    on Grid1D(4096, 40); the minimizer is returned on (4096, 40/mu).
     """
     if not tol > 0:
         raise ParameterError("tol must be positive")
     a, b = p.mass_a, p.coupling_b
     if b == 0.0:
         return OneDSolution(0.0, None, 0, 0.0)
-    mu = max(1.0, a * b / 4.0)
-    b_int = b / mu
-    if g.half_width * a * b_int < 8.0:
-        raise DomainTooSmallError(
-            "minimizer width exceeds the grid: need half_width*a*b >= 8")
-    return _solve_rescaled(g, mu, 1.0, np.ones(g.n // 2 + 1),
-                           b_int / (2 * np.pi), a, tol)
+    mu = _unit_scale(a * b)
+    return _solve_rescaled(_GRID, mu, 1.0, np.ones(_GRID.n // 2 + 1),
+                           b / mu / (2 * np.pi), a, tol)
 
 
-def solve_weighted(wp: WeightedProblem, g: Grid1D, tol: float) -> OneDSolution:
-    """Ground state of the Fourier-weighted problem at unit mass.
+def solve_weighted(wp: WeightedProblem) -> OneDSolution:
+    """Ground state of the Fourier-weighted problem at unit mass, to tol 1e-10.
 
-    Same internal rescaling, driven by the constant-weight surrogate
-    b_tilde = 2*pi*lam*sup(w)/kappa1.  A bounded weight keeps the functional
-    bounded below (the quartic surrogate value), so the only hard failure
-    modes are an unresolvable grid or a stalled iteration.
+    Same unit-width rescaling, with mu = b_tilde/4 from the constant-weight
+    surrogate b_tilde = 2*pi*lam*sup(w)/kappa1.  A bounded weight keeps the
+    functional bounded below (the quartic surrogate value), so the only hard
+    failure is a stalled iteration.
     """
-    if not tol > 0:
-        raise ParameterError("tol must be positive")
     k_probe = np.linspace(0.0, wp.cutoff_k3, 4097)
     w_probe = np.asarray(wp.weight(k_probe), dtype=float)
     if np.any(w_probe < -1e-12) or not np.all(np.isfinite(w_probe)):
@@ -253,24 +265,14 @@ def solve_weighted(wp: WeightedProblem, g: Grid1D, tol: float) -> OneDSolution:
     if wp.prefactor_lambda * w_sup == 0.0:
         return OneDSolution(0.0, None, 0, 0.0)
 
-    b_tilde = 2 * np.pi * wp.prefactor_lambda * w_sup / wp.kappa1
-    mu = max(1.0, b_tilde / 4.0)
-    if g.spacing * max(1.0, b_tilde / mu) > 0.2:
-        raise ResolutionError(
-            "grid spacing cannot resolve the weighted minimizer; refine n")
-    if g.half_width < 12.0:
-        raise DomainTooSmallError("weighted solve needs half_width >= 12")
-    if g.half_width * b_tilde / mu < 8.0:
-        raise DomainTooSmallError(
-            "weighted minimizer is wider than the grid; enlarge half_width")
-
-    k = g.wavenumbers()
-    dk = np.pi / g.half_width
+    mu = _unit_scale(2 * np.pi * wp.prefactor_lambda * w_sup / wp.kappa1)
+    k = _GRID.wavenumbers()
+    dk = np.pi / _GRID.half_width
     cutoff = wp.cutoff_k3 / mu
     weights = np.asarray(wp.weight(k * mu), dtype=float)
     frac = np.clip((cutoff - (k - dk / 2)) / dk, 0.0, 1.0)
-    return _solve_rescaled(g, mu, wp.kappa1, weights * frac,
-                           wp.prefactor_lambda / mu, 1.0, tol)
+    return _solve_rescaled(_GRID, mu, wp.kappa1, weights * frac,
+                           wp.prefactor_lambda / mu, 1.0, 1e-10)
 
 
 def distance_to_profile(sol_field: Field1D, p: OneDProblem) -> float:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from magpolaron import Field1D, Grid1D, standard_grid
+from magpolaron import Field1D, Grid1D
 
 settings.register_profile(
     "suite", max_examples=30, deadline=None, derandomize=True,
@@ -12,7 +12,7 @@ settings.load_profile("suite")
 
 @pytest.fixture(scope="session")
 def grid():
-    return standard_grid()
+    return Grid1D(4096, 40.0)
 
 
 @pytest.fixture(scope="session")

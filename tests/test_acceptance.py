@@ -13,7 +13,7 @@ from magpolaron import (Grid1D, OneDProblem, PekarProductState, PhysParams,
                         fit_asymptotics, gn_gap, gn_ratio,
                         lll_projector_kernel, mass, offdiag_bound_check,
                         pekar_energy, pekar_minimize, projected_phase_factor,
-                        solve_numeric, standard_grid, sweep, trial_energy,
+                        solve_numeric, sweep, trial_energy,
                         trial_state, twisted_kernel)
 
 from conftest import bump_field, sech_field
@@ -25,9 +25,9 @@ def _report(num, detail):
 
 
 class TestAcceptance:
-    def test_criterion_01_closed_form_unit_problem(self, grid):
+    def test_criterion_01_closed_form_unit_problem(self):
         t0 = time.time()
-        sol = solve_numeric(OneDProblem(1.0, 1.0), grid, 1e-10)
+        sol = solve_numeric(OneDProblem(1.0, 1.0), 1e-10)
         energy_err = abs(sol.energy - (-1.0 / 12.0))
         dist = distance_to_profile(sol.minimizer, OneDProblem(1.0, 1.0))
         elapsed = time.time() - t0
@@ -37,11 +37,11 @@ class TestAcceptance:
         _report(1, f"energy err {energy_err:.2e}, L2 dist {dist:.2e}, "
                    f"{elapsed:.2f}s")
 
-    def test_criterion_02_scaling_family(self, grid):
+    def test_criterion_02_scaling_family(self):
         t0 = time.time()
         worst = 0.0
         for (a, b) in ((2.0, 1.0), (1.0, 3.0), (0.5, 2.0), (1.0, 10.0)):
-            sol = solve_numeric(OneDProblem(a, b), grid, 1e-10)
+            sol = solve_numeric(OneDProblem(a, b), 1e-10)
             exact = -(a ** 3) * (b ** 2) / 12.0
             worst = max(worst, abs(sol.energy - exact) / abs(exact))
         elapsed = time.time() - t0
@@ -112,7 +112,7 @@ class TestAcceptance:
         margins = []
         for lnB in (6.0, 10.0):
             B = np.exp(lnB)
-            f = sech_field(standard_grid(8192, 30.0), 1.0, lnB / 2.0)
+            f = sech_field(Grid1D(8192, 30.0), 1.0, lnB / 2.0)
             ledger = decompose(f, B)
             assert abs(ledger.closure_defect()) <= ledger.quadrature_error_estimate + 1e-12
             assert ledger.r1_within_bound()
@@ -158,7 +158,7 @@ class TestAcceptance:
         cases = [(1.0, 1.2, 6.0), (1.0, 2.0, 6.0), (1.0, 3.0, 8.0),
                  (2.0, 1.5, 8.0), (1.0, 5.0, 10.0)]
         for (a_scale, b, lnB) in cases:
-            g = standard_grid()
+            g = Grid1D(4096, 40.0)
             f = sech_field(g, 1.0, b)  # unit mass regardless of b
             st = PekarProductState(PhysParams(np.exp(lnB), a_scale), f)
             e_direct = pekar_energy(st).total

@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from magpolaron import (CutoffParams, ParameterError, PhysParams,
+from magpolaron import oned
+from magpolaron import (CutoffParams, Grid1D, ParameterError, PhysParams,
                         analytic_infimum_floor, block_error,
                         certificate_to_dict, certify_projected,
                         conditional_full_bound, coupling_v, default_cutoffs,
@@ -160,14 +161,29 @@ class TestEffectiveInfimum:
         cert = certify_projected(np.exp(12.0), 0.0)
         assert cert.I_value == 0.0
 
+    def test_weak_coupling_certified(self):
+        # b_tilde < 4 here: the weighted solve runs at unit width, not
+        # refused for the width of its minimizer
+        cert = certify_projected(np.exp(12.0), 0.001)
+        assert cert.valid
+        assert np.isfinite(cert.I_value) and cert.I_value < 0.0
+
+    def test_weak_coupling_matches_wide_grid(self, monkeypatch):
+        # at alpha = 0.01 the minimizer is ~60 wide at unit mass; a 4x wider
+        # grid at the same spacing must not move I
+        cert = certify_projected(np.exp(12.0), 0.01)
+        monkeypatch.setattr(oned, "_GRID", Grid1D(16384, 160.0))
+        wide = certify_projected(np.exp(12.0), 0.01)
+        assert cert.I_value == pytest.approx(wide.I_value, rel=1e-13, abs=0.0)
+
     def test_constant_weight_surrogate(self):
         # replacing the coupling by its peak reproduces the closed form
-        from magpolaron import WeightedProblem, solve_weighted, standard_grid
+        from magpolaron import WeightedProblem, solve_weighted
         kap1, gamma, Kperp = 0.7, 0.4, np.exp(8.0)
         lam = 1.0 / (4 * np.pi ** 2 * (1 - gamma))
         w0 = 2 * np.pi * np.log(Kperp)
         wp = WeightedProblem(kap1, lam, lambda k: np.full(np.shape(k), w0), 1e9)
-        sol = solve_weighted(wp, standard_grid(), 1e-11)
+        sol = solve_weighted(wp)
         assert sol.energy == pytest.approx(
             analytic_infimum_floor(kap1, gamma, Kperp, 1.0), rel=1e-5)
 
@@ -179,7 +195,7 @@ class TestCertificate:
         (30.0, 0.5, -16.938595355301562, 10686474580144.71),
     ])
     def test_certify_numbers_pinned(self, lnB, alpha, I_value, p0_bound):
-        # the weighted solve runs on standard_grid() to tol 1e-10; pinned so
+        # the weighted solve runs on oned's one grid to tol 1e-10; pinned so
         # that neither can drift
         cert = certify_projected(np.exp(lnB), alpha)
         assert cert.I_value == pytest.approx(I_value, rel=1e-13, abs=0.0)

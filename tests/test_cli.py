@@ -103,6 +103,25 @@ class TestOned:
         assert main(["oned", "--a", "1", "--b", "0"]) == EXIT_OK
         assert "degenerate" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("b", ["1e-6", "1e-3", "0.1", "0.5", "0.99"])
+    def test_weak_coupling_solved(self, b, capsys):
+        # every coupling is solved as the unit-width problem; none is
+        # refused for the width of its minimizer
+        assert main(["oned", "--b", b]) == EXIT_OK
+        assert "agreement within tol=1e-08: yes" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags", [
+        ["--b", "nan"], ["--b", "inf"], ["--a", "inf"], ["--b", "1e160"],
+        ["--a", "1e120"]])
+    def test_nonfinite_or_overflowing_input_refused(self, flags, capsys):
+        # b^2 a^3 must be a finite double: one typed error line, no
+        # traceback and no numpy warning
+        assert main(["oned", *flags]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith("error: ")
+
 
 class TestMinimizeAndTrial:
     def test_minimize_reports_binding(self, capsys):
@@ -324,13 +343,13 @@ class TestExitCodes:
 
     def test_oned_disagreement_maps_to_exit_three(self, monkeypatch, capsys):
         import magpolaron.cli as cli
-        from magpolaron import OneDSolution, Field1D, standard_grid
+        from magpolaron import OneDSolution, Field1D, Grid1D
         import numpy as np
 
-        g = standard_grid()
+        g = Grid1D(4096, 40.0)
         fake_min = Field1D(g, np.exp(-g.points() ** 2 / 2.0))
 
-        def wrong(problem, grid, tol, **kwargs):
+        def wrong(problem, tol):
             return OneDSolution(-1.0, fake_min, 3, 0.0)
 
         monkeypatch.setattr(cli, "solve_numeric", wrong)

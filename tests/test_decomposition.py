@@ -7,7 +7,7 @@ from magpolaron import (Field1D, Grid1D, ParameterError, ResolutionError,
                         ground_radial, kernel_remainder,
                         kernel_remainder_coefficient, kinetic, log_kernel,
                         main_coefficient, mass, offdiag_bound_check, quartic,
-                        smooth_remainder_bound, standard_grid)
+                        smooth_remainder_bound)
 
 from conftest import sech_field
 import oracles
@@ -38,14 +38,14 @@ class TestDualPaths:
             d_product_fourier(f, B), rel=1e-7)
 
     def test_against_analytic_transform_oracle(self):
-        f = sech_field(standard_grid(), 1.0, 2.0)
+        f = sech_field(Grid1D(4096, 40.0), 1.0, 2.0)
         ref = oracles.d_product_sech_quad(1.0, 2.0, 7.0)
         val, err = coulomb_D_product(f, 7.0)
         assert val == pytest.approx(ref, rel=1e-8)
         assert err < 1e-8 * abs(val) + 1e-12
 
     def test_grid_guard_raises(self):
-        f = sech_field(standard_grid(), 1.0, 1.0)  # h ~ 0.0195
+        f = sech_field(Grid1D(4096, 40.0), 1.0, 1.0)  # h ~ 0.0195
         with pytest.raises(ResolutionError):
             d_product_grid(f, 1e8)
 
@@ -98,7 +98,7 @@ class TestRemainderBound:
 
     def test_plugin_value(self):
         B = np.exp(10.0)
-        f = sech_field(standard_grid(8192, 20.0), 1.0, np.log(B) / 2.0)
+        f = sech_field(Grid1D(8192, 20.0), 1.0, np.log(B) / 2.0)
         lnB = np.log(B)
         kin = kinetic(f)
         expected = lnB / 2 + 4 / np.sqrt(lnB) * kin ** 0.75
@@ -117,7 +117,7 @@ class TestDecomposition:
     @pytest.mark.parametrize("lnB", [6.0, 10.0])
     def test_closure_and_bound(self, lnB):
         B = np.exp(lnB)
-        f = sech_field(standard_grid(8192, 30.0), 1.0, lnB / 2.0)
+        f = sech_field(Grid1D(8192, 30.0), 1.0, lnB / 2.0)
         ledger = decompose(f, B)
         assert abs(ledger.closure_defect()) < 1e-12
         assert ledger.r1_within_bound()
@@ -126,7 +126,7 @@ class TestDecomposition:
     def test_matches_independent_oracle(self):
         lnB = 6.0
         B = np.exp(lnB)
-        f = sech_field(standard_grid(8192, 30.0), 1.0, lnB / 2.0)
+        f = sech_field(Grid1D(8192, 30.0), 1.0, lnB / 2.0)
         ledger = decompose(f, B)
         assert ledger.d_total == pytest.approx(
             oracles.d_product_sech_quad(1.0, lnB / 2.0, B), rel=1e-8)
@@ -148,7 +148,7 @@ class TestDecomposition:
         ratios = []
         for lnB in (6.0, 8.0, 10.0, 12.0):
             B = np.exp(lnB)
-            f = sech_field(standard_grid(8192, 30.0), 1.0, lnB / 2.0)
+            f = sech_field(Grid1D(8192, 30.0), 1.0, lnB / 2.0)
             r2 = kernel_remainder(f, B)
             ratios.append(r2 / (mass(f) ** 1.5 * np.sqrt(kinetic(f))))
         assert max(ratios) < 1.0

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from magpolaron import (DomainTooSmallError, Field1D, Grid1D,
                         InvalidFieldError, centroid, kinetic, mass, quartic,
-                        shift_field, standard_grid, sweep_grid)
+                        shift_field, sweep_grid)
 from magpolaron.decomposition import (fourier_side_energy,
                                       longitudinal_double_integral)
 from magpolaron.grids import (density_correlation_at, density_fourier_at,
@@ -106,7 +106,7 @@ class TestDensityFourier:
         assert abs(m0.imag) < 1e-12
 
     def test_gaussian_transform(self):
-        g = standard_grid()
+        g = Grid1D(4096, 40.0)
         t = g.points()
         k = g.wavenumbers()
         k = k[np.abs(k) <= 10.0]

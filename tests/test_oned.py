@@ -1,14 +1,17 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import magpolaron
 from magpolaron import oned
 from magpolaron import (ConvergenceError, DomainTooSmallError, Field1D, Grid1D,
                         InvalidFieldError, OneDProblem, ParameterError,
                         SHARP_GN_Q4, WeightedProblem, closed_form_energy,
                         closed_form_minimizer, distance_to_profile, gn_gap,
                         gn_ratio, kinetic, mass, quartic, sharp_gn_constant,
-                        solve_numeric, solve_weighted, standard_grid)
+                        solve_numeric, solve_weighted)
 
 from conftest import bump_field, sech_field
 import oracles
@@ -35,7 +38,7 @@ class TestClosedForm:
 
     def test_domain_guard(self):
         with pytest.raises(DomainTooSmallError):
-            closed_form_minimizer(OneDProblem(1.0, 0.5), standard_grid())
+            closed_form_minimizer(OneDProblem(1.0, 0.5), Grid1D(4096, 40.0))
 
     def test_energy_values(self):
         assert closed_form_energy(OneDProblem(1, 1)) == pytest.approx(-1 / 12)
@@ -48,16 +51,25 @@ class TestClosedForm:
         with pytest.raises(ParameterError):
             OneDProblem(1.0, -1.0)
 
+    @pytest.mark.parametrize("a,b", [(1.0, np.nan), (1.0, np.inf),
+                                     (np.inf, 1.0), (np.nan, 1.0),
+                                     (1.0, 1e160), (1e120, 1.0),
+                                     (1e-100, 1e200)])
+    def test_nonfinite_or_overflowing_problem_refused(self, a, b):
+        # the closed-form energy -b^2 a^3/12 must be a finite double
+        with pytest.raises(ParameterError):
+            OneDProblem(a, b)
+
 
 class TestSolveNumeric:
-    def test_unit_problem(self, grid):
-        sol = solve_numeric(OneDProblem(1.0, 1.0), grid, 1e-8)
+    def test_unit_problem(self):
+        sol = solve_numeric(OneDProblem(1.0, 1.0), 1e-8)
         assert sol.energy == pytest.approx(-1 / 12, abs=1e-6)
         assert mass(sol.minimizer) == pytest.approx(1.0, abs=1e-8)
         assert distance_to_profile(sol.minimizer, OneDProblem(1, 1)) < 1e-4
 
-    def test_strong_coupling(self, grid):
-        sol = solve_numeric(OneDProblem(1.0, 10.0), grid, 1e-10)
+    def test_strong_coupling(self):
+        sol = solve_numeric(OneDProblem(1.0, 10.0), 1e-10)
         assert sol.energy == pytest.approx(-100 / 12, rel=1e-4)
 
     def test_determinism_of_minimum(self, grid):
@@ -73,20 +85,20 @@ class TestSolveNumeric:
             energies.append(energy)
         assert energies[0] == pytest.approx(energies[1], abs=1e-8)
 
-    def test_degenerate_coupling(self, grid):
-        sol = solve_numeric(OneDProblem(1.0, 0.0), grid, 1e-8)
+    def test_degenerate_coupling(self):
+        sol = solve_numeric(OneDProblem(1.0, 0.0), 1e-8)
         assert sol.degenerate
         assert sol.energy == 0.0
         assert sol.minimizer is None
 
-    def test_energy_nonpositive_with_coupling(self, grid):
-        sol = solve_numeric(OneDProblem(1.0, 2.0), grid, 1e-9)
+    def test_energy_nonpositive_with_coupling(self):
+        sol = solve_numeric(OneDProblem(1.0, 2.0), 1e-9)
         assert sol.energy <= 0.0
 
-    def test_convergence_error_reports(self, grid, monkeypatch):
+    def test_convergence_error_reports(self, monkeypatch):
         monkeypatch.setattr(oned, "_MAX_ITER", 2)
         with pytest.raises(ConvergenceError) as err:
-            solve_numeric(OneDProblem(1.0, 1.0), grid, 1e-14)
+            solve_numeric(OneDProblem(1.0, 1.0), 1e-14)
         assert err.value.residual is not None
         assert err.value.iterations == 2
 
@@ -99,30 +111,51 @@ class TestSolveNumeric:
             oned._minimize_on_sphere(grid, 1.0, weights, 1.0, 1.0, 1e-8, None)
         assert err.value.iterations == 1
 
-    def test_wide_minimizer_guarded(self, grid):
-        with pytest.raises(DomainTooSmallError):
-            solve_numeric(OneDProblem(1.0, 0.1), grid, 1e-8)
+    @pytest.mark.parametrize("b", [1e-6, 0.1, 0.5])
+    def test_weak_coupling_matches_closed_form(self, b):
+        # the minimizer, of width ~1/b, is solved at unit width and mapped
+        # back onto the grid (4096, 40/mu), mu = b/4
+        p = OneDProblem(1.0, b)
+        sol = solve_numeric(p, 1e-10)
+        assert sol.energy == pytest.approx(closed_form_energy(p), rel=1e-9)
+        assert sol.minimizer.grid.half_width == pytest.approx(160.0 / b,
+                                                              rel=1e-15)
+        assert distance_to_profile(sol.minimizer, p) < 1e-4
 
-    def test_rescaled_minimizer_grid(self, grid):
-        sol = solve_numeric(OneDProblem(1.0, 10.0), grid, 1e-10)
+    def test_coupling_too_weak_for_a_double_grid_refused(self):
+        # the returned grid's span 2 * 40 / mu must be a finite double
+        with pytest.raises(ParameterError):
+            solve_numeric(OneDProblem(1.0, 1e-306), 1e-10)
+
+    @pytest.mark.parametrize("b", [1e-3, 1.0, 10.0])
+    def test_residual_in_problem_units(self, b):
+        # f(t) = sqrt(mu) q(mu t) gives ||r_f|| = mu^2 ||r_q||, and every
+        # b at a = 1 runs the one unit problem q of b = 4
+        unit = solve_numeric(OneDProblem(1.0, 4.0), 1e-10).gradient_residual
+        sol = solve_numeric(OneDProblem(1.0, b), 1e-10)
+        assert sol.gradient_residual / unit == pytest.approx((b / 4) ** 2,
+                                                             rel=1e-12)
+
+    def test_rescaled_minimizer_grid(self):
+        sol = solve_numeric(OneDProblem(1.0, 10.0), 1e-10)
         # internal substitution maps the output onto half_width / (a b / 4)
         assert sol.minimizer.grid.half_width == pytest.approx(16.0, rel=1e-15)
         assert mass(sol.minimizer) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("a,b", [(1.0, 1.0), (1.0, 10.0), (2.0, 1.0),
                                      (0.5, 2.0)])
-    def test_energy_is_functional_of_minimizer(self, grid, a, b):
+    def test_energy_is_functional_of_minimizer(self, a, b):
         # the flow's energy -h sum f (f'' + W f / 2) is, by Parseval, the
         # functional itself, evaluated on the returned minimizer
-        sol = solve_numeric(OneDProblem(a, b), grid, 1e-10)
+        sol = solve_numeric(OneDProblem(a, b), 1e-10)
         m = sol.minimizer
         assert sol.energy == pytest.approx(kinetic(m) - b * quartic(m),
                                            rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("a,b", [(2.0, 1.0), (1.0, 3.0), (0.5, 2.0)])
-    def test_scaling_law(self, grid, a, b):
-        ref = solve_numeric(OneDProblem(1.0, 1.0), grid, 1e-10).energy
-        sol = solve_numeric(OneDProblem(a, b), grid, 1e-10)
+    def test_scaling_law(self, a, b):
+        ref = solve_numeric(OneDProblem(1.0, 1.0), 1e-10).energy
+        sol = solve_numeric(OneDProblem(a, b), 1e-10)
         assert sol.energy == pytest.approx(a ** 3 * b ** 2 * ref, rel=1e-6)
 
 
@@ -196,49 +229,56 @@ class TestGap:
 
 
 class TestSolveWeighted:
-    def test_constant_weight_matches_closed_form(self, grid):
+    def test_constant_weight_matches_closed_form(self):
         kappa1, lam, w0 = 0.8, 0.05, 3.0
         wp = WeightedProblem(kappa1, lam,
                              lambda k: np.full(np.shape(k), w0), 1e9)
-        sol = solve_weighted(wp, grid, 1e-11)
+        sol = solve_weighted(wp)
         b_tilde = 2 * np.pi * lam * w0 / kappa1
         assert sol.energy == pytest.approx(-(2 * np.pi * lam * w0) ** 2
                                            / (12 * kappa1), rel=1e-8)
-        ref = solve_numeric(OneDProblem(1.0, b_tilde), grid, 1e-11)
+        ref = solve_numeric(OneDProblem(1.0, b_tilde), 1e-11)
         assert sol.energy == pytest.approx(kappa1 * ref.energy, rel=1e-6)
 
-    def test_zero_weight_degenerate(self, grid):
+    def test_zero_weight_degenerate(self):
         wp = WeightedProblem(1.0, 1.0, lambda k: np.zeros(np.shape(k)), 10.0)
-        sol = solve_weighted(wp, grid, 1e-10)
+        sol = solve_weighted(wp)
         assert sol.degenerate and sol.energy == 0.0
 
-    def test_monotone_in_prefactor(self, grid):
+    def test_monotone_in_prefactor(self):
         energies = []
         for lam in (0.02, 0.04, 0.08):
             wp = WeightedProblem(1.0, lam,
                                  lambda k: 1.0 / (1.0 + np.asarray(k) ** 2) + 1.0,
                                  50.0)
-            energies.append(solve_weighted(wp, grid, 1e-10).energy)
+            energies.append(solve_weighted(wp).energy)
         assert energies[0] >= energies[1] >= energies[2]
 
-    def test_validation(self, grid):
+    def test_validation(self):
         with pytest.raises(ParameterError):
             WeightedProblem(0.0, 1.0, lambda k: np.ones(np.shape(k)), 1.0)
         with pytest.raises(ParameterError):
             WeightedProblem(1.0, -1.0, lambda k: np.ones(np.shape(k)), 1.0)
 
-    def test_unresolvable_grid_guarded(self):
-        wp = WeightedProblem(1.0, 0.1, lambda k: np.ones(np.shape(k)), 10.0)
-        from magpolaron import ResolutionError
-        with pytest.raises(ResolutionError):
-            solve_weighted(wp, Grid1D(64, 40.0), 1e-8)
+    def test_weak_constant_weight_matches_closed_form(self):
+        # b_tilde = 2 pi lam w0 / kappa1 ~ 0.063: solved at unit width too
+        kappa1, lam, w0 = 1.0, 0.01, 1.0
+        wp = WeightedProblem(kappa1, lam,
+                             lambda k: np.full(np.shape(k), w0), 1e9)
+        sol = solve_weighted(wp)
+        assert sol.energy == pytest.approx(-(2 * np.pi * lam * w0) ** 2
+                                           / (12 * kappa1), rel=1e-8)
 
-    def test_narrow_domain_guarded(self):
-        wp = WeightedProblem(1.0, 0.1, lambda k: np.ones(np.shape(k)), 10.0)
-        with pytest.raises(DomainTooSmallError):
-            solve_weighted(wp, Grid1D(1024, 8.0), 1e-8)
-
-    def test_weight_must_be_finite_nonnegative(self, grid):
+    def test_weight_must_be_finite_nonnegative(self):
         wp = WeightedProblem(1.0, 1.0, lambda k: -np.ones(np.shape(k)), 5.0)
         with pytest.raises(ParameterError):
-            solve_weighted(wp, grid, 1e-8)
+            solve_weighted(wp)
+
+
+class TestSolverSignatures:
+    def test_solvers_own_their_grid(self):
+        # oned decides the grid and solve_weighted's tolerance; no caller
+        # passes either
+        assert list(inspect.signature(solve_numeric).parameters) == ["p", "tol"]
+        assert list(inspect.signature(solve_weighted).parameters) == ["wp"]
+        assert not hasattr(magpolaron, "standard_grid")

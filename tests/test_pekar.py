@@ -8,7 +8,7 @@ from magpolaron import (Field1D, FitError, Grid1D, OneDProblem, ParameterError,
                         effective_potential_fourier, fit_asymptotics,
                         kinetic, main_coefficient, mass, pekar_energy,
                         pekar_minimize, quartic, scaling_identity_check,
-                        standard_grid, sweep, sweep_grid, trial_energy,
+                        sweep, sweep_grid, trial_energy,
                         trial_state)
 from magpolaron import pekar
 from magpolaron.pekar import _transverse_weight_quadrature
@@ -155,13 +155,13 @@ class TestScalingIdentity:
         assert passed and rel < 1e-12
 
     def test_alpha_two(self):
-        g = standard_grid(4096, 20.0)
+        g = Grid1D(4096, 20.0)
         f = sech_field(g, 1.0, 2.0)
         passed, rel = scaling_identity_check(np.exp(8.0), 2.0, f)
         assert passed, f"relative defect {rel}"
 
     def test_alpha_half(self):
-        g = standard_grid(4096, 20.0)
+        g = Grid1D(4096, 20.0)
         f = sech_field(g, 1.0, 2.0)
         passed, rel = scaling_identity_check(np.exp(6.0), 0.5, f)
         assert passed, f"relative defect {rel}"
