@@ -121,7 +121,7 @@ def cmd_oned(args) -> int:
     print(f"numeric energy     : {_fmt(sol.energy)}  "
           f"(iters={sol.iterations}, residual={sol.gradient_residual:.3e})")
     print(f"L2 distance to centered profile: {dist:.3e}")
-    agree = abs(sol.energy - exact) <= max(tol, 1e-9 * abs(exact))
+    agree = abs(sol.energy - exact) <= tol * abs(exact)
     print(f"agreement within tol={tol:g}: {'yes' if agree else 'NO'}")
     return EXIT_OK if agree else EXIT_INVARIANT
 

@@ -23,6 +23,10 @@ import numpy as np
 from .errors import DomainTooSmallError, InvalidFieldError
 
 BOUNDARY_DECAY = 1e-8
+# samples of every solver grid: the sweep's, the trial state's and oned's
+# unit-width grid each scale their half-width to the minimizer's width, so
+# one n resolves every (B, alpha); doubling it moves no output beyond 1e-14
+SPECTRAL_N = 1024
 _OVERSAMPLE = 2  # fine-grid factor of the trigonometric sum
 _TAPS = 16  # Gaussian taps on each side of an off-grid point
 

@@ -108,9 +108,10 @@ def effective_potential(z, B: float):
 def effective_potential_fourier(k3, B: float):
     """Fourier-side weight U(k;B) = pi e^{k^2/B} E1(k^2/B).
 
-    Diverges logarithmically at k = 0 (inf there); tiny arguments switch to
-    the by-hand expansion pi (ln B - gamma - 2 ln|k|), formed from ln|k| and
-    ln B since k^2/B underflows at large B.
+    Diverges logarithmically at k = 0 (inf there); arguments x = k^2/B
+    below 1e-12 switch to the expansion e^x E1(x) = L + x (1 + L) + O(x^2 L),
+    L = -gamma - ln x, with ln x formed from ln|k| and ln B since k^2/B
+    underflows at large B.
     """
     if not B > 0:
         raise ParameterError("B must be positive")
@@ -122,7 +123,11 @@ def effective_potential_fourier(k3, B: float):
     tiny = x < 1e-12
     if np.any(tiny):
         with np.errstate(divide="ignore"):
-            out[tiny] = np.pi * (-EULER_GAMMA - 2.0 * np.log(k[tiny]) + np.log(B))
+            lead = -EULER_GAMMA - 2.0 * np.log(k[tiny]) + np.log(B)
+        xt = x[tiny]
+        # x (1 + L) is 0 at x = 0, where L is inf
+        nxt = np.multiply(xt, 1.0 + lead, out=np.zeros_like(xt), where=xt > 0)
+        out[tiny] = np.pi * (lead + nxt)
     big = ~tiny
     if np.any(big):
         out[big] = np.pi * exp_scaled_e1(x[big])

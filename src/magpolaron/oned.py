@@ -21,13 +21,13 @@ import scipy.special as _sc
 
 from .errors import (ConvergenceError, DomainTooSmallError, InvalidFieldError,
                      ParameterError)
-from .grids import (Field1D, Grid1D, centroid, kinetic, mass, quartic,
-                    shift_field)
+from .grids import (SPECTRAL_N, Field1D, Grid1D, centroid, kinetic, mass,
+                    quartic, shift_field)
 
 SHARP_GN_Q4 = 3.0 ** 0.125
 _RECENTER_EVERY = 50  # sphere-flow iterations between translation resets
 _MAX_ITER = 5000  # sphere-flow iteration budget
-_GRID = Grid1D(4096, 40.0)  # the one grid of the unit-width rescaled flow
+_GRID = Grid1D(SPECTRAL_N, 40.0)  # the one grid of the unit-width rescaled flow
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,10 @@ def closed_form_minimizer(p: OneDProblem, g: Grid1D) -> Field1D:
 
 
 def closed_form_energy(p: OneDProblem) -> float:
-    """Ground-state value -b^2 a^3 / 12."""
-    return -(p.coupling_b ** 2) * (p.mass_a ** 3) / 12.0
+    """Ground-state value -b^2 a^3 / 12, multiplied out from b^2 so that no
+    factor a^3 underflows on its own (a = 1e-150, b = 1e150)."""
+    a = p.mass_a
+    return -(p.coupling_b ** 2) * a * a * a / 12.0
 
 
 def gn_ratio(f: Field1D) -> float:
@@ -141,10 +143,9 @@ def sharp_gn_constant(q: float) -> float:
 
 
 def _minimize_on_sphere(grid: Grid1D, akin: float, weights: np.ndarray,
-                        lam: float, mass_target: float, tol: float,
-                        f0: Optional[np.ndarray]):
+                        lam: float, tol: float, f0: Optional[np.ndarray]):
     """Minimize akin*int f'^2 - lam*dk*sum_k w(|k|) |rho_hat(k)|^2 over all
-    dual-grid k on the sphere int f^2 = mass_target.
+    dual-grid k on the unit sphere int f^2 = 1.
 
     weights = w on the one-sided dual grid grid.wavenumbers() (cutoff edge
     fractions already applied).  Returns (values, energy, iterations, residual)
@@ -159,7 +160,7 @@ def _minimize_on_sphere(grid: Grid1D, akin: float, weights: np.ndarray,
     nrm = h * np.sum(f * f)
     if nrm <= 0:
         raise InvalidFieldError("initial field must be nonzero")
-    f *= np.sqrt(mass_target / nrm)
+    f *= np.sqrt(1.0 / nrm)
 
     def state(fv):
         """(energy, akin f'', W) of a field on the sphere, with W f the flow
@@ -172,23 +173,23 @@ def _minimize_on_sphere(grid: Grid1D, akin: float, weights: np.ndarray,
     def recenter(fv):
         fld = Field1D(grid, fv)
         fv = shift_field(fld, centroid(fld)).values
-        return fv * np.sqrt(mass_target / (h * np.sum(fv * fv)))
+        return fv * np.sqrt(1.0 / (h * np.sum(fv * fv)))
 
     E, lap, W = state(f)
     theta = 1.0
     for it in range(1, _MAX_ITER + 1):
         Lf = lap + W * f
-        mu = h * np.sum(f * Lf) / mass_target
+        mu = h * np.sum(f * Lf)
         r = Lf - mu * f
         residual = np.sqrt(h * np.sum(r * r))
         shift = max(np.max(np.abs(W)), 1.0)
         d = np.fft.irfft(np.fft.rfft(r) / (akin * k2 + shift), n)
-        d -= (h * np.sum(f * d) / mass_target) * f
+        d -= (h * np.sum(f * d)) * f
         slope = h * np.sum(r * d)
         theta = min(theta * 1.5, 50.0)
         for _ in range(60):
             fn = f + theta * d
-            fn *= np.sqrt(mass_target / (h * np.sum(fn * fn)))
+            fn *= np.sqrt(1.0 / (h * np.sum(fn * fn)))
             En, lap_n, W_n = state(fn)
             if En <= E - 1e-4 * theta * slope + 1e-14 * (1 + abs(E)):
                 break
@@ -212,16 +213,18 @@ def _minimize_on_sphere(grid: Grid1D, akin: float, weights: np.ndarray,
 
 
 def _solve_rescaled(g: Grid1D, mu: float, akin: float, weights: np.ndarray,
-                    lam: float, mass_target: float, tol: float,
-                    f0: Optional[np.ndarray] = None) -> OneDSolution:
-    """Sphere flow on the rescaled problem, mapped back: minimizer
-    f(t) = sqrt(mu) q(mu t) on the grid (n, half_width/mu), energy mu^2 E_q,
-    residual mu^2 ||r_q||.  A ConvergenceError keeps ||r_q||, which the
-    flow's tolerance is compared with."""
+                    lam: float, tol: float, f0: Optional[np.ndarray] = None,
+                    a: float = 1.0) -> OneDSolution:
+    """Unit-mass sphere flow on the rescaled problem, mapped back to mass a:
+    minimizer f(t) = sqrt(a mu) q(mu t) on the grid (n, half_width/mu),
+    energy a mu^2 E_q, residual sqrt(a) mu^2 ||r_q||, the L2 norm of f's own
+    residual.  A ConvergenceError keeps ||r_q||, which the flow's tolerance
+    is compared with."""
     vals, E_int, iters, res = _minimize_on_sphere(
-        g, akin, weights, lam, mass_target, tol, f0)
-    minimizer = Field1D(Grid1D(g.n, g.half_width / mu), np.sqrt(mu) * vals)
-    return OneDSolution(mu * mu * E_int, minimizer, iters, mu * mu * res)
+        g, akin, weights, lam, tol, f0)
+    minimizer = Field1D(Grid1D(g.n, g.half_width / mu), np.sqrt(a * mu) * vals)
+    return OneDSolution(a * mu * mu * E_int, minimizer, iters,
+                        np.sqrt(a) * mu * mu * res)
 
 
 def _unit_scale(b_eff: float) -> float:
@@ -236,8 +239,10 @@ def _unit_scale(b_eff: float) -> float:
 def solve_numeric(p: OneDProblem, tol: float) -> OneDSolution:
     """Ground state of the quartic problem by projected gradient flow.
 
-    Solved as the unit-width rescaling f(t) = sqrt(mu) q(mu t), mu = a*b/4,
-    on Grid1D(4096, 40); the minimizer is returned on (4096, 40/mu).
+    Every (a, b) is one problem: f(t) = sqrt(a mu) q(mu t), mu = a*b/4,
+    maps it to the unit-mass, unit-width q minimizing int q'^2 - 4 int q^4,
+    solved on _GRID = Grid1D(SPECTRAL_N, 40); the minimizer is returned on
+    (SPECTRAL_N, 40/mu), with energy a mu^2 E_q.
     """
     if not tol > 0:
         raise ParameterError("tol must be positive")
@@ -246,7 +251,7 @@ def solve_numeric(p: OneDProblem, tol: float) -> OneDSolution:
         return OneDSolution(0.0, None, 0, 0.0)
     mu = _unit_scale(a * b)
     return _solve_rescaled(_GRID, mu, 1.0, np.ones(_GRID.n // 2 + 1),
-                           b / mu / (2 * np.pi), a, tol)
+                           4.0 / (2 * np.pi), tol, a=a)
 
 
 def solve_weighted(wp: WeightedProblem) -> OneDSolution:
@@ -272,7 +277,7 @@ def solve_weighted(wp: WeightedProblem) -> OneDSolution:
     weights = np.asarray(wp.weight(k * mu), dtype=float)
     frac = np.clip((cutoff - (k - dk / 2)) / dk, 0.0, 1.0)
     return _solve_rescaled(_GRID, mu, wp.kappa1, weights * frac,
-                           wp.prefactor_lambda / mu, 1.0, 1e-10)
+                           wp.prefactor_lambda / mu, 1e-10)
 
 
 def distance_to_profile(sol_field: Field1D, p: OneDProblem) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .decomposition import coulomb_D_product, fourier_side_energy
 from .errors import FitError, ParameterError
-from .grids import Field1D, Grid1D, kinetic, mass
+from .grids import SPECTRAL_N, Field1D, Grid1D, kinetic, mass
 from .landau import effective_potential_fourier_cell_average, \
     effective_potential_fourier
 from .oned import (OneDProblem, OneDSolution, _solve_rescaled,
@@ -30,7 +30,6 @@ from .special import gauss_legendre_panels
 
 NORMALIZATION_TOL = 1e-6
 _N_AVERAGE = 8  # dual-grid cells beside k = 0 given exact averages
-_SWEEP_N = 8192  # samples of every sweep grid
 # fixed rules of the coherent route's transverse integral, in s = u/B
 _RULE_ORDER = 16  # Gauss-Legendre points per panel
 _PANEL_BASE = 4.0  # ratio of successive panels on [0, 1], geometric toward 0
@@ -99,9 +98,11 @@ class SweepRecord:
 
 
 def sweep_grid(B: float, alpha: float) -> Grid1D:
-    """Fixed-n grid scaled to the expected minimizer width ~ 8/(alpha ln B)."""
+    """SPECTRAL_N samples on a half-width scaled to the expected minimizer
+    width ~ 8/(alpha ln B), so the samples per width are the same at every
+    (B, alpha) with alpha ln B >= 4."""
     half_width = 60.0 / max(1.0, alpha * np.log(B) / 4.0)
-    return Grid1D(_SWEEP_N, half_width)
+    return Grid1D(SPECTRAL_N, half_width)
 
 
 def pekar_energy(state: PekarProductState) -> EnergyBreakdown:
@@ -116,11 +117,12 @@ def pekar_energy(state: PekarProductState) -> EnergyBreakdown:
 
 def trial_state(B: float, alpha: float = 1.0) -> PekarProductState:
     """Closed-form unit-mass minimizer at coupling b = ln(B)/2, the sech
-    profile, on its own grid of half-width 120/b; alpha does not change it."""
+    profile, on its own grid Grid1D(SPECTRAL_N, 120/b), the same grid in
+    units of 1/b at every B; alpha does not change it."""
     if B <= np.e:
         raise ParameterError("trial state defined for B > e")
     b = np.log(B) / 2.0
-    f = closed_form_minimizer(OneDProblem(1.0, b), Grid1D(_SWEEP_N, 120.0 / b))
+    f = closed_form_minimizer(OneDProblem(1.0, b), Grid1D(SPECTRAL_N, 120.0 / b))
     return PekarProductState(PhysParams(B, alpha), f)
 
 
@@ -162,7 +164,7 @@ def pekar_minimize(params: PhysParams, tol: float = 1e-11):
     b0 = max(1.0, alpha * np.log(B) / 2.0)
     f0 = 1.0 / np.cosh(b0 * grid.points() / 2.0)
     sol = _solve_rescaled(grid, 1.0, 1.0, weights, alpha / (4 * np.pi ** 2),
-                          1.0, tol, f0)
+                          tol, f0)
     breakdown = pekar_energy(PekarProductState(params, sol.minimizer))
     # the deficit E - B from its components: B's ulp would swamp total - B
     sol.energy = breakdown.longitudinal_kinetic + breakdown.coulomb

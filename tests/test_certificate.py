@@ -172,7 +172,7 @@ class TestEffectiveInfimum:
         # at alpha = 0.01 the minimizer is ~60 wide at unit mass; a 4x wider
         # grid at the same spacing must not move I
         cert = certify_projected(np.exp(12.0), 0.01)
-        monkeypatch.setattr(oned, "_GRID", Grid1D(16384, 160.0))
+        monkeypatch.setattr(oned, "_GRID", Grid1D(4 * oned._GRID.n, 160.0))
         wide = certify_projected(np.exp(12.0), 0.01)
         assert cert.I_value == pytest.approx(wide.I_value, rel=1e-13, abs=0.0)
 

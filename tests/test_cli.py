@@ -110,6 +110,14 @@ class TestOned:
         assert main(["oned", "--b", b]) == EXIT_OK
         assert "agreement within tol=1e-08: yes" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("a, b", [("100", "1"), ("1e-5", "1e10"),
+                                      ("1e-150", "1e150")])
+    def test_agreement_relative_at_every_mass(self, a, b, capsys):
+        # the gate is relative to |exact|, and every mass runs the one
+        # unit-mass problem
+        assert main(["oned", "--a", a, "--b", b]) == EXIT_OK
+        assert "agreement within tol=1e-08: yes" in capsys.readouterr().out
+
     @pytest.mark.parametrize("flags", [
         ["--b", "nan"], ["--b", "inf"], ["--a", "inf"], ["--b", "1e160"],
         ["--a", "1e120"]])
@@ -354,6 +362,23 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "solve_numeric", wrong)
         assert main(["oned", "--a", "1", "--b", "1"]) == EXIT_INVARIANT
+
+    def test_oned_gate_relative_below_tol(self, monkeypatch, capsys):
+        # |exact| = 8.3e-12 is below tol = 1e-8, where an absolute gate
+        # would pass any energy; half the exact value must not agree
+        import magpolaron.cli as cli
+        from magpolaron import OneDSolution, Field1D, Grid1D, closed_form_energy
+        import numpy as np
+
+        g = Grid1D(1024, 1.6e7)  # 40/mu at mu = b/4
+        fake_min = Field1D(g, np.exp(-(g.points() / 1e5) ** 2))
+
+        def half(problem, tol):
+            return OneDSolution(0.5 * closed_form_energy(problem), fake_min,
+                                3, 0.0)
+
+        monkeypatch.setattr(cli, "solve_numeric", half)
+        assert main(["oned", "--a", "1", "--b", "1e-5"]) == EXIT_INVARIANT
 
 
 class TestCertifiedSweep:

@@ -80,8 +80,8 @@ class TestSolveNumeric:
         for _ in range(2):
             init = np.abs(bump_field(grid, rng).values) + 1e-3
             _, energy, _, _ = oned._minimize_on_sphere(
-                grid, 1.0, np.ones(grid.n // 2 + 1), 1.0 / (2 * np.pi), 1.0,
-                1e-10, init)
+                grid, 1.0, np.ones(grid.n // 2 + 1), 1.0 / (2 * np.pi), 1e-10,
+                init)
             energies.append(energy)
         assert energies[0] == pytest.approx(energies[1], abs=1e-8)
 
@@ -108,19 +108,32 @@ class TestSolveNumeric:
         weights = np.full(grid.n // 2 + 1, np.nan)
         with np.errstate(invalid="ignore"), \
                 pytest.raises(ConvergenceError) as err:
-            oned._minimize_on_sphere(grid, 1.0, weights, 1.0, 1.0, 1e-8, None)
+            oned._minimize_on_sphere(grid, 1.0, weights, 1.0, 1e-8, None)
         assert err.value.iterations == 1
 
     @pytest.mark.parametrize("b", [1e-6, 0.1, 0.5])
     def test_weak_coupling_matches_closed_form(self, b):
         # the minimizer, of width ~1/b, is solved at unit width and mapped
-        # back onto the grid (4096, 40/mu), mu = b/4
+        # back onto the grid (SPECTRAL_N, 40/mu), mu = b/4
         p = OneDProblem(1.0, b)
         sol = solve_numeric(p, 1e-10)
         assert sol.energy == pytest.approx(closed_form_energy(p), rel=1e-9)
         assert sol.minimizer.grid.half_width == pytest.approx(160.0 / b,
                                                               rel=1e-15)
         assert distance_to_profile(sol.minimizer, p) < 1e-4
+
+    @pytest.mark.parametrize("a, b", [(100.0, 1.0), (1e-5, 1e10),
+                                      (1e-150, 1e150), (2.0, 3.0)])
+    def test_every_mass_is_the_unit_problem(self, a, b):
+        # f(t) = sqrt(a mu) q(mu t), mu = a b/4, maps every (a, b) to one
+        # unit-mass, unit-width problem: same iterations and relative error
+        unit = solve_numeric(OneDProblem(1.0, 4.0), 1e-10)
+        p = OneDProblem(a, b)
+        sol = solve_numeric(p, 1e-10)
+        assert sol.iterations == unit.iterations
+        assert sol.energy / closed_form_energy(p) == pytest.approx(
+            unit.energy / (-4.0 / 3.0), rel=1e-14)
+        assert mass(sol.minimizer) == pytest.approx(a, rel=1e-12)
 
     def test_coupling_too_weak_for_a_double_grid_refused(self):
         # the returned grid's span 2 * 40 / mu must be a finite double

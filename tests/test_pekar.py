@@ -10,7 +10,8 @@ from magpolaron import (Field1D, FitError, Grid1D, OneDProblem, ParameterError,
                         pekar_minimize, quartic, scaling_identity_check,
                         sweep, sweep_grid, trial_energy,
                         trial_state)
-from magpolaron import pekar
+from magpolaron import certificate, oned, pekar
+from magpolaron.grids import SPECTRAL_N
 from magpolaron.pekar import _transverse_weight_quadrature
 
 from conftest import sech_field
@@ -128,14 +129,29 @@ class TestMinimize:
     @pytest.mark.parametrize("lnB, iters, deficit", [
         (10.0, 15, -1.8777661796552338),
         (20.0, 17, -6.8253383555442415),
-        (30.0, 17, -15.463754544185523),
+        (30.0, 17, -15.46375454418775),
     ])
     def test_sweep_numbers_pinned(self, lnB, iters, deficit):
         # the minimizer's iteration count and deficit E - B on the sweep
-        # grid, pinned so that hot-path changes cannot drift them
+        # grid, pinned so that hot-path changes cannot drift them; ln B = 30
+        # holds the weight with its small-argument term x (1 - gamma - ln x),
+        # checked against mpmath below
         sol, _ = pekar_minimize(PhysParams(np.exp(lnB), 1.0))
         assert sol.iterations == iters
         assert sol.energy == pytest.approx(deficit, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("lnB", [0.5, 12.0, 30.0, 100.0, 700.0])
+    def test_weight_small_argument_against_mpmath(self, lnB):
+        # the closed form's branch below x = k^2/B = 1e-12, and just above
+        # it, against 40-digit mpmath; the dual Coulomb paths at ln B = 30
+        # differed by 1.5e-13 while the branch dropped x (1 - gamma - ln x)
+        B = float(np.exp(lnB))
+        x = np.r_[np.geomspace(1e-300, 1e-16, 15), np.geomspace(1e-15, 1e-10, 21)]
+        k = np.sqrt(x * B)
+        k = k[(k > 0) & np.isfinite(k)]
+        ref = np.array([transverse_weight_mp(kk, B) for kk in k])
+        rel = np.abs(effective_potential_fourier(k, B) / ref - 1.0)
+        assert np.max(rel) <= 4e-15
 
     @pytest.mark.parametrize("lnB", [100.0, 300.0, 700.0, 709.0])
     def test_dual_paths_agree_at_large_B(self, lnB):
@@ -206,10 +222,9 @@ class TestCoherentRoute:
         B = np.exp(lnB)
         k = np.geomspace(1e-6, 1e4, 41)
         ratio = _transverse_weight_quadrature(k, B) / effective_potential_fourier(k, B)
-        # the closed form's branch below k^2/B = 1e-12 drops x (1 - gamma -
-        # ln x), at most 1.04e-12 relative; the quadrature itself is pinned
-        # to 1e-13 against mpmath below
-        assert np.max(np.abs(ratio - 1.0)) <= 1.1e-12
+        # the quadrature is pinned to 1e-13 against mpmath below, and the
+        # closed form's small-argument branch keeps its x (1 - gamma - ln x)
+        assert np.max(np.abs(ratio - 1.0)) <= 1e-13
 
     def test_transverse_weight_against_mpmath(self):
         # every (B, k) pair with 1e-300 <= k^2/B <= 1e300 on the grid below,
@@ -310,4 +325,51 @@ class TestGridPolicy:
         wide = sweep_grid(np.exp(4.0), 1.0)
         narrow = sweep_grid(np.exp(30.0), 1.0)
         assert wide.half_width > narrow.half_width
-        assert narrow.n == 8192
+        assert narrow.n == SPECTRAL_N
+
+    def test_doubling_spectral_n_moves_nothing(self, monkeypatch):
+        # every solver grid scales its half-width to its minimizer's width,
+        # so one SPECTRAL_N serves every (B, alpha): twice the samples on
+        # the same half-widths move no sweep deficit, trial deficit or
+        # certify I_value beyond 1e-14 relative, and no iteration count
+        weighted_iters = []
+        solve_weighted = certificate.solve_weighted
+
+        def recording(wp):
+            sol = solve_weighted(wp)
+            weighted_iters.append(sol.iterations)
+            return sol
+
+        monkeypatch.setattr(certificate, "solve_weighted", recording)
+        sweep_points = [(alpha, lnB) for alpha in (1.0, 5.0)
+                        for lnB in (0.5, 2.0, 10.0, 30.0, 100.0, 700.0)]
+        sweep_points += [(0.1, lnB) for lnB in (15.0, 30.0, 100.0, 700.0)]
+        cert_points = [(alpha, lnB) for alpha in (0.001, 0.1, 1.0)
+                       for lnB in (8.0, 30.0, 100.0, 700.0)]
+        cert_points += [(alpha, float(lnB)) for lnB in range(8, 31)
+                        for alpha in (0.5, 1.0, 2.0)]
+
+        def outputs():
+            out = {}
+            for alpha, lnB in sweep_points:
+                sol, _ = pekar_minimize(PhysParams(np.exp(lnB), alpha))
+                out["sweep", alpha, lnB] = sol.energy, sol.iterations
+            for lnB in (2.0, 10.0, 30.0, 100.0, 700.0):
+                trial = trial_energy(np.exp(lnB), 1.0)
+                out["trial", lnB] = trial.longitudinal_kinetic + trial.coulomb, 0
+            for alpha, lnB in cert_points:
+                weighted_iters.clear()
+                cert = certificate.certify_projected(np.exp(lnB), alpha)
+                out["certify", alpha, lnB] = cert.I_value, list(weighted_iters)
+            return out
+
+        base = outputs()
+        n2 = 2 * SPECTRAL_N
+        monkeypatch.setattr(pekar, "SPECTRAL_N", n2)
+        monkeypatch.setattr(oned, "_GRID", Grid1D(n2, oned._GRID.half_width))
+        assert sweep_grid(np.exp(30.0), 1.0).n == n2
+        assert trial_state(np.exp(30.0)).f.grid.n == n2
+        fine = outputs()
+        for key, (value, iters) in base.items():
+            assert fine[key][1] == iters, key
+            assert fine[key][0] == pytest.approx(value, rel=1e-14, abs=0.0), key
