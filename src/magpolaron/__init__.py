@@ -10,24 +10,20 @@ from .certificate import (ConstantsLedger, CutoffParams, LowerBoundCertificate,
                           kappa, kappa1, kappa2, localization_error,
                           total_coupling_weight)
 from .decomposition import (DecompositionLedger, coulomb_D_product,
-                            d_product_fourier, d_product_grid, d_product_real,
-                            decompose, first_excited_radial, ground_radial,
+                            d_product_fourier, d_product_real, decompose,
                             kernel_remainder, kernel_remainder_coefficient,
-                            log_kernel, main_coefficient, offdiag_bound_check,
+                            log_kernel, main_coefficient,
                             smooth_remainder_bound)
 from .errors import (ConvergenceError, DomainTooSmallError, FitError,
                      InvalidFieldError, MagpolaronError, ParameterError,
                      ResolutionError)
 from .grids import (Field1D, Grid1D, centroid, kinetic, mass, quartic,
                     shift_field)
-from .landau import (RadialTransverseDensity, effective_potential,
-                     effective_potential_fourier, effective_potential_general,
-                     lll_projector_kernel, projected_phase_factor,
-                     twisted_kernel, twisted_norm_bound)
+from .landau import effective_potential, effective_potential_fourier
 from .oned import (SHARP_GN_Q4, OneDProblem, OneDSolution, WeightedProblem,
                    closed_form_energy, closed_form_minimizer,
-                   distance_to_profile, gn_gap, gn_ratio, sharp_gn_constant,
-                   solve_numeric, solve_weighted)
+                   distance_to_profile, gn_ratio, solve_numeric,
+                   solve_weighted)
 from .pekar import (AsymptoticFit, EnergyBreakdown, PekarProductState,
                     PhysParams, SweepRecord, coherent_infimum, fit_asymptotics,
                     pekar_energy, pekar_minimize, scaling_identity_check,

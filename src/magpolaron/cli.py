@@ -289,7 +289,8 @@ def _verify_suites():
     d_r = dec.d_product_real(f11, 4.0)
     d_f = dec.d_product_fourier(f11, 4.0)
     rel = abs(d_r - d_f) / abs(d_f)
-    yield "dual-path Coulomb agreement", rel < 1e-9, f"rel={rel:.2e}"
+    yield ("dual-path Coulomb agreement", rel < dec.DUAL_PATH_RTOL,
+           f"rel={rel:.2e}")
 
     # ledger closure
     ledger = dec.decompose(pekar.trial_state(np.exp(6.0)).f, np.exp(6.0))

@@ -1,16 +1,16 @@
 """Coulomb self-energy of product states and its local decomposition.
 
 For a product state with the ground transverse Gaussian and a longitudinal
-factor f, the Coulomb double integral D reduces to one dimension.  Three
-evaluation paths are provided and cross-checked:
+factor f, the Coulomb double integral D reduces to one dimension.  Two
+evaluation paths are provided and cross-checked on every call:
 
-  - grid path:    FFT convolution of rho = f^2 with the sampled effective
-                  potential, with endpoint corrections for the kernel's corner
-                  at zero offset (guarded by h*sqrt(B) <= 1)
   - real path:    correlation C(z) against the closed-form potential on
                   geometric Gauss-Legendre panels (valid for every B)
   - Fourier path: |rho_hat(k)|^2 against the Fourier-side weight, with the
                   logarithmic end handled by an exponential substitution
+
+A gap above DUAL_PATH_RTOL |D| between them raises ResolutionError.  The
+sampled-kernel FFT path is a test oracle.
 
 The decomposition splits D into a local main term with coefficient
 ln(B)/2 - ln(ln(B)), a kernel remainder computed by radial quadrature, and a
@@ -25,12 +25,11 @@ import numpy as np
 
 from .errors import ParameterError, ResolutionError
 from .grids import (Field1D, density_correlation_at, density_fourier_at,
-                    density_power, kinetic, mass, quartic)
-from .landau import (RadialTransverseDensity, effective_potential,
-                     effective_potential_fourier, effective_potential_general)
+                    kinetic, mass, quartic)
+from .landau import effective_potential, effective_potential_fourier
 from .special import gauss_legendre_panels, geometric_edges
 
-GRID_KERNEL_GUARD = 1.0
+DUAL_PATH_RTOL = 1e-9  # largest relative gap the two Coulomb paths may show
 
 
 # ----------------------------------------------------------------------------
@@ -78,7 +77,7 @@ def fourier_side_energy(f: Field1D, weight_at: Callable) -> float:
 
 
 # ----------------------------------------------------------------------------
-# the three Coulomb paths
+# the two Coulomb paths
 
 
 def d_product_real(f: Field1D, B: float) -> float:
@@ -92,49 +91,25 @@ def d_product_fourier(f: Field1D, B: float) -> float:
     return fourier_side_energy(f, lambda k: effective_potential_fourier(k, B))
 
 
-def d_product_grid(f: Field1D, B: float) -> float:
-    """FFT convolution with the sampled potential on the padded grid.
-
-    The potential has a corner at zero offset carrying slope -B/2 (and third
-    derivative -B^2/2 one-sided), so the plain trapezoid value gets the two
-    leading endpoint corrections; the residual scales like (h sqrt(B))^6,
-    hence the resolution guard.
-    """
-    g = f.grid
-    h = g.spacing
-    if h * np.sqrt(B) > GRID_KERNEL_GUARD:
-        raise ResolutionError(
-            f"h*sqrt(B) = {h * np.sqrt(B):.3g} > {GRID_KERNEL_GUARD}: kernel "
-            "sampling too coarse near zero offset; refine the grid")
-    rho = f.values ** 2
-    ft = np.fft.rfft(rho, 2 * g.n)  # zero-padded: no wrap-around
-    corr = h * np.fft.irfft(ft.real ** 2 + ft.imag ** 2, 2 * g.n)
-    lags = np.arange(2 * g.n)
-    lags[g.n:] -= 2 * g.n
-    z = np.abs(lags) * h
-    trap = h * np.sum(corr * effective_potential(z, B))
-
-    k_pos, measure = density_power(f)
-    c0 = float(np.sum(measure))  # C(0)
-    c2 = -float(np.sum(measure * k_pos ** 2))  # C''(0)
-    correction = -(h ** 2) * B * c0 / 12.0 \
-        + (h ** 4) * (B * B * c0 + 3.0 * B * c2) / 720.0
-    return float(0.5 * (trap + correction))
-
-
 def coulomb_D_product(f: Field1D, B: float):
     """Dual-path Coulomb energy of the product state.
 
     Returns (value, error_estimate); the estimate is the observed discrepancy
     between the real-space and Fourier-side evaluations plus a roundoff floor.
+    A discrepancy above DUAL_PATH_RTOL |value| raises ResolutionError.
     """
     if not B > 0:
         raise ParameterError("B must be positive")
     d_real = d_product_real(f, B)
     d_four = d_product_fourier(f, B)
     value = 0.5 * (d_real + d_four)
-    err = abs(d_real - d_four) + 1e-13 * abs(value)
-    return value, err
+    gap = abs(d_real - d_four)
+    if not gap <= DUAL_PATH_RTOL * abs(value):
+        raise ResolutionError(
+            f"Coulomb paths disagree at B = {B:.6g}: |real - fourier| = "
+            f"{gap:.3g} exceeds {DUAL_PATH_RTOL:g} |D|; the grid does not "
+            "resolve the density")
+    return value, gap + 1e-13 * abs(value)
 
 
 # ----------------------------------------------------------------------------
@@ -218,56 +193,3 @@ def decompose(f: Field1D, B: float) -> DecompositionLedger:
         d_total=d_total, main_coefficient=cb, main_term=main_term, r1=r1,
         r1_bound=smooth_remainder_bound(f, B), r2=r2,
         quadrature_error_estimate=err)
-
-
-# ----------------------------------------------------------------------------
-# projection inequality on Landau mixtures
-
-
-def ground_radial(B: float):
-    """Radial amplitude of the ground transverse Gaussian."""
-    def amp(r):
-        r = np.asarray(r, dtype=float)
-        return np.sqrt(B / (2 * np.pi)) * np.exp(-B * r * r / 4.0)
-    return amp
-
-
-def first_excited_radial(B: float):
-    """Radial amplitude of the first excited zero-angular-momentum level,
-    orthogonal to the ground Gaussian and normalized."""
-    def amp(r):
-        r = np.asarray(r, dtype=float)
-        return np.sqrt(B / (2 * np.pi)) * (1.0 - B * r * r / 2.0) * np.exp(-B * r * r / 4.0)
-    return amp
-
-
-def offdiag_bound_check(eps: float, c0: float, c1: float, f: Field1D, B: float):
-    """Check the diagonal-domination inequality on a two-level mixture.
-
-    The transverse state is c0 * (ground Gaussian) + c1 * (radial first
-    excited level), c0^2 + c1^2 = 1.  All three Coulomb energies are computed
-    through the general radial-density potential.  Returns (passed, margin,
-    lhs, rhs) with margin = rhs - lhs.
-    """
-    if not (0 < eps <= 1):
-        raise ParameterError("eps must lie in (0, 1]")
-    if abs(c0 * c0 + c1 * c1 - 1.0) > 1e-10:
-        raise ParameterError("mixture coefficients must satisfy c0^2+c1^2=1")
-    g = ground_radial(B)
-    psi1 = first_excited_radial(B)
-    scale = 1.0 / np.sqrt(B)
-
-    def d_with(density_profile):
-        rho = RadialTransverseDensity.from_profile(B, density_profile)
-        return longitudinal_double_integral(
-            f, lambda z: effective_potential_general(rho, z), scale)
-
-    d_full = d_with(lambda r: (c0 * g(r) + c1 * psi1(r)) ** 2)
-    d_low = c0 ** 4 * d_with(lambda r: g(r) ** 2)
-    d_high = c1 ** 4 * d_with(lambda r: psi1(r) ** 2)
-
-    lhs = d_full
-    rhs = (1 + 3 * eps + 2 * eps * eps) * d_low \
-        + (1 + eps) ** 2 * (1 + 2 * eps) * eps ** -3 * d_high
-    margin = rhs - lhs
-    return margin >= 0.0, margin, lhs, rhs

@@ -14,7 +14,8 @@ class DomainTooSmallError(MagpolaronError):
 
 
 class ResolutionError(MagpolaronError):
-    """The grid spacing is too coarse for the requested kernel or weight."""
+    """The grid does not resolve the density: the real-space and Fourier-side
+    Coulomb paths disagree by more than their relative tolerance."""
 
 
 class ParameterError(MagpolaronError):

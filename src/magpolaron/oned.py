@@ -1,8 +1,8 @@
 """The effective one-dimensional polaron problem.
 
-Closed-form ground state of  int |f'|^2 - b int f^4  at fixed mass, the sharp
-interpolation constant behind it, and a numerical minimizer for the same
-functional and for its Fourier-weighted generalization
+Closed-form ground state of  int |f'|^2 - b int f^4  at fixed mass, the
+interpolation ratio whose floor 3^(1/8) it attains, and a numerical minimizer
+for the same functional and for its Fourier-weighted generalization
 
     kappa1 * int |f'|^2  -  lam * int_{|k|<=K3} w(k) |rho_hat(k)|^2 dk ,
 
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.special as _sc
 
 from .errors import (ConvergenceError, DomainTooSmallError, InvalidFieldError,
                      ParameterError)
@@ -114,28 +113,6 @@ def gn_ratio(f: Field1D) -> float:
     k = kinetic(f)
     q = quartic(f)
     return k ** 0.125 * m ** 0.375 / q ** 0.25
-
-
-def gn_gap(f: Field1D, b: float) -> float:
-    """kinetic - b*quartic + (b^2/12)*mass^3; nonnegative up to grid error."""
-    return kinetic(f) - b * quartic(f) + (b * b / 12.0) * mass(f) ** 3
-
-
-def sharp_gn_constant(q: float) -> float:
-    """Sharp constant C_q in ||g'||^theta ||g||^(1-theta) >= C_q ||g||_q.
-
-    theta = 1/2 - 1/q, q > 2.  Evaluated on the extremal profile
-    cosh(t)^(-2/(q-2)) whose integrals reduce to Gamma-function ratios;
-    C_4 = 3^(1/8).
-    """
-    if q <= 2:
-        raise ParameterError("sharp constant defined for q > 2")
-    p = 2.0 / (q - 2.0)
-    s1 = np.sqrt(np.pi) * _sc.gamma(p) / _sc.gamma(p + 0.5)
-    s2 = s1 * p / (p + 0.5)
-    kin = p * p * (s1 - s2)
-    theta = 0.5 - 1.0 / q
-    return float(kin ** (theta / 2) * s1 ** ((1 - theta) / 2) / s2 ** (1.0 / q))
 
 
 # ----------------------------------------------------------------------------

@@ -119,11 +119,10 @@ def trial_state(B: float, alpha: float = 1.0) -> PekarProductState:
     """Closed-form unit-mass minimizer at coupling b = ln(B)/2, the sech
     profile, on its own grid Grid1D(SPECTRAL_N, 120/b), the same grid in
     units of 1/b at every B; alpha does not change it."""
-    if B <= np.e:
-        raise ParameterError("trial state defined for B > e")
+    params = PhysParams(B, alpha)  # refuses B <= 1 before ln B sizes the grid
     b = np.log(B) / 2.0
     f = closed_form_minimizer(OneDProblem(1.0, b), Grid1D(SPECTRAL_N, 120.0 / b))
-    return PekarProductState(PhysParams(B, alpha), f)
+    return PekarProductState(params, f)
 
 
 def trial_energy(B: float, alpha: float) -> EnergyBreakdown:

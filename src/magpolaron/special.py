@@ -1,7 +1,8 @@
 """Scaled special functions and panel quadrature used across the package.
 
 Everything here is plain numpy/scipy with explicit overflow handling; the
-test suite validates each closed form against adaptive quadrature.
+test suite validates each closed form against adaptive quadrature.  This is
+the package's one scipy import.
 """
 from __future__ import annotations
 

@@ -5,15 +5,19 @@ forms are checked against adaptive or panel quadrature of their defining
 integrals, transverse objects against 2D tensor Gauss-Legendre grids (the
 twisted kernel is applied to states by brute-force quadrature to test its
 norm bound), Coulomb energies against the analytic transform of the
-sech-squared density, and the off-grid density transforms against their
-dense trigonometric sums.  They may be slow; they exist only under tests/.
+sech-squared density and the sampled-kernel FFT path, and the off-grid
+density transforms against their dense trigonometric sums.  They may be
+slow; they exist only under tests/.
 """
 import mpmath
 import numpy as np
 from scipy import integrate, special
 
-from magpolaron import twisted_kernel, twisted_norm_bound
+from magpolaron.errors import ResolutionError
 from magpolaron.grids import density_power
+from magpolaron.landau import effective_potential
+
+from lemmas import twisted_kernel, twisted_norm_bound
 
 
 def sech_profile(a, b):
@@ -243,6 +247,42 @@ def d_bilinear_gaussian_quad(c1, s1, c2, s2, B):
                            -40.0, 0.0, limit=400)
     v2, _ = integrate.quad(integrand, 1.0, np.inf, limit=400)
     return 2.0 * (v1 + v2) / (4 * np.pi ** 2)
+
+
+# ----------------------------------------------------------------------------
+# reference Coulomb path on the sampled kernel
+
+GRID_KERNEL_GUARD = 1.0
+
+
+def d_product_grid(f, B):
+    """FFT convolution with the sampled potential on the padded grid.
+
+    The potential has a corner at zero offset carrying slope -B/2 (and third
+    derivative -B^2/2 one-sided), so the plain trapezoid value gets the two
+    leading endpoint corrections; the residual scales like (h sqrt(B))^6,
+    hence the resolution guard.
+    """
+    g = f.grid
+    h = g.spacing
+    if h * np.sqrt(B) > GRID_KERNEL_GUARD:
+        raise ResolutionError(
+            f"h*sqrt(B) = {h * np.sqrt(B):.3g} > {GRID_KERNEL_GUARD}: kernel "
+            "sampling too coarse near zero offset; refine the grid")
+    rho = f.values ** 2
+    ft = np.fft.rfft(rho, 2 * g.n)  # zero-padded: no wrap-around
+    corr = h * np.fft.irfft(ft.real ** 2 + ft.imag ** 2, 2 * g.n)
+    lags = np.arange(2 * g.n)
+    lags[g.n:] -= 2 * g.n
+    z = np.abs(lags) * h
+    trap = h * np.sum(corr * effective_potential(z, B))
+
+    k_pos, measure = density_power(f)
+    c0 = float(np.sum(measure))  # C(0)
+    c2 = -float(np.sum(measure * k_pos ** 2))  # C''(0)
+    correction = -(h ** 2) * B * c0 / 12.0 \
+        + (h ** 4) * (B * B * c0 + 3.0 * B * c2) / 720.0
+    return float(0.5 * (trap + correction))
 
 
 # ----------------------------------------------------------------------------

@@ -8,15 +8,15 @@ import pytest
 from magpolaron import (Grid1D, OneDProblem, PekarProductState, PhysParams,
                         SHARP_GN_Q4, SweepRecord, analytic_infimum_floor,
                         certify_projected, coherent_infimum,
-                        d_product_fourier, d_product_grid, decompose,
-                        distance_to_profile, effective_potential,
-                        fit_asymptotics, gn_gap, gn_ratio,
-                        lll_projector_kernel, mass, offdiag_bound_check,
-                        pekar_energy, pekar_minimize, projected_phase_factor,
-                        solve_numeric, sweep, trial_energy,
-                        trial_state, twisted_kernel)
+                        d_product_fourier, decompose, distance_to_profile,
+                        effective_potential, fit_asymptotics, gn_ratio, mass,
+                        pekar_energy, pekar_minimize, solve_numeric, sweep,
+                        trial_energy, trial_state)
 
 from conftest import bump_field, sech_field
+from lemmas import (gn_gap, lll_projector_kernel, offdiag_bound_check,
+                    projected_phase_factor, twisted_kernel)
+from oracles import d_product_grid
 import oracles
 
 

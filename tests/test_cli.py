@@ -155,6 +155,26 @@ class TestMinimizeAndTrial:
         assert main(["trial", "--B", "e12", "--alpha", "1"]) == EXIT_OK
         assert "(lnB)^2/48 = 3" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("b_token", ["e0.5", "1.000000000001"])
+    def test_trial_below_e(self, b_token, capsys):
+        # the trial state exists at every B > 1; only the decomposition's
+        # main coefficient needs B > e
+        assert main(["trial", "--B", b_token]) == EXIT_OK
+        assert "E_trial" in capsys.readouterr().out
+
+    def test_sweep_below_e(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--B", "e0.5,e1,e10", "--out", str(out)]) \
+            == EXIT_OK
+        records = read_sweep_csv(str(out))
+        assert len(records) == 3
+        for r in records:
+            assert r.E_total <= r.trial_E
+        capsys.readouterr()
+        assert main(["decompose", "--B", "e0.5"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "main coefficient" in err[0]
+
 
 SWEEP_COLUMNS = ["B", "alpha", "E_total", "E_kin3", "E_coulomb", "trial_E",
                  "cert_bound", "iters", "residual"]
@@ -321,6 +341,28 @@ class TestExitCodes:
         monkeypatch.setattr(cli.pekar, "pekar_minimize", boom)
         assert main(["minimize", "--B", "e10"]) == EXIT_CONVERGENCE
         assert "convergence failure" in capsys.readouterr().err
+
+    def test_dual_path_disagreement_maps_to_exit_one(self, monkeypatch,
+                                                     capsys):
+        # an unresolved density: the Coulomb paths part by 1.9e-6 of D
+        import magpolaron.cli as cli
+        from magpolaron import (Field1D, Grid1D, PekarProductState,
+                                PhysParams, mass)
+
+        g = Grid1D(64, 10.0)
+        f = Field1D(g, 1.0 / np.cosh(g.points() / 0.3))
+        f = Field1D(g, f.values / np.sqrt(mass(f)))
+
+        def coarse(B, alpha=1.0):
+            return PekarProductState(PhysParams(B, alpha), f)
+
+        monkeypatch.setattr(cli.pekar, "trial_state", coarse)
+        assert main(["trial", "--B", "1e4"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "Coulomb paths disagree" in err[0]
+        assert captured.out == ""
 
     def test_decompose_ok(self, capsys):
         assert main(["decompose", "--B", "e6"]) == EXIT_OK

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from magpolaron import (Field1D, Grid1D, ParameterError, ResolutionError,
-                        coulomb_D_product, d_product_fourier, d_product_grid,
-                        d_product_real, decompose, first_excited_radial,
-                        ground_radial, kernel_remainder,
+                        coulomb_D_product, d_product_fourier, d_product_real,
+                        decompose, kernel_remainder,
                         kernel_remainder_coefficient, kinetic, log_kernel,
-                        main_coefficient, mass, offdiag_bound_check, quartic,
+                        main_coefficient, mass, quartic,
                         smooth_remainder_bound)
 
 from conftest import sech_field
+from lemmas import first_excited_radial, ground_radial, offdiag_bound_check
+from oracles import d_product_grid
 import oracles
 
 
@@ -48,6 +49,16 @@ class TestDualPaths:
         f = sech_field(Grid1D(4096, 40.0), 1.0, 1.0)  # h ~ 0.0195
         with pytest.raises(ResolutionError):
             d_product_grid(f, 1e8)
+
+    def test_unresolved_density_raises(self):
+        # a width-0.3 sech sampled at h = 0.3125: the two paths part by
+        # 1.9e-6 of D, far above the 1e-9 gate
+        g = Grid1D(64, 10.0)
+        f = Field1D(g, 1.0 / np.cosh(g.points() / 0.3))
+        gap = abs(d_product_real(f, 1e4) - d_product_fourier(f, 1e4))
+        assert gap > 1e-6 * d_product_real(f, 1e4)
+        with pytest.raises(ResolutionError, match="Coulomb paths disagree"):
+            coulomb_D_product(f, 1e4)
 
     def test_zero_field(self, grid):
         f = Field1D(grid, np.zeros(grid.n))

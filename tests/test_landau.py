@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from scipy import special as sc
 
-from magpolaron import (ParameterError, RadialTransverseDensity,
-                        effective_potential, effective_potential_fourier,
-                        effective_potential_general, ground_radial,
-                        lll_projector_kernel, projected_phase_factor,
-                        twisted_kernel, twisted_norm_bound)
+from magpolaron import (ParameterError, effective_potential,
+                        effective_potential_fourier)
 from magpolaron.special import exp_scaled_e1
 
+from lemmas import (RadialTransverseDensity, effective_potential_general,
+                    ground_radial, lll_projector_kernel,
+                    projected_phase_factor, twisted_kernel,
+                    twisted_norm_bound)
 import oracles
 
 

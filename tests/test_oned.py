@@ -9,11 +9,11 @@ from magpolaron import oned
 from magpolaron import (ConvergenceError, DomainTooSmallError, Field1D, Grid1D,
                         InvalidFieldError, OneDProblem, ParameterError,
                         SHARP_GN_Q4, WeightedProblem, closed_form_energy,
-                        closed_form_minimizer, distance_to_profile, gn_gap,
-                        gn_ratio, kinetic, mass, quartic, sharp_gn_constant,
-                        solve_numeric, solve_weighted)
+                        closed_form_minimizer, distance_to_profile, gn_ratio,
+                        kinetic, mass, quartic, solve_numeric, solve_weighted)
 
 from conftest import bump_field, sech_field
+from lemmas import gn_gap, sharp_gn_constant
 import oracles
 
 
