@@ -58,10 +58,6 @@ class CutoffParams:
         if self.M < 1:
             raise ParameterError("M must be a positive integer")
 
-    @property
-    def block_width(self) -> float:
-        return 2.0 * self.K3 / self.M
-
 
 @dataclass
 class ConstantsLedger:

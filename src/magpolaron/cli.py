@@ -3,8 +3,9 @@
 Subcommands: oned, minimize, trial, sweep, fit, decompose, certify, verify.
 Exit codes: 0 success, 1 validation error, 2 convergence failure,
 3 invariant failure.  B values accept the shorthand "eN" meaning e^N.
-Optional plain-text config files hold "key = value" lines; explicit flags win.
-The worker count for sweeps can also come from MAGPOLARON_WORKERS.
+Optional plain-text "key = value" config files set the subcommand's flag
+defaults; explicit flags win.  The sweep worker count can also come from
+MAGPOLARON_WORKERS.
 """
 from __future__ import annotations
 
@@ -22,8 +23,8 @@ from . import decomposition as dec
 from . import pekar
 from .errors import ConvergenceError, MagpolaronError, ParameterError
 from .grids import Field1D, Grid1D, mass as field_mass
-from .oned import (OneDProblem, closed_form_energy, distance_to_profile,
-                   gn_ratio, SHARP_GN_Q4, solve_numeric)
+from .oned import (OneDProblem, closed_form_energy, closed_form_minimizer,
+                   distance_to_profile, gn_ratio, SHARP_GN_Q4, solve_numeric)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -74,14 +75,6 @@ def load_config(path: str) -> dict:
     return out
 
 
-def _merged(args: argparse.Namespace, key: str, default=None):
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    cfg = getattr(args, "_config", {})
-    return cfg.get(key, default)
-
-
 def write_sweep_csv(records, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -106,9 +99,7 @@ def read_sweep_csv(path: str):
 
 
 def cmd_oned(args) -> int:
-    a = float(_merged(args, "a", 1.0))
-    b = float(_merged(args, "b", 1.0))
-    tol = float(_merged(args, "tol", 1e-8))
+    a, b, tol = args.a, args.b, args.tol
     problem = OneDProblem(a, b)
     exact = closed_form_energy(problem)
     sol = solve_numeric(problem, tol)
@@ -127,11 +118,9 @@ def cmd_oned(args) -> int:
 
 
 def cmd_minimize(args) -> int:
-    B = parse_b(_merged(args, "B"))
-    alpha = float(_merged(args, "alpha", 1.0))
-    tol = float(_merged(args, "tol", 1e-11))
-    params = pekar.PhysParams(B, alpha)
-    sol, breakdown = pekar.pekar_minimize(params, tol=tol)
+    B, alpha = parse_b(args.B), args.alpha
+    sol, breakdown = pekar.pekar_minimize(pekar.PhysParams(B, alpha),
+                                          tol=args.tol)
     print(f"B={_fmt(B)} alpha={alpha}")
     if sol.degenerate:
         print("zero coupling: minimizer degenerate, E_total = B")
@@ -148,8 +137,7 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_trial(args) -> int:
-    B = parse_b(_merged(args, "B"))
-    alpha = float(_merged(args, "alpha", 1.0))
+    B, alpha = parse_b(args.B), args.alpha
     breakdown = pekar.trial_energy(B, alpha)
     lnB = np.log(B)
     print(f"B={_fmt(B)} alpha={alpha} (sech trial profile, coupling lnB/2)")
@@ -162,18 +150,14 @@ def cmd_trial(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    tokens = str(_merged(args, "B")).split(",")
-    lnBs = sorted(float(np.log(parse_b(tok))) for tok in tokens if tok.strip())
+    lnBs = sorted(float(np.log(parse_b(tok)))
+                  for tok in args.B.split(",") if tok.strip())
     if not lnBs:
         raise ParameterError("sweep needs at least one B value")
-    alpha = float(_merged(args, "alpha", 1.0))
-    out = _merged(args, "out", "sweep.csv")
-    workers = int(_merged(args, "workers",
-                          os.environ.get("MAGPOLARON_WORKERS", "1")))
-    do_cert = bool(getattr(args, "certify", False))
-    records = pekar.sweep(lnBs, alpha, certify=do_cert, workers=workers)
-    write_sweep_csv(records, out)
-    print(f"wrote {len(records)} rows to {out}")
+    records = pekar.sweep(lnBs, args.alpha, certify=args.certify,
+                          workers=args.workers)
+    write_sweep_csv(records, args.out)
+    print(f"wrote {len(records)} rows to {args.out}")
     for r in records:
         print(f"  B={r.B:.6g}  E_total-B={r.E_kin3 + r.E_coulomb:+.8g}  "
               f"trial-B={r.trial_E - r.B:+.8g}")
@@ -181,8 +165,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    path = _merged(args, "infile")
-    records = read_sweep_csv(path)
+    records = read_sweep_csv(args.infile)
     fit = pekar.fit_asymptotics(records)
     print(f"fit over {len(records)} points:")
     print(f"c2 = {_fmt(fit.c2)}   (leading coefficient; compare alpha^2/48)")
@@ -193,9 +176,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    B = parse_b(_merged(args, "B"))
-    alpha = float(_merged(args, "alpha", 1.0))
-    state = pekar.trial_state(B, alpha)
+    B = parse_b(args.B)
+    state = pekar.trial_state(B, args.alpha)
     ledger = dec.decompose(state.f, B)
     print(f"B={_fmt(B)} (sech trial profile, coupling lnB/2)")
     print(f"D_total          = {_fmt(ledger.d_total)} "
@@ -210,29 +192,24 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    B = parse_b(_merged(args, "B"))
-    alpha = float(_merged(args, "alpha", 1.0))
+    B, alpha = parse_b(args.B), args.alpha
     pekar.PhysParams(B, alpha)  # refuses a bad alpha before the cutoffs do
-    K = _merged(args, "K")
-    overrides = {}
-    for key in ("K3", "Kperp", "gamma", "L", "M"):
-        val = _merged(args, key)
-        if val is not None:
-            overrides[key] = int(val) if key == "M" else float(val)
+    overrides = {key: getattr(args, key)
+                 for key in ("K3", "Kperp", "gamma", "L", "M")
+                 if getattr(args, key) is not None}
     cutoffs = dataclasses.replace(cert_mod.default_cutoffs(
-        B, alpha, parse_b(K) if K is not None else None), **overrides)
+        B, alpha, parse_b(args.K) if args.K is not None else None),
+        **overrides)
     cert = cert_mod.certify_projected(B, alpha, cutoffs)
-    cm = _merged(args, "C_M")
-    if cm is not None:
+    if args.C_M is not None:
         cert.conditional_full_bound = cert_mod.conditional_full_bound(
-            cert, float(cm))
+            cert, args.C_M)
     payload = cert_mod.certificate_to_dict(cert)
-    out = _merged(args, "out")
     text = json.dumps(payload, indent=2, sort_keys=True)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-        print(f"wrote certificate to {out}")
+        print(f"wrote certificate to {args.out}")
     else:
         print(text)
     print(f"valid={cert.valid} p0_bound={_fmt(cert.p0_bound)}")
@@ -247,8 +224,7 @@ def _verify_suites():
     t = grid.points()
 
     # closed-form functionals
-    prob = OneDProblem(1.0, 1.0)
-    f11 = Field1D(grid, 0.5 / np.cosh(t / 2.0))
+    f11 = closed_form_minimizer(OneDProblem(1, 1), grid)
     ok = (abs(field_mass(f11) - 1) < 1e-10
           and abs(kinetic(f11) - 1.0 / 12.0) < 1e-8
           and abs(quartic(f11) - 1.0 / 6.0) < 1e-8)
@@ -280,8 +256,7 @@ def _verify_suites():
     yield "sharp interpolation ratio floor", ok, f"min ratio={worst:.9f}"
 
     # coupling rescaling identity
-    gscale = Grid1D(4096, 20.0)
-    f12 = Field1D(gscale, (np.sqrt(2.0) / 2.0) / np.cosh(gscale.points()))
+    f12 = closed_form_minimizer(OneDProblem(1, 2), Grid1D(4096, 20.0))
     passed, rel = pekar.scaling_identity_check(np.exp(8.0), 2.0, f12)
     yield "coupling rescaling identity", passed, f"rel={rel:.2e}"
 
@@ -293,12 +268,12 @@ def _verify_suites():
            f"rel={rel:.2e}")
 
     # ledger closure
-    ledger = dec.decompose(pekar.trial_state(np.exp(6.0)).f, np.exp(6.0))
+    state = pekar.trial_state(np.exp(6.0))
+    ledger = dec.decompose(state.f, state.params.B)
     ok = (abs(ledger.closure_defect()) < 1e-12 and ledger.r1_within_bound())
     yield "decomposition ledger closure", ok, ""
 
     # classical-field amplitude route, on the deficit E - B
-    state = pekar.trial_state(np.exp(6.0))
     bd = pekar.pekar_energy(state)
     e1 = bd.longitudinal_kinetic + bd.coulomb
     e2 = pekar.coherent_infimum(state) - state.params.B
@@ -351,28 +326,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("oned", help="1D quartic problem: closed form vs numeric")
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--a", type=float, default=1.0)
+    p.add_argument("--b", type=float, default=1.0)
+    p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=cmd_oned)
 
     p = sub.add_parser("minimize", help="minimize the product-ansatz energy")
     p.add_argument("--B", required=True)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--tol", type=float, default=1e-11)
     p.set_defaults(func=cmd_minimize)
 
     p = sub.add_parser("trial", help="energy of the sech trial state")
     p.add_argument("--B", required=True)
-    p.add_argument("--alpha", type=float)
+    p.add_argument("--alpha", type=float, default=1.0)
     p.set_defaults(func=cmd_trial)
 
     p = sub.add_parser("sweep", help="minimize across a list of B values")
     p.add_argument("--B", required=True, help="comma-separated (e.g. e10,e12)")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--out")
+    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--out", default="sweep.csv")
     p.add_argument("--certify", action="store_true")
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int,
+                   default=os.environ.get("MAGPOLARON_WORKERS", "1"))
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("fit", help="fit sweep energies to the log expansion")
@@ -381,13 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="Coulomb decomposition ledger")
     p.add_argument("--B", required=True)
-    p.add_argument("--alpha", type=float,
+    p.add_argument("--alpha", type=float, default=1.0,
                    help="validated only: the ledger is the same for every alpha")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("certify", help="projected lower-bound certificate")
     p.add_argument("--B", required=True)
-    p.add_argument("--alpha", type=float)
+    p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--K")
     p.add_argument("--K3", type=float)
     p.add_argument("--Kperp", type=float)
@@ -404,17 +380,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        args._config = load_config(args.config) if args.config else {}
+        config = load_config(args.config) if args.config else {}
     except (OSError, MagpolaronError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
+        if config:  # an entry naming a value-taking flag is its default
+            (commands,) = [a.choices for a in parser._actions
+                           if a.dest == "command"]
+            sub = commands[args.command]
+            sub.set_defaults(**{a.dest: config[a.dest] for a in sub._actions
+                                if a.nargs != 0 and a.dest in config})
+            args = parser.parse_args(argv)
         return args.func(args)
     except ConvergenceError as exc:
         print(f"convergence failure: {exc} "

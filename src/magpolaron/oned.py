@@ -8,7 +8,8 @@ for the same functional and for its Fourier-weighted generalization
 
 where rho = f^2.  The numerical scheme is a projected gradient flow on the
 mass sphere: preconditioned residual directions with an energy-monotone
-backtracking line search, translation fixed by periodic recentering.
+backtracking line search; even starts and weights of |k| alone keep the
+field centred without translation resets.
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ from .grids import (SPECTRAL_N, Field1D, Grid1D, centroid, kinetic, mass,
                     quartic, shift_field)
 
 SHARP_GN_Q4 = 3.0 ** 0.125
-_RECENTER_EVERY = 50  # sphere-flow iterations between translation resets
 _MAX_ITER = 5000  # sphere-flow iteration budget
 _GRID = Grid1D(SPECTRAL_N, 40.0)  # the one grid of the unit-width rescaled flow
 
@@ -125,9 +125,11 @@ def _minimize_on_sphere(grid: Grid1D, akin: float, weights: np.ndarray,
     dual-grid k on the unit sphere int f^2 = 1.
 
     weights = w on the one-sided dual grid grid.wavenumbers() (cutoff edge
-    fractions already applied).  Returns (values, energy, iterations, residual)
-    of the recentred field once the flow stops, by convergence, budget or an
-    exhausted line search; ConvergenceError unless the residual passes.
+    fractions already applied); f0, like the Gaussian default, is even on the
+    periodic grid, which keeps the flow centred.  Returns (values, energy,
+    iterations, residual) of the last accepted field once the flow stops, by
+    convergence, budget or an exhausted line search; ConvergenceError unless
+    the residual passes.
     """
     n, h = grid.n, grid.spacing
     t = grid.points()
@@ -146,11 +148,6 @@ def _minimize_on_sphere(grid: Grid1D, akin: float, weights: np.ndarray,
         lap = akin * np.fft.irfft(-k2 * np.fft.rfft(fv), n)
         W = 4.0 * np.pi * lam * np.fft.irfft(weights * np.fft.rfft(fv * fv), n)
         return -h * np.sum(fv * (lap + 0.5 * W * fv)), lap, W
-
-    def recenter(fv):
-        fld = Field1D(grid, fv)
-        fv = shift_field(fld, centroid(fld)).values
-        return fv * np.sqrt(1.0 / (h * np.sum(fv * fv)))
 
     E, lap, W = state(f)
     theta = 1.0
@@ -176,17 +173,13 @@ def _minimize_on_sphere(grid: Grid1D, akin: float, weights: np.ndarray,
             break
         rel_change = abs(En - E) / max(abs(En), 1e-300)
         f, E, lap, W = fn, En, lap_n, W_n
-        if it % _RECENTER_EVERY == 0:
-            f = recenter(f)
-            E, lap, W = state(f)
         if rel_change < tol and residual < np.sqrt(tol) * (1 + abs(E)):
             break
     if not residual < np.sqrt(tol) * (1 + abs(E)):
         raise ConvergenceError(
             f"sphere minimizer stalled: residual {residual:.3e} after {it} "
             "iterations", iterations=it, residual=residual)
-    f = recenter(f)
-    return f, state(f)[0], it, residual
+    return f, E, it, residual
 
 
 def _solve_rescaled(g: Grid1D, mu: float, akin: float, weights: np.ndarray,

@@ -144,10 +144,6 @@ class TestDefaultCutoffs:
         with pytest.raises(ParameterError):
             default_cutoffs(1e6, 1.0, 10.0)
 
-    def test_block_width(self):
-        cut = CutoffParams(K=100.0, K3=30.0, Kperp=50.0, gamma=0.4, L=0.3, M=6)
-        assert cut.block_width == pytest.approx(10.0, rel=1e-15)
-
 
 class TestEffectiveInfimum:
     def test_above_analytic_floor(self):

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,8 @@ import pytest
 import magpolaron
 from magpolaron import ConvergenceError
 from magpolaron.cli import (CSV_HEADER, EXIT_CONVERGENCE, EXIT_INVARIANT,
-                            EXIT_OK, EXIT_VALIDATION, main, parse_b,
-                            read_sweep_csv)
+                            EXIT_OK, EXIT_VALIDATION, build_parser, main,
+                            parse_b, read_sweep_csv)
 
 
 class TestParsing:
@@ -323,6 +324,69 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("this line has no equals\n")
         assert main(["--config", str(cfg), "verify"]) == EXIT_VALIDATION
+
+    def test_wrong_typed_value_names_its_flag(self, tmp_path, capsys):
+        # a config value is typed like its flag, and refused like it
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha = x\n")
+        assert main(["--config", str(cfg), "minimize", "--B", "e10"]) \
+            == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "--alpha" in err[0]
+        assert captured.out == ""
+
+    def test_switch_key_ignored(self, tmp_path, capsys):
+        # only value-taking options read the config; --certify is a switch
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("certify = yes\n")
+        out = tmp_path / "s.csv"
+        assert main(["--config", str(cfg), "sweep", "--B", "e10",
+                     "--out", str(out)]) == EXIT_OK
+        assert read_sweep_csv(str(out))[0].cert_bound is None
+
+    @pytest.mark.parametrize("flag, config, env, expected", [
+        (["--workers", "4"], "workers = 3\n", "2", 4),
+        ([], "workers = 3\n", "2", 3),
+        ([], "# no keys\n", "2", 2),
+        ([], "# no keys\n", None, 1)],
+        ids=["flag", "config", "env", "default"])
+    def test_workers_precedence(self, tmp_path, monkeypatch, capsys, flag,
+                                config, env, expected):
+        import magpolaron.cli as cli
+        seen = []
+
+        def record(lnBs, alpha, **kwargs):
+            seen.append(kwargs["workers"])
+            return []
+
+        monkeypatch.setattr(cli.pekar, "sweep", record)
+        if env is None:
+            monkeypatch.delenv("MAGPOLARON_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("MAGPOLARON_WORKERS", env)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        assert main(["--config", str(cfg), "sweep", "--B", "e10",
+                     "--out", str(tmp_path / "s.csv"), *flag]) == EXIT_OK
+        assert seen == [expected]
+
+
+def test_readme_command_block_parses():
+    # every documented command line parses, so a renamed flag cannot leave
+    # the README stale; nothing is run
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line\n")[1]
+    block = section.split("```sh\n")[1].split("```")[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()
+             if line.startswith("magpolaron ")]
+    parser = build_parser()
+    for argv in lines:
+        parser.parse_args(argv[1:])
+    assert {argv[1] for argv in lines} == {
+        "oned", "minimize", "trial", "sweep", "fit", "decompose", "certify",
+        "verify"}
 
 
 class TestExitCodes:

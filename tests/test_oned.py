@@ -8,9 +8,11 @@ import magpolaron
 from magpolaron import oned
 from magpolaron import (ConvergenceError, DomainTooSmallError, Field1D, Grid1D,
                         InvalidFieldError, OneDProblem, ParameterError,
-                        SHARP_GN_Q4, WeightedProblem, closed_form_energy,
+                        PhysParams, SHARP_GN_Q4, WeightedProblem, centroid,
+                        certify_projected, closed_form_energy,
                         closed_form_minimizer, distance_to_profile, gn_ratio,
-                        kinetic, mass, quartic, solve_numeric, solve_weighted)
+                        kinetic, mass, pekar_minimize, quartic, solve_numeric,
+                        solve_weighted)
 
 from conftest import bump_field, sech_field
 from lemmas import gn_gap, sharp_gn_constant
@@ -286,6 +288,50 @@ class TestSolveWeighted:
         wp = WeightedProblem(1.0, 1.0, lambda k: -np.ones(np.shape(k)), 5.0)
         with pytest.raises(ParameterError):
             solve_weighted(wp)
+
+
+class TestFlowStaysCentred:
+    """The sphere flow has no translation reset: every start is even on the
+    periodic grid, f(t_j) = f(t_{n-j}), and every weight depends on |k|
+    only, so the minimizer keeps its density centroid at t = 0."""
+
+    @pytest.fixture
+    def flows(self, monkeypatch):
+        runs = []
+        flow = oned._minimize_on_sphere
+
+        def recorded(grid, akin, weights, lam, tol, f0):
+            out = flow(grid, akin, weights, lam, tol, f0)
+            start = np.exp(-grid.points() ** 2 / 2.0) if f0 is None else f0
+            runs.append((grid, np.asarray(start), out[0]))
+            return out
+
+        monkeypatch.setattr(oned, "_minimize_on_sphere", recorded)
+        return runs
+
+    @staticmethod
+    def check(runs):
+        assert runs
+        for grid, start, values in runs:
+            np.testing.assert_allclose(start[1:], start[:0:-1], rtol=0,
+                                       atol=1e-15 * np.max(np.abs(start)))
+            assert abs(centroid(Field1D(grid, values))) <= 1e-12 * grid.spacing
+
+    @pytest.mark.parametrize("lnB", [0.5, 10.0, 30.0, 700.0])
+    @pytest.mark.parametrize("alpha", [1.0, 5.0])
+    def test_pekar_minimize(self, flows, alpha, lnB):
+        pekar_minimize(PhysParams(np.exp(lnB), alpha))
+        self.check(flows)
+
+    def test_solve_numeric(self, flows):
+        solve_numeric(OneDProblem(1.0, 1.0), 1e-8)
+        self.check(flows)
+
+    @pytest.mark.parametrize("alpha, lnB", [(0.5, 8.0), (2.0, 8.0),
+                                            (1.0, 30.0)])
+    def test_certify_projected(self, flows, alpha, lnB):
+        certify_projected(np.exp(lnB), alpha)
+        self.check(flows)
 
 
 class TestSolverSignatures:
