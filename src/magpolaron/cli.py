@@ -54,6 +54,14 @@ def parse_b(text: str) -> float:
     return value
 
 
+def worker_count(text: str) -> int:
+    """A sweep worker count: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _fmt(x) -> str:
     if x is None:
         return ""
@@ -347,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--out", default="sweep.csv")
     p.add_argument("--certify", action="store_true")
-    p.add_argument("--workers", type=int,
+    p.add_argument("--workers", type=worker_count,
                    default=os.environ.get("MAGPOLARON_WORKERS", "1"))
     p.set_defaults(func=cmd_sweep)
 

@@ -13,6 +13,9 @@ Conventions:
     every on-grid transform is an rfft/irfft pair on it; density_power forms
     only the power, so the phase e^{ikT} of t_0 = -T drops out; Parseval reads
     sum measure = h * sum_j rho_j^2
+  - one_sided_fold carries the negative wavenumbers of a real field: with
+    X = rfft(x), Y = rfft(y), h sum_j x_j y_j = (h/n) sum_m fold_m Re(X_m
+    conj Y_m), the inner product the sphere flow runs on (see oned)
   - nothing here translates a field: every sphere flow keeps its field
     centred (see oned)
 """
@@ -116,6 +119,15 @@ def density_fourier_at(rho_vals: np.ndarray, grid: Grid1D, k: np.ndarray) -> np.
     return grid.spacing * _trig_sum(rho_vals, -k, grid.spacing)
 
 
+def one_sided_fold(n: int) -> np.ndarray:
+    """Weights of the one-sided spectrum m = 0..n/2 of a real n-sample
+    field: 1 at m = 0 and at the Nyquist m = n/2, which have no partner, and
+    2 between, for the negative wavenumbers folded in."""
+    fold = np.full(n // 2 + 1, 2.0)
+    fold[0] = fold[-1] = 1.0
+    return fold
+
+
 def density_power(f: Field1D):
     """One-sided power of rho = f^2 on the dual grid: (k >= 0, measure) with
     measure = |rho_hat|^2 dk / 2pi = |rho_hat|^2 / 2T and the negative
@@ -124,7 +136,7 @@ def density_power(f: Field1D):
     g = f.grid
     rho_hat = g.spacing * np.fft.rfft(f.values ** 2)
     measure = (rho_hat.real ** 2 + rho_hat.imag ** 2) / (2.0 * g.half_width)
-    measure[1:-1] *= 2.0  # fold in the negative wavenumbers
+    measure *= one_sided_fold(g.n)
     return g.wavenumbers(), measure
 
 

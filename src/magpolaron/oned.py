@@ -9,7 +9,11 @@ for the same functional and for its Fourier-weighted generalization
 where rho = f^2.  The numerical scheme is a projected gradient flow on the
 mass sphere: preconditioned residual directions with an energy-monotone
 backtracking line search; even starts and weights of |k| alone keep the
-field centred without translation resets.
+field centred without translation resets.  The flow runs in spectral
+coordinates (Antoine, Levitt & Tang, J. Comput. Phys. 343 (2017) 92-109):
+the field is carried as its one-sided spectrum, where the mass constraint,
+the kinetic term and the preconditioner are diagonal, and only the density
+f^2 and the flow potential W f go through real space.
 """
 from __future__ import annotations
 
@@ -21,7 +25,8 @@ import numpy as np
 
 from .errors import (ConvergenceError, DomainTooSmallError, InvalidFieldError,
                      ParameterError)
-from .grids import SPECTRAL_N, Field1D, Grid1D, kinetic, mass, quartic
+from .grids import (SPECTRAL_N, Field1D, Grid1D, kinetic, mass,
+                    one_sided_fold, quartic)
 
 SHARP_GN_Q4 = 3.0 ** 0.125
 _MAX_ITER = 5000  # sphere-flow iteration budget
@@ -129,41 +134,57 @@ def _minimize_on_sphere(grid: Grid1D, akin: float, weights: np.ndarray,
     iterations, residual) of the last accepted field once the flow stops, by
     convergence, budget or an exhausted line search; ConvergenceError unless
     the residual passes.
+
+    The flow runs in spectral coordinates: the field is its one-sided
+    spectrum F = rfft(f), with the samples f = irfft(F) alongside.  Every
+    inner product h sum x y is the Parseval sum (h/n) sum fold Re(X conj Y),
+    a real dot product on the float views, so the mass, the kinetic term and
+    the preconditioner 1/(akin k^2 + shift) are diagonal.  The energy is
+    akin sum g k^2 |F|^2 - 2 pi lam sum g w |P|^2 with g = h fold/n and
+    P = rfft(f^2); a line-search trial costs one irfft and one rfft, and the
+    gradient of an accepted field, rfft(W f) - akin k^2 F with the flow
+    potential W = 4 pi lam irfft(w P), two more.
     """
     n, h = grid.n, grid.spacing
     t = grid.points()
     k2 = grid.wavenumbers() ** 2
+    g = np.repeat(h / n * one_sided_fold(n), 2)  # on the float view
+    g_kin = akin * np.repeat(k2, 2) * g
+    g_att = 2.0 * np.pi * lam * np.repeat(weights, 2) * g
+
+    def dot(X, Y):
+        """h sum x y of two real fields from their one-sided spectra."""
+        return np.dot(g * X.view(float), Y.view(float))
+
+    def energy(F, P):
+        Fv, Pv = F.view(float), P.view(float)
+        return np.dot(g_kin * Fv, Fv) - np.dot(g_att * Pv, Pv)
 
     f = np.exp(-t * t / 2.0) if f0 is None else np.array(f0, dtype=float)
     nrm = h * np.sum(f * f)
     if nrm <= 0:
         raise InvalidFieldError("initial field must be nonzero")
     f *= np.sqrt(1.0 / nrm)
-
-    def state(fv):
-        """(energy, akin f'', W) of a field on the sphere, with W f the flow
-        term of the attraction; by Parseval the energy is
-        -h sum f (akin f'' + W f / 2)."""
-        lap = akin * np.fft.irfft(-k2 * np.fft.rfft(fv), n)
-        W = 4.0 * np.pi * lam * np.fft.irfft(weights * np.fft.rfft(fv * fv), n)
-        return -h * np.sum(fv * (lap + 0.5 * W * fv)), lap, W
-
-    E, lap, W = state(f)
+    F, P = np.fft.rfft(f), np.fft.rfft(f * f)
+    E = energy(F, P)
     theta = 1.0
     for it in range(1, _MAX_ITER + 1):
-        Lf = lap + W * f
-        mu = h * np.sum(f * Lf)
-        r = Lf - mu * f
-        residual = np.sqrt(h * np.sum(r * r))
+        W = 4.0 * np.pi * lam * np.fft.irfft(weights * P, n)
+        G = np.fft.rfft(W * f) - akin * k2 * F  # akin f'' + W f
+        mu = dot(F, G)
+        R = G - mu * F
+        residual = np.sqrt(dot(R, R))
         shift = max(np.max(np.abs(W)), 1.0)
-        d = np.fft.irfft(np.fft.rfft(r) / (akin * k2 + shift), n)
-        d -= (h * np.sum(f * d)) * f
-        slope = h * np.sum(r * d)
+        D = R / (akin * k2 + shift)
+        D -= dot(F, D) * F
+        slope = dot(R, D)
         theta = min(theta * 1.5, 50.0)
         for _ in range(60):
-            fn = f + theta * d
-            fn *= np.sqrt(1.0 / (h * np.sum(fn * fn)))
-            En, lap_n, W_n = state(fn)
+            Fn = F + theta * D
+            Fn *= np.sqrt(1.0 / dot(Fn, Fn))
+            fn = np.fft.irfft(Fn, n)
+            Pn = np.fft.rfft(fn * fn)
+            En = energy(Fn, Pn)
             if En <= E - 1e-4 * theta * slope + 1e-14 * (1 + abs(E)):
                 break
             theta *= 0.5
@@ -171,7 +192,7 @@ def _minimize_on_sphere(grid: Grid1D, akin: float, weights: np.ndarray,
             # line search exhausted: gradient is at the numerical floor
             break
         rel_change = abs(En - E) / max(abs(En), 1e-300)
-        f, E, lap, W = fn, En, lap_n, W_n
+        f, F, P, E = fn, Fn, Pn, En
         if rel_change < tol and residual < np.sqrt(tol) * (1 + abs(E)):
             break
     if not residual < np.sqrt(tol) * (1 + abs(E)):
@@ -219,8 +240,8 @@ def solve_numeric(p: OneDProblem, tol: float) -> OneDSolution:
     solved on _GRID = Grid1D(SPECTRAL_N, 40); the minimizer is returned on
     (SPECTRAL_N, 40/mu), with energy a mu^2 E_q.
     """
-    if not tol > 0:
-        raise ParameterError("tol must be positive")
+    if not 0 < tol < 1:  # relative: at tol >= 1 the first step would pass
+        raise ParameterError(f"tol must lie in (0, 1), got {tol:g}")
     a, b = p.mass_a, p.coupling_b
     if b == 0.0:
         return OneDSolution(0.0, None, 0, 0.0)

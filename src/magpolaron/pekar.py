@@ -170,8 +170,8 @@ def pekar_minimize(params: PhysParams, tol: float = 1e-11):
     minimizer through the dual-path Coulomb integrals, and the solution's
     energy is the binding deficit E - B taken from those components.
     """
-    if not tol > 0:
-        raise ParameterError("tol must be positive")
+    if not 0 < tol < 1:  # relative: at tol >= 1 the first step would pass
+        raise ParameterError(f"tol must lie in (0, 1), got {tol:g}")
     B, alpha = params.B, params.alpha
     grid = sweep_grid(B, alpha)
     if alpha == 0.0:

@@ -132,6 +132,19 @@ class TestOned:
         assert len(err) == 1 and err[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("command", [["oned", "--b", "3"],
+                                     ["minimize", "--B", "e10"]])
+@pytest.mark.parametrize("tol", ["inf", "1e300", "1", "0", "-1e-8", "nan"])
+def test_meaningless_tol_refused(command, tol, capsys):
+    # the flow stops once its residual is below sqrt(tol) (1 + |E|): a tol
+    # of 1 or more accepted the first step and printed it as the minimum
+    assert main([*command, "--tol", tol]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith("error: ") and "tol" in err[0]
+
+
 class TestMinimizeAndTrial:
     def test_minimize_reports_binding(self, capsys):
         assert main(["minimize", "--B", "e8", "--alpha", "1"]) == EXIT_OK
@@ -419,6 +432,34 @@ class TestConfigFile:
         assert main(["--config", str(cfg), "sweep", "--B", "e10",
                      "--out", str(tmp_path / "s.csv"), *flag]) == EXIT_OK
         assert seen == [expected]
+
+    @pytest.mark.parametrize("flag, config, env", [
+        (["--workers", "0"], "# no keys\n", None),
+        (["--workers", "-3"], "# no keys\n", None),
+        ([], "workers = 0\n", None),
+        ([], "# no keys\n", "0")],
+        ids=["flag-zero", "flag-negative", "config", "env"])
+    def test_workers_below_one_refused(self, tmp_path, monkeypatch, capsys,
+                                       flag, config, env):
+        # refused wherever the count comes from, as a malformed flag is,
+        # and not run serially
+        import magpolaron.cli as cli
+        monkeypatch.setattr(cli.pekar, "sweep", None)  # never reached
+        if env is None:
+            monkeypatch.delenv("MAGPOLARON_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("MAGPOLARON_WORKERS", env)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        assert main(["--config", str(cfg), "sweep", "--B", "e10",
+                     "--out", str(tmp_path / "s.csv"), *flag]) \
+            == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "--workers" in err[0]
+        assert not (tmp_path / "s.csv").exists()
 
 
 def test_readme_command_block_parses():

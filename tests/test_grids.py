@@ -7,7 +7,7 @@ from magpolaron import (DomainTooSmallError, Field1D, Grid1D,
 from magpolaron.decomposition import (fourier_side_energy,
                                       longitudinal_double_integral)
 from magpolaron.grids import (density_correlation_at, density_fourier_at,
-                              density_power)
+                              density_power, one_sided_fold)
 
 from conftest import bump_field, sech_field
 import oracles
@@ -126,6 +126,47 @@ class TestDensityFourier:
         _, measure = density_power(f)
         rhs = grid.spacing * np.sum(f.values ** 4)
         assert np.sum(measure) == pytest.approx(rhs, rel=1e-10)
+
+
+class TestOneSidedFold:
+    """h sum x y = (h/n) sum fold Re(X conj Y) on the one-sided spectra.
+    Smooth minimizers carry no Nyquist content, so no pinned output would
+    notice a wrong end weight; these fields carry a constant and an
+    alternating (-1)^j part, i.e. content at m = 0 and at m = n/2."""
+
+    @staticmethod
+    def field(n, rng):
+        alt = (-1.0) ** np.arange(n)
+        return rng.normal(size=n) + rng.uniform(1, 2) + rng.uniform(1, 2) * alt
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_spectral_inner_product(self, n, seed):
+        rng = np.random.default_rng(seed)
+        h = Grid1D(n, 7.0).spacing
+        x, y = self.field(n, rng), self.field(n, rng)
+        X, Y = np.fft.rfft(x), np.fft.rfft(y)
+
+        def spectral(fold):  # the sphere flow's dot product on float views
+            g = np.repeat(h / n * fold, 2)
+            return np.dot(g * X.view(float), Y.view(float))
+
+        lhs = h * np.sum(x * y)
+        scale = h * np.linalg.norm(x) * np.linalg.norm(y)
+        fold = one_sided_fold(n)
+        assert abs(spectral(fold) - lhs) <= 1e-14 * scale
+        for end in (0, -1):  # a doubled end weight misses by its own term
+            wrong = fold.copy()
+            wrong[end] = 2.0
+            assert abs(spectral(wrong) - lhs) > 1e-2 * scale
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_density_power_parseval_at_both_ends(self, seed):
+        grid = Grid1D(256, 7.0)
+        f = Field1D(grid, self.field(grid.n, np.random.default_rng(seed)))
+        _, measure = density_power(f)
+        rhs = grid.spacing * np.sum(f.values ** 4)
+        assert np.sum(measure) == pytest.approx(rhs, rel=1e-14)
 
 
 def _production_nodes(f, B):

@@ -290,29 +290,33 @@ class TestSolveWeighted:
             solve_weighted(wp)
 
 
+@pytest.fixture
+def flows(monkeypatch):
+    """Every _minimize_on_sphere call as (grid, akin, weights, lam, f0,
+    output)."""
+    runs = []
+    flow = oned._minimize_on_sphere
+
+    def recorded(grid, akin, weights, lam, tol, f0):
+        out = flow(grid, akin, weights, lam, tol, f0)
+        runs.append((grid, akin, weights, lam, f0, out))
+        return out
+
+    monkeypatch.setattr(oned, "_minimize_on_sphere", recorded)
+    return runs
+
+
 class TestFlowStaysCentred:
     """The sphere flow has no translation reset: every start is even on the
     periodic grid, f(t_j) = f(t_{n-j}), and every weight depends on |k|
     only, so the minimizer keeps its density centroid at t = 0."""
 
-    @pytest.fixture
-    def flows(self, monkeypatch):
-        runs = []
-        flow = oned._minimize_on_sphere
-
-        def recorded(grid, akin, weights, lam, tol, f0):
-            out = flow(grid, akin, weights, lam, tol, f0)
-            start = np.exp(-grid.points() ** 2 / 2.0) if f0 is None else f0
-            runs.append((grid, np.asarray(start), out[0]))
-            return out
-
-        monkeypatch.setattr(oned, "_minimize_on_sphere", recorded)
-        return runs
-
     @staticmethod
     def check(runs):
         assert runs
-        for grid, start, values in runs:
+        for grid, _, _, _, f0, (values, _, _, _) in runs:
+            start = np.asarray(
+                np.exp(-grid.points() ** 2 / 2.0) if f0 is None else f0)
             np.testing.assert_allclose(start[1:], start[:0:-1], rtol=0,
                                        atol=1e-15 * np.max(np.abs(start)))
             rho = values * values
@@ -334,6 +338,72 @@ class TestFlowStaysCentred:
     def test_certify_projected(self, flows, alpha, lnB):
         certify_projected(np.exp(lnB), alpha)
         self.check(flows)
+
+
+_FLOW_CASES = {
+    "flat": lambda: solve_numeric(OneDProblem(1.0, 1.0), 1e-8),
+    "certify-e8-a2": lambda: certify_projected(np.exp(8.0), 2.0),
+    "certify-e20-a1": lambda: certify_projected(np.exp(20.0), 1.0),
+    "sweep-e20-a1": lambda: pekar_minimize(PhysParams(np.exp(20.0), 1.0)),
+    "sweep-e0.5-a5": lambda: pekar_minimize(PhysParams(np.exp(0.5), 5.0)),
+}
+
+
+class TestSpectralFlow:
+    """The flow carries the spectrum F = rfft(f) with the samples f beside
+    it; the energy and the mass it returns must be those of its field."""
+
+    @pytest.mark.parametrize("case", list(_FLOW_CASES))
+    def test_energy_is_the_real_space_energy(self, flows, case):
+        _FLOW_CASES[case]()
+        ((grid, akin, weights, lam, _, (f, energy, _, _)),) = flows
+        h, k2 = grid.spacing, grid.wavenumbers() ** 2
+        lap = akin * np.fft.irfft(-k2 * np.fft.rfft(f), grid.n)
+        W = 4.0 * np.pi * lam * np.fft.irfft(weights * np.fft.rfft(f * f),
+                                             grid.n)
+        real_space = -h * np.sum(f * (lap + 0.5 * W * f))
+        assert abs(energy - real_space) <= 1e-14 * abs(real_space)
+        assert abs(h * np.sum(f * f) - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("case", ["certify-e20-a1", "sweep-e20-a1"])
+    def test_transform_budget(self, monkeypatch, case):
+        # two transforms per trial energy (irfft of the trial spectrum, rfft
+        # of its density) and two per iteration (the flow potential W and
+        # rfft(W f)); the real-space evaluation cost four per trial plus the
+        # preconditioner's pair.  Trial energies are counted by their
+        # density: the one nonnegative, unit-mass rfft input each has.
+        flow = oned._minimize_on_sphere
+        inside, transforms, densities, iterations = [], [], [], []
+
+        def counted(fft):
+            def call(x, *args, **kwargs):
+                if inside:
+                    transforms.append(fft)
+                    x_arr = np.asarray(x)
+                    if (fft is rfft and np.all(x_arr >= 0) and abs(
+                            inside[0].spacing * np.sum(x_arr) - 1) < 1e-12):
+                        densities.append(x_arr)
+                return fft(x, *args, **kwargs)
+            return call
+
+        def scoped(grid, *args):
+            inside.append(grid)
+            try:
+                out = flow(grid, *args)
+            finally:
+                inside.clear()
+            iterations.append(out[2])
+            return out
+
+        rfft, irfft = np.fft.rfft, np.fft.irfft
+        monkeypatch.setattr(np.fft, "rfft", counted(rfft))
+        monkeypatch.setattr(np.fft, "irfft", counted(irfft))
+        monkeypatch.setattr(oned, "_minimize_on_sphere", scoped)
+        _FLOW_CASES[case]()
+        (it,) = iterations
+        trials = len(densities) - 1  # the start's energy is no trial
+        assert it <= trials
+        assert len(transforms) <= 2 * (trials + 1) + 2 * it
 
 
 class TestSolverSignatures:
