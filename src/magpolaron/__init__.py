@@ -26,6 +26,6 @@ from .oned import (SHARP_GN_Q4, OneDProblem, OneDSolution, WeightedProblem,
 from .pekar import (AsymptoticFit, EnergyBreakdown, PekarProductState,
                     PhysParams, SweepRecord, coherent_infimum, fit_asymptotics,
                     pekar_energy, pekar_minimize, scaling_identity_check,
-                    sweep, sweep_grid, trial_energy, trial_state)
+                    sweep, trial_energy, trial_state)
 
 __version__ = "0.1.0"

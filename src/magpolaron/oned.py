@@ -202,51 +202,46 @@ def _minimize_on_sphere(grid: Grid1D, akin: float, weights: np.ndarray,
     return f, E, it, residual
 
 
-def _solve_rescaled(g: Grid1D, mu: float, akin: float, weights: np.ndarray,
-                    lam: float, tol: float, f0: Optional[np.ndarray] = None,
+def _solve_rescaled(mu: float, akin: float, weights: np.ndarray, lam: float,
+                    tol: float, start: Optional[Callable] = None,
                     a: float = 1.0) -> OneDSolution:
-    """Unit-mass sphere flow on the rescaled problem, mapped back to mass a:
-    minimizer f(t) = sqrt(a mu) q(mu t) on the grid (n, half_width/mu),
-    energy a mu^2 E_q, residual sqrt(a) mu^2 ||r_q||, the L2 norm of f's own
-    residual.  A ConvergenceError keeps ||r_q||, which the flow's tolerance
-    is compared with; a flow whose energy or residual leaves the doubles is
-    refused with ParameterError."""
+    """Unit-mass flow on _GRID from start(t) (even) or the Gaussian, mapped
+    back to mass a: f(t) = sqrt(a mu) q(mu t) on _scaled_grid(mu), energy
+    a mu^2 E_q, residual sqrt(a) mu^2 ||r_q|| (ConvergenceError keeps
+    ||r_q||, tol's measure); a flow leaving the doubles is a ParameterError."""
+    grid = _scaled_grid(mu)
+    f0 = None if start is None else start(_GRID.points())
     try:
         with np.errstate(over="raise", invalid="raise"):
             vals, E_int, iters, res = _minimize_on_sphere(
-                g, akin, weights, lam, tol, f0)
+                _GRID, akin, weights, lam, tol, f0)
     except FloatingPointError:
         raise ParameterError(f"the sphere flow at coupling lam = {lam:g} "
                              "leaves the doubles") from None
-    minimizer = Field1D(Grid1D(g.n, g.half_width / mu), np.sqrt(a * mu) * vals)
-    return OneDSolution(a * mu * mu * E_int, minimizer, iters,
-                        np.sqrt(a) * mu * mu * res)
+    return OneDSolution(a * mu * mu * E_int, Field1D(
+        grid, np.sqrt(a * mu) * vals), iters, np.sqrt(a) * mu * mu * res)
 
 
-def _unit_scale(b_eff: float) -> float:
-    """mu = b_eff/4, mapping effective coupling b_eff to the unit-width
-    problem on _GRID, unless the returned grid's span 2T/mu overflows."""
-    mu = b_eff / 4.0
+def _scaled_grid(mu: float) -> Grid1D:
+    """The grid (n, T/mu) of _GRID = (n, T) at scale mu, if 2T/mu is finite."""
     if not mu > 2.0 * _GRID.half_width / np.finfo(float).max:
-        raise ParameterError(f"coupling {b_eff:g} too weak for a double grid")
-    return mu
+        raise ParameterError(f"scale {mu:g} too small for a double grid")
+    return Grid1D(_GRID.n, _GRID.half_width / mu)
 
 
 def solve_numeric(p: OneDProblem, tol: float) -> OneDSolution:
     """Ground state of the quartic problem by projected gradient flow.
 
     Every (a, b) is one problem: f(t) = sqrt(a mu) q(mu t), mu = a*b/4,
-    maps it to the unit-mass, unit-width q minimizing int q'^2 - 4 int q^4,
-    solved on _GRID = Grid1D(SPECTRAL_N, 40); the minimizer is returned on
-    (SPECTRAL_N, 40/mu), with energy a mu^2 E_q.
+    maps it to the unit-mass, unit-width q minimizing int q'^2 - 4 int q^4
+    on _GRID = Grid1D(SPECTRAL_N, 40), mapped back by _solve_rescaled.
     """
     if not 0 < tol < 1:  # relative: at tol >= 1 the first step would pass
         raise ParameterError(f"tol must lie in (0, 1), got {tol:g}")
     a, b = p.mass_a, p.coupling_b
     if b == 0.0:
         return OneDSolution(0.0, None, 0, 0.0)
-    mu = _unit_scale(a * b)
-    return _solve_rescaled(_GRID, mu, 1.0, np.ones(_GRID.n // 2 + 1),
+    return _solve_rescaled(a * b / 4.0, 1.0, np.ones(_GRID.n // 2 + 1),
                            4.0 / (2 * np.pi), tol, a=a)
 
 
@@ -265,14 +260,13 @@ def solve_weighted(wp: WeightedProblem) -> OneDSolution:
     w_sup = float(np.max(w_probe))
     if wp.prefactor_lambda * w_sup == 0.0:
         return OneDSolution(0.0, None, 0, 0.0)
-
-    mu = _unit_scale(2 * np.pi * wp.prefactor_lambda * w_sup / wp.kappa1)
+    mu = 2 * np.pi * wp.prefactor_lambda * w_sup / wp.kappa1 / 4.0
     k = _GRID.wavenumbers()
     dk = np.pi / _GRID.half_width
     cutoff = wp.cutoff_k3 / mu
     weights = np.asarray(wp.weight(k * mu), dtype=float)
     frac = np.clip((cutoff - (k - dk / 2)) / dk, 0.0, 1.0)
-    return _solve_rescaled(_GRID, mu, wp.kappa1, weights * frac,
+    return _solve_rescaled(mu, wp.kappa1, weights * frac,
                            wp.prefactor_lambda / mu, 1e-10)
 
 

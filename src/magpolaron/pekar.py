@@ -23,7 +23,7 @@ from .decomposition import coulomb_D_product, fourier_side_energy
 from .errors import FitError, ParameterError
 from .grids import SPECTRAL_N, Field1D, Grid1D, kinetic, mass
 from .landau import effective_potential_fourier
-from .oned import (OneDProblem, OneDSolution, _solve_rescaled,
+from .oned import (OneDProblem, OneDSolution, _scaled_grid, _solve_rescaled,
                    closed_form_minimizer)
 from .special import EULER_GAMMA, gauss_legendre_panels, gauss_legendre_rows
 
@@ -95,22 +95,18 @@ class SweepRecord:
     residual: float
 
 
-def sweep_grid(B: float, alpha: float) -> Grid1D:
-    """SPECTRAL_N samples on a half-width scaled to the expected minimizer
-    width ~ 8/(alpha ln B), so the samples per width are the same at every
-    (B, alpha) with alpha ln B >= 4."""
-    half_width = 60.0 / max(1.0, alpha * np.log(B) / 4.0)
-    return Grid1D(SPECTRAL_N, half_width)
-
-
 def pekar_energy(state: PekarProductState) -> EnergyBreakdown:
     """Energy of the product state: B + int |f'|^2 - alpha * D."""
     B, alpha = state.params.B, state.params.alpha
-    kin = kinetic(state.f)
-    if alpha == 0.0:
-        return EnergyBreakdown(B, kin, 0.0, 0.0)
-    d_val, d_err = coulomb_D_product(state.f, B)
-    out = EnergyBreakdown(B, kin, -alpha * d_val, alpha * d_err)
+    try:  # an overflow is refused below, not printed as a numpy warning
+        with np.errstate(over="raise", invalid="raise"):
+            kin = kinetic(state.f)
+            if alpha == 0.0:
+                return EnergyBreakdown(B, kin, 0.0, 0.0)
+            d_val, d_err = coulomb_D_product(state.f, B)
+            out = EnergyBreakdown(B, kin, -alpha * d_val, alpha * d_err)
+    except FloatingPointError:
+        out = EnergyBreakdown(B, np.inf, 0.0)
     if not np.all(np.isfinite(astuple(out))):
         raise ParameterError(f"energy at B={B:g}, alpha={alpha:g} is not a "
                              "finite double")
@@ -161,26 +157,42 @@ def interaction_weights(grid: Grid1D, B: float) -> np.ndarray:
     return w
 
 
-def pekar_minimize(params: PhysParams, tol: float = 1e-11):
-    """Minimize the product-ansatz energy over unit-mass longitudinal factors
-    on sweep_grid(B, alpha).
+def _log_coupling(B: float, alpha: float) -> float:
+    """The root b of b = alpha U(b/4; B)/2pi, by safeguarded Newton in y = ln b
+    on g(y) = y - ln(alpha U(e^y/4)/2pi), which rises: g' = 1 + 2pi/U - 2k^2/B
+    >= 1.  A root above b/4 = 20 sqrt(B) (or e^350/4, with k^2 a double) is
+    refused: V saturates on so narrow a polaron, and b overshoots."""
+    c = np.log(alpha) - np.log(2.0 * np.pi)
+    lo, hi = -np.inf, min(np.log(80.0) + np.log(B) / 2.0, 350.0)
+    y = min(hi, c + np.log(np.pi * np.log(B)))  # b ~ alpha ln B/2
+    for _ in range(40):
+        k = np.exp(y) / 4.0
+        u = effective_potential_fourier(k, B)
+        g = y - c - np.log(u)
+        step = g / (1.0 + 2.0 * np.pi / u - 2.0 * k * k / B)
+        if abs(step) <= 1e-12 * max(1.0, abs(y)):
+            return float(np.exp(y))
+        lo, hi = (y, hi) if g < 0 else (lo, y)
+        y = y - step if lo < y - step < hi else 0.5 * (lo + hi)
+    raise ParameterError(f"alpha = {alpha:g} at B = {B:g} is beyond the log "
+                         "regime (b/4 > 20 sqrt B); lower alpha or raise B")
 
-    Returns (OneDSolution, EnergyBreakdown).  The flow runs on the dual-grid
-    discretization of the interaction; the reported breakdown re-evaluates the
-    minimizer through the dual-path Coulomb integrals, and the solution's
-    energy is the binding deficit E - B taken from those components.
-    """
+
+def pekar_minimize(params: PhysParams, tol: float = 1e-11):
+    """Minimize the product-ansatz energy over unit-mass longitudinal factors:
+    oned's unit-width flow at mu = b/4, b = _log_coupling(B, alpha), from the
+    b = 4 sech 1/cosh(2t).  Returns (OneDSolution, EnergyBreakdown), the
+    breakdown by the dual-path Coulomb integrals; the solution's energy is the
+    binding deficit E - B taken from its components."""
     if not 0 < tol < 1:  # relative: at tol >= 1 the first step would pass
         raise ParameterError(f"tol must lie in (0, 1), got {tol:g}")
     B, alpha = params.B, params.alpha
-    grid = sweep_grid(B, alpha)
     if alpha == 0.0:
         return OneDSolution(0.0, None, 0, 0.0), EnergyBreakdown(B, 0.0, 0.0, 0.0)
-    weights = interaction_weights(grid, B)
-    b0 = max(1.0, alpha * np.log(B) / 2.0)
-    f0 = 1.0 / np.cosh(b0 * grid.points() / 2.0)
-    sol = _solve_rescaled(grid, 1.0, 1.0, weights, alpha / (4 * np.pi ** 2),
-                          tol, f0)
+    mu = _log_coupling(B, alpha) / 4.0
+    sol = _solve_rescaled(mu, 1.0, interaction_weights(_scaled_grid(mu), B),
+                          alpha / (4 * np.pi ** 2 * mu), tol,
+                          lambda t: 1.0 / np.cosh(2.0 * t))
     breakdown = pekar_energy(PekarProductState(params, sol.minimizer))
     # the deficit E - B from its components: B's ulp would swamp total - B
     sol.energy = breakdown.longitudinal_kinetic + breakdown.coulomb

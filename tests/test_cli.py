@@ -165,7 +165,10 @@ class TestMinimizeAndTrial:
         ["minimize", "--B", "e10", "--alpha", "1e150"],
         ["minimize", "--B", "e10", "--alpha", "1e100"],
         ["minimize", "--B", "e10", "--alpha", "1e160"],
-        ["trial", "--B", "e10", "--alpha", "1e308"]])
+        ["trial", "--B", "e10", "--alpha", "1e308"],
+        ["minimize", "--B", "e10", "--alpha", "1e8"],
+        ["minimize", "--B", "e709", "--alpha", "1e120"],
+        ["minimize", "--B", "e709", "--alpha", "1e-300"]])
     def test_overflowing_coupling_refused(self, argv, capfd):
         # an energy that leaves the doubles is a typed refusal, not a
         # numpy warning, a stalled flow or a printed -inf
@@ -174,6 +177,28 @@ class TestMinimizeAndTrial:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "inf" not in captured.out
+
+    def test_coupling_beyond_the_log_regime(self, capfd):
+        # at ln B = 10 the polaron's scale b/4 reaches 20 sqrt(B) between
+        # alpha = 3e6 and 1e7; beyond it the refusal names what to change
+        assert main(["minimize", "--B", "e10", "--alpha", "3e6"]) == EXIT_OK
+        assert capfd.readouterr().err == ""
+        code = main(["minimize", "--B", "e10", "--alpha", "1e7"])
+        err = capfd.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "lower alpha or raise B" in err and "half_width" not in err
+
+    def test_minimize_runs_from_weak_to_strong_coupling(self, capfd):
+        # one scale rule for every (B, alpha): no grid sized from alpha ln B
+        # refuses the weak or the strong end
+        for lnB in ("0.5", "2", "5", "10", "30", "100", "709"):
+            for alpha in ("0.1", "1", "5", "50", "300"):
+                argv = ["minimize", "--B", f"e{lnB}", "--alpha", alpha]
+                assert main(argv) == EXIT_OK, argv
+                captured = capfd.readouterr()
+                assert captured.err == "", argv
+                assert "E_total - B  = -" in captured.out, argv
 
     def test_minimize_zero_coupling(self, capsys):
         assert main(["minimize", "--B", "e8", "--alpha", "0"]) == EXIT_OK

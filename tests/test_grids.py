@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from magpolaron import (DomainTooSmallError, Field1D, Grid1D,
-                        InvalidFieldError, kinetic, mass, quartic, sweep_grid)
+                        InvalidFieldError, kinetic, mass, quartic)
 from magpolaron.decomposition import (fourier_side_energy,
                                       longitudinal_double_integral)
 from magpolaron.grids import (density_correlation_at, density_fourier_at,
@@ -215,9 +215,10 @@ class TestTrigSum:
     @pytest.mark.parametrize("n", [64, 8192])
     @pytest.mark.parametrize("lnB", [10.0, 30.0])
     def test_production_nodes(self, n, lnB):
-        # the sech trial state, on the sweep grid's width at n = 8192
+        # the sech trial state, at n = 8192 on its own grid's half-width
+        # 120/b = 240/ln B: 24 at ln B = 10 and 8 at ln B = 30
         B = np.exp(lnB)
-        half_width = sweep_grid(B, 1.0).half_width if n == 8192 else 8.0
+        half_width = 240.0 / lnB if n == 8192 else 8.0
         f = sech_field(Grid1D(n, half_width), 1.0, lnB / 2.0)
         k, z = _production_nodes(f, B)
         # interior Gauss-Legendre nodes: both paths stay inside their band
