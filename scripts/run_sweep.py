@@ -5,28 +5,33 @@ the logarithmic expansion of the binding deficit.
 Example:
     python scripts/run_sweep.py --alpha 1.0 --lnB-min 10 --lnB-max 30 \
         --step 2 --out sweep.csv
+
+Bad input is refused as the magpolaron CLI refuses it: one error: line on
+stderr and exit code 1.
 """
 import argparse
+import sys
 
 import numpy as np
 
-from magpolaron import fit_asymptotics, sweep
-from magpolaron.cli import write_sweep_csv
+from magpolaron import MagpolaronError, ParameterError, fit_asymptotics, sweep
+from magpolaron.cli import (EXIT_OK, EXIT_VALIDATION, Parser, worker_count,
+                            write_sweep_csv)
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--alpha", type=float, default=1.0)
-    ap.add_argument("--lnB-min", type=float, default=10.0)
-    ap.add_argument("--lnB-max", type=float, default=30.0)
-    ap.add_argument("--step", type=float, default=2.0)
-    ap.add_argument("--workers", type=int, default=1)
-    ap.add_argument("--certify", action="store_true",
-                    help="also attach the projected lower-bound certificate")
-    ap.add_argument("--out", default="sweep.csv")
-    args = ap.parse_args()
+def positive(text: str) -> float:
+    """A ladder step: a float above 0."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value:g}")
+    return value
 
+
+def run(args) -> None:
     lnBs = list(np.arange(args.lnB_min, args.lnB_max + 1e-9, args.step))
+    if not lnBs:
+        raise ParameterError(f"no ln B in [{args.lnB_min:g}, "
+                             f"{args.lnB_max:g}]: nothing to sweep")
     records = sweep(lnBs, args.alpha, certify=args.certify,
                     workers=args.workers)
     write_sweep_csv(records, args.out)
@@ -35,9 +40,8 @@ def main():
           f"{'(B-E)/lnB^2':>12}")
     for r in records:
         lnB = np.log(r.B)
-        gap = r.E_kin3 + r.E_coulomb
-        print(f"{lnB:5.1f} {gap:14.6f} {r.trial_E - r.B:12.6f} "
-              f"{-gap / lnB ** 2:12.8f}")
+        print(f"{lnB:5.1f} {r.deficit:14.6f} {r.trial_E - r.B:12.6f} "
+              f"{-r.deficit / lnB ** 2:12.8f}")
 
     if len(records) >= 4:
         fit = fit_asymptotics(records)
@@ -50,5 +54,23 @@ def main():
     print(f"wrote {args.out}")
 
 
+def main() -> int:
+    ap = Parser(description=__doc__)
+    ap.add_argument("--alpha", type=float, default=1.0)
+    ap.add_argument("--lnB-min", type=float, default=10.0)
+    ap.add_argument("--lnB-max", type=float, default=30.0)
+    ap.add_argument("--step", type=positive, default=2.0)
+    ap.add_argument("--workers", type=worker_count, default=1)
+    ap.add_argument("--certify", action="store_true",
+                    help="also attach the projected lower-bound certificate")
+    ap.add_argument("--out", default="sweep.csv")
+    try:
+        run(ap.parse_args())
+    except (MagpolaronError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    return EXIT_OK
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -3,10 +3,12 @@
 The bound is assembled term by term from explicit constants: kinetic
 retention factors after successive momentum cutoffs, the effective
 one-dimensional coupling and its total weight, localization and block-
-grouping penalties, and the variational energy of the weighted 1D problem.
-Every term is carried exactly; no unnamed constant is absorbed.  The one
-genuinely conditional step (extending the projected bound to the full
-operator) takes its constant from the caller and is labeled as such.
+grouping penalties, and the variational energy of the weighted 1D problem,
+whose weight v^2, cutoff K3 and scale this module owns and oned's sphere
+flow (solve_weighted) minimizes.  Every term is carried exactly; no unnamed
+constant is absorbed.  The one genuinely conditional step (extending the
+projected bound to the full operator) takes its constant from the caller
+and is labeled as such.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError
-from .oned import WeightedProblem, solve_weighted
+from .oned import scaled_grid, solve_weighted
 from .pekar import PhysParams
 from .special import exp_scaled_e1
 
@@ -202,7 +204,7 @@ def certify_projected(B: float, alpha: float,
     p0_bound = kappa2 B + I - M - block_error - pi^2/L^2 - (1 + alpha/2).
     I <= 0 is the variational energy of the weighted 1D problem (weight v^2,
     prefactor alpha/(4 pi^2 (1-gamma)), cut off at K3), by solve_weighted at
-    every coupling.
+    every coupling; I = 0 without attraction (alpha = 0 or Kperp = 1).
     Out-of-range parameters mark the certificate invalid but the ledger is
     still returned.  Without cutoffs, default_cutoffs(B, alpha) applies.
     """
@@ -219,14 +221,22 @@ def certify_projected(B: float, alpha: float,
     loc = localization_error(cutoffs.L)
     blk = block_error(alpha, cutoffs.K3, cutoffs.L, cutoffs.gamma, cutoffs.M, R)
 
-    if kap1 > 0:
-        lam = alpha / (4.0 * np.pi ** 2 * (1.0 - cutoffs.gamma))
-        problem = WeightedProblem(
-            kap1, lam, lambda k: coupling_v(k, cutoffs.Kperp) ** 2, cutoffs.K3)
-        sol = solve_weighted(problem)
-        I_value = min(sol.energy, 0.0)
-    else:
+    lam = alpha / (4.0 * np.pi ** 2 * (1.0 - cutoffs.gamma))
+    v0_sq = coupling_v(0.0, cutoffs.Kperp) ** 2  # v^2 peaks at k = 0
+    if not kap1 > 0:
         I_value = np.nan
+    elif lam * v0_sq == 0.0:
+        I_value = 0.0  # no attraction: the infimum 0 is not attained
+    else:
+        # the constant-weight surrogate b = 2 pi lam v(0)^2/kappa1 sets the
+        # scale mu = b/4; v^2 is cut off at K3 by each dual cell's fraction
+        mu = 2.0 * np.pi * lam * v0_sq / kap1 / 4.0
+        grid = scaled_grid(mu)
+        k, dk = grid.wavenumbers(), np.pi / grid.half_width
+        frac = np.clip((cutoffs.K3 - (k - dk / 2)) / dk, 0.0, 1.0)
+        weights = coupling_v(k, cutoffs.Kperp) ** 2 * frac
+        sol = solve_weighted(mu, kap1, weights, lam / mu, 1e-10)
+        I_value = min(sol.energy, 0.0)
 
     ledger = ConstantsLedger(
         kappa=kap, kappa1=kap1, kappa2=kap2, R=R, localization_error=loc,

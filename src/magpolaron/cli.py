@@ -62,6 +62,15 @@ def worker_count(text: str) -> int:
     return value
 
 
+def tolerance(text: str) -> float:
+    """A flow tolerance, relative: in (0, 1), refused also at zero coupling,
+    where no flow runs to refuse it."""
+    value = float(text)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {value:g}")
+    return value
+
+
 def _fmt(x) -> str:
     if x is None:
         return ""
@@ -139,7 +148,7 @@ def cmd_minimize(args) -> int:
     print(f"  kinetic(3)   = {_fmt(breakdown.longitudinal_kinetic)}")
     print(f"  coulomb      = {_fmt(breakdown.coulomb)} "
           f"(+/- {breakdown.coulomb_error:.2e})")
-    print(f"  E_total - B  = {_fmt(sol.energy)}")
+    print(f"  E_total - B  = {_fmt(breakdown.deficit)}")
     print(f"iters={sol.iterations} residual={sol.gradient_residual:.3e}")
     return EXIT_OK
 
@@ -167,7 +176,7 @@ def cmd_sweep(args) -> int:
     write_sweep_csv(records, args.out)
     print(f"wrote {len(records)} rows to {args.out}")
     for r in records:
-        print(f"  B={r.B:.6g}  E_total-B={r.E_kin3 + r.E_coulomb:+.8g}  "
+        print(f"  B={r.B:.6g}  E_total-B={r.deficit:+.8g}  "
               f"trial-B={r.trial_E - r.B:+.8g}")
     return EXIT_OK
 
@@ -282,8 +291,7 @@ def _verify_suites():
     yield "decomposition ledger closure", ok, ""
 
     # classical-field amplitude route, on the deficit E - B
-    bd = pekar.pekar_energy(state)
-    e1 = bd.longitudinal_kinetic + bd.coulomb
+    e1 = pekar.pekar_energy(state).deficit
     e2 = pekar.coherent_infimum(state) - state.params.B
     rel = abs(e1 - e2) / abs(e1)
     yield "classical-amplitude energy route", rel < 1e-8, f"rel={rel:.2e}"
@@ -318,16 +326,17 @@ def cmd_verify(_args) -> int:
 # parser
 
 
-class _Parser(argparse.ArgumentParser):
+class Parser(argparse.ArgumentParser):
     """Refuses a malformed command line with ParameterError (exit 1, one
-    error: line) in place of argparse's usage block and exit code 2."""
+    error: line) in place of argparse's usage block and exit code 2; the
+    scripts parse with it too."""
 
     def error(self, message):
         raise ParameterError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = Parser(
         prog="magpolaron",
         description="Ground-state energy laboratory for the magnetopolaron")
     parser.add_argument("--config", help="plain-text key = value file")
@@ -336,13 +345,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oned", help="1D quartic problem: closed form vs numeric")
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=tolerance, default=1e-8)
     p.set_defaults(func=cmd_oned)
 
     p = sub.add_parser("minimize", help="minimize the product-ansatz energy")
     p.add_argument("--B", required=True)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-11)
+    p.add_argument("--tol", type=tolerance, default=1e-11)
     p.set_defaults(func=cmd_minimize)
 
     p = sub.add_parser("trial", help="energy of the sech trial state")

@@ -1,15 +1,17 @@
 """The effective one-dimensional polaron problem.
 
 Closed-form ground state of  int |f'|^2 - b int f^4  at fixed mass, the
-interpolation ratio whose floor 3^(1/8) it attains, and a numerical minimizer
-for the same functional and for its Fourier-weighted generalization
+interpolation ratio whose floor 3^(1/8) it attains, and one numerical
+minimizer, solve_weighted, for its Fourier-weighted generalization
 
-    kappa1 * int |f'|^2  -  lam * int_{|k|<=K3} w(k) |rho_hat(k)|^2 dk ,
+    akin * int |f'|^2  -  lam * int w(k) |rho_hat(k)|^2 dk ,
 
-where rho = f^2.  The numerical scheme is a projected gradient flow on the
-mass sphere: preconditioned residual directions with an energy-monotone
-backtracking line search; even starts and weights of |k| alone keep the
-field centred without translation resets.  The flow runs in spectral
+where rho = f^2.  The caller owns the weight w, sampled on the dual grid
+with any cutoff already applied, and the scale mu at which the minimizer has
+unit width; the quartic problem is w = 1.  The numerical scheme is a
+projected gradient flow on the mass sphere: preconditioned residual
+directions with an energy-monotone backtracking line search; even starts
+and weights of |k| alone keep the field centred without translation resets.  The flow runs in spectral
 coordinates (Antoine, Levitt & Tang, J. Comput. Phys. 343 (2017) 92-109):
 the field is carried as its one-sided spectrum, where the mass constraint,
 the kinetic term and the preconditioner are diagonal, and only the density
@@ -65,28 +67,6 @@ class OneDSolution:
     def degenerate(self) -> bool:
         """Zero coupling: the infimum is not attained."""
         return self.minimizer is None
-
-
-@dataclass(frozen=True)
-class WeightedProblem:
-    """Unit-mass minimization with a Fourier-weighted attraction.
-
-    weight is a callable w(k) >= 0, evaluated on the dual grid; the attraction
-    integral runs over |k| <= cutoff_k3 only.
-    """
-
-    kappa1: float
-    prefactor_lambda: float
-    weight: Callable[[np.ndarray], np.ndarray]
-    cutoff_k3: float
-
-    def __post_init__(self):
-        if not self.kappa1 > 0:
-            raise ParameterError("kappa1 must be positive")
-        if self.prefactor_lambda < 0:
-            raise ParameterError("prefactor_lambda must be nonnegative")
-        if not self.cutoff_k3 > 0:
-            raise ParameterError("cutoff_k3 must be positive")
 
 
 def closed_form_minimizer(p: OneDProblem, g: Grid1D) -> Field1D:
@@ -202,14 +182,26 @@ def _minimize_on_sphere(grid: Grid1D, akin: float, weights: np.ndarray,
     return f, E, it, residual
 
 
-def _solve_rescaled(mu: float, akin: float, weights: np.ndarray, lam: float,
-                    tol: float, start: Optional[Callable] = None,
-                    a: float = 1.0) -> OneDSolution:
-    """Unit-mass flow on _GRID from start(t) (even) or the Gaussian, mapped
-    back to mass a: f(t) = sqrt(a mu) q(mu t) on _scaled_grid(mu), energy
+def solve_weighted(mu: float, akin: float, weights: np.ndarray, lam: float,
+                   tol: float, start: Optional[Callable] = None,
+                   a: float = 1.0) -> OneDSolution:
+    """Minimize akin int q'^2 - lam dk sum_k weights |rho_hat(k)|^2 over unit
+    mass on the unit-width _GRID from start(t) (even) or the Gaussian, mapped
+    back to mass a: f(t) = sqrt(a mu) q(mu t) on scaled_grid(mu), energy
     a mu^2 E_q, residual sqrt(a) mu^2 ||r_q|| (ConvergenceError keeps
-    ||r_q||, tol's measure); a flow leaving the doubles is a ParameterError."""
-    grid = _scaled_grid(mu)
+    ||r_q||, tol's measure).
+
+    The caller owns the scale mu and the weights, sampled on _GRID's
+    one-sided dual grid (scaled_grid(mu)'s divided by mu), cutoffs applied;
+    they must be finite and nonnegative.  A flow leaving the doubles is a
+    ParameterError.
+    """
+    if not 0 < tol < 1:  # relative: at tol >= 1 the first step would pass
+        raise ParameterError(f"tol must lie in (0, 1), got {tol:g}")
+    weights = np.asarray(weights, dtype=float)
+    if not np.all(np.isfinite(weights) & (weights >= 0.0)):
+        raise ParameterError("weights must be finite and nonnegative")
+    grid = scaled_grid(mu)
     f0 = None if start is None else start(_GRID.points())
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -222,7 +214,7 @@ def _solve_rescaled(mu: float, akin: float, weights: np.ndarray, lam: float,
         grid, np.sqrt(a * mu) * vals), iters, np.sqrt(a) * mu * mu * res)
 
 
-def _scaled_grid(mu: float) -> Grid1D:
+def scaled_grid(mu: float) -> Grid1D:
     """The grid (n, T/mu) of _GRID = (n, T) at scale mu, if 2T/mu is finite."""
     if not mu > 2.0 * _GRID.half_width / np.finfo(float).max:
         raise ParameterError(f"scale {mu:g} too small for a double grid")
@@ -234,40 +226,13 @@ def solve_numeric(p: OneDProblem, tol: float) -> OneDSolution:
 
     Every (a, b) is one problem: f(t) = sqrt(a mu) q(mu t), mu = a*b/4,
     maps it to the unit-mass, unit-width q minimizing int q'^2 - 4 int q^4
-    on _GRID = Grid1D(SPECTRAL_N, 40), mapped back by _solve_rescaled.
+    on _GRID = Grid1D(SPECTRAL_N, 40), mapped back by solve_weighted.
     """
-    if not 0 < tol < 1:  # relative: at tol >= 1 the first step would pass
-        raise ParameterError(f"tol must lie in (0, 1), got {tol:g}")
     a, b = p.mass_a, p.coupling_b
     if b == 0.0:
         return OneDSolution(0.0, None, 0, 0.0)
-    return _solve_rescaled(a * b / 4.0, 1.0, np.ones(_GRID.n // 2 + 1),
-                           4.0 / (2 * np.pi), tol, a=a)
-
-
-def solve_weighted(wp: WeightedProblem) -> OneDSolution:
-    """Ground state of the Fourier-weighted problem at unit mass, to tol 1e-10.
-
-    Same unit-width rescaling, with mu = b_tilde/4 from the constant-weight
-    surrogate b_tilde = 2*pi*lam*sup(w)/kappa1.  A bounded weight keeps the
-    functional bounded below (the quartic surrogate value), so the only hard
-    failure is a stalled iteration.
-    """
-    k_probe = np.linspace(0.0, wp.cutoff_k3, 4097)
-    w_probe = np.asarray(wp.weight(k_probe), dtype=float)
-    if np.any(w_probe < -1e-12) or not np.all(np.isfinite(w_probe)):
-        raise ParameterError("weight must be finite and nonnegative on [0, K3]")
-    w_sup = float(np.max(w_probe))
-    if wp.prefactor_lambda * w_sup == 0.0:
-        return OneDSolution(0.0, None, 0, 0.0)
-    mu = 2 * np.pi * wp.prefactor_lambda * w_sup / wp.kappa1 / 4.0
-    k = _GRID.wavenumbers()
-    dk = np.pi / _GRID.half_width
-    cutoff = wp.cutoff_k3 / mu
-    weights = np.asarray(wp.weight(k * mu), dtype=float)
-    frac = np.clip((cutoff - (k - dk / 2)) / dk, 0.0, 1.0)
-    return _solve_rescaled(mu, wp.kappa1, weights * frac,
-                           wp.prefactor_lambda / mu, 1e-10)
+    return solve_weighted(a * b / 4.0, 1.0, np.ones(_GRID.n // 2 + 1),
+                          4.0 / (2 * np.pi), tol, a=a)
 
 
 def distance_to_profile(sol_field: Field1D, p: OneDProblem) -> float:

@@ -21,10 +21,10 @@ import numpy as np
 
 from .decomposition import coulomb_D_product, fourier_side_energy
 from .errors import FitError, ParameterError
-from .grids import SPECTRAL_N, Field1D, Grid1D, kinetic, mass
+from .grids import Field1D, Grid1D, kinetic, mass
 from .landau import effective_potential_fourier
-from .oned import (OneDProblem, OneDSolution, _scaled_grid, _solve_rescaled,
-                   closed_form_minimizer)
+from .oned import (OneDProblem, OneDSolution, closed_form_minimizer,
+                   scaled_grid, solve_weighted)
 from .special import EULER_GAMMA, gauss_legendre_panels, gauss_legendre_rows
 
 NORMALIZATION_TOL = 1e-6
@@ -73,6 +73,12 @@ class EnergyBreakdown:
     def total(self) -> float:
         return self.transverse + self.longitudinal_kinetic + self.coulomb
 
+    @property
+    def deficit(self) -> float:
+        """The binding deficit E - B from its components: B's ulp would
+        swamp total - B."""
+        return self.longitudinal_kinetic + self.coulomb
+
 
 @dataclass
 class AsymptoticFit:
@@ -93,6 +99,11 @@ class SweepRecord:
     cert_bound: Optional[float]
     iters: int
     residual: float
+
+    @property
+    def deficit(self) -> float:
+        """E_total - B from the stored components, as EnergyBreakdown's."""
+        return self.E_kin3 + self.E_coulomb
 
 
 def pekar_energy(state: PekarProductState) -> EnergyBreakdown:
@@ -115,11 +126,11 @@ def pekar_energy(state: PekarProductState) -> EnergyBreakdown:
 
 def trial_state(B: float, alpha: float = 1.0) -> PekarProductState:
     """Closed-form unit-mass minimizer at coupling b = ln(B)/2, the sech
-    profile, on its own grid Grid1D(SPECTRAL_N, 120/b), the same grid in
-    units of 1/b at every B; alpha does not change it."""
+    profile, on the grid of the flow that would solve its problem,
+    scaled_grid(b/4); alpha does not change it."""
     params = PhysParams(B, alpha)  # refuses B <= 1 before ln B sizes the grid
     b = np.log(B) / 2.0
-    f = closed_form_minimizer(OneDProblem(1.0, b), Grid1D(SPECTRAL_N, 120.0 / b))
+    f = closed_form_minimizer(OneDProblem(1.0, b), scaled_grid(b / 4.0))
     return PekarProductState(params, f)
 
 
@@ -183,20 +194,15 @@ def pekar_minimize(params: PhysParams, tol: float = 1e-11):
     oned's unit-width flow at mu = b/4, b = _log_coupling(B, alpha), from the
     b = 4 sech 1/cosh(2t).  Returns (OneDSolution, EnergyBreakdown), the
     breakdown by the dual-path Coulomb integrals; the solution's energy is the
-    binding deficit E - B taken from its components."""
-    if not 0 < tol < 1:  # relative: at tol >= 1 the first step would pass
-        raise ParameterError(f"tol must lie in (0, 1), got {tol:g}")
+    flow's own, and the breakdown's deficit is the reported E - B."""
     B, alpha = params.B, params.alpha
     if alpha == 0.0:
         return OneDSolution(0.0, None, 0, 0.0), EnergyBreakdown(B, 0.0, 0.0, 0.0)
     mu = _log_coupling(B, alpha) / 4.0
-    sol = _solve_rescaled(mu, 1.0, interaction_weights(_scaled_grid(mu), B),
-                          alpha / (4 * np.pi ** 2 * mu), tol,
-                          lambda t: 1.0 / np.cosh(2.0 * t))
-    breakdown = pekar_energy(PekarProductState(params, sol.minimizer))
-    # the deficit E - B from its components: B's ulp would swamp total - B
-    sol.energy = breakdown.longitudinal_kinetic + breakdown.coulomb
-    return sol, breakdown
+    sol = solve_weighted(mu, 1.0, interaction_weights(scaled_grid(mu), B),
+                         alpha / (4 * np.pi ** 2 * mu), tol,
+                         lambda t: 1.0 / np.cosh(2.0 * t))
+    return sol, pekar_energy(PekarProductState(params, sol.minimizer))
 
 
 def scaling_identity_check(B: float, alpha: float, f: Field1D):
@@ -214,12 +220,11 @@ def scaling_identity_check(B: float, alpha: float, f: Field1D):
     if B_reduced <= 1:
         raise ParameterError("B/alpha^2 must exceed 1")
     low = pekar_energy(PekarProductState(PhysParams(B_reduced, 1.0), f))
-    rhs = alpha ** 2 * (low.longitudinal_kinetic + low.coulomb)
-    scaled_grid = Grid1D(f.grid.n, f.grid.half_width / alpha)
-    f_scaled = Field1D(scaled_grid, np.sqrt(alpha) * f.values)
+    rhs = alpha ** 2 * low.deficit
+    shrunk = Grid1D(f.grid.n, f.grid.half_width / alpha)
+    f_scaled = Field1D(shrunk, np.sqrt(alpha) * f.values)
     high = pekar_energy(PekarProductState(PhysParams(B, alpha), f_scaled))
-    lhs = high.longitudinal_kinetic + high.coulomb
-    rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
+    rel = abs(high.deficit - rhs) / max(abs(rhs), 1e-300)
     return rel <= 1e-8, rel
 
 
@@ -314,14 +319,14 @@ def fit_asymptotics(records: Sequence[SweepRecord]) -> AsymptoticFit:
     """Least squares for E(B) = B - c2 X^2 + c3 X Y + c4 X with X = ln B,
     Y = ln ln B, fitted to the sweep energies.
 
-    The binding deficit B - E is taken from the stored energy components
-    (E_total = B + E_kin3 + E_coulomb), not by subtracting from B: at
+    The binding deficit is each record's deficit, from the stored energy
+    components (E_total = B + E_kin3 + E_coulomb), not E_total - B: at
     B ~ e^30 the direct difference would lose the deficit to roundoff.
     """
     if len(records) < 4:
         raise FitError("need at least 4 sweep points for a 3-parameter fit")
     for r in records:
-        if not (1 < r.B < np.inf and np.isfinite(r.E_kin3 + r.E_coulomb)):
+        if not (1 < r.B < np.inf and np.isfinite(r.deficit)):
             raise FitError(f"cannot fit the row at B = {float(r.B)!r}: need "
                            "a finite B > 1 and a finite E_kin3 + E_coulomb")
     B = np.array([r.B for r in records], dtype=float)
@@ -329,7 +334,7 @@ def fit_asymptotics(records: Sequence[SweepRecord]) -> AsymptoticFit:
         raise FitError("need at least 4 distinct B values")
     X = np.log(B)
     Y = np.log(X)
-    y = -np.array([r.E_kin3 + r.E_coulomb for r in records])
+    y = -np.array([r.deficit for r in records])
     design = np.column_stack([X * X, -X * Y, -X])
     if np.linalg.matrix_rank(design) < 3:
         raise FitError("collinear regressors; widen the B window")

@@ -9,7 +9,8 @@ from magpolaron import (CutoffParams, Grid1D, ParameterError, PhysParams,
                         certificate_to_dict, certify_projected,
                         conditional_full_bound, coupling_v, default_cutoffs,
                         kappa, kappa1, kappa2, localization_error,
-                        pekar_minimize, total_coupling_weight)
+                        pekar_minimize, solve_weighted,
+                        total_coupling_weight)
 from magpolaron.special import exp_scaled_e1
 
 import oracles
@@ -157,6 +158,12 @@ class TestEffectiveInfimum:
         cert = certify_projected(np.exp(12.0), 0.0)
         assert cert.I_value == 0.0
 
+    def test_unit_Kperp_has_no_attraction(self):
+        # v(k)^2 = pi ln((1 + k^2)/(1 + k^2)) = 0: no flow runs, I = 0
+        B = np.exp(12.0)
+        cut = dataclasses.replace(default_cutoffs(B, 1.0), Kperp=1.0)
+        assert certify_projected(B, 1.0, cut).I_value == 0.0
+
     def test_weak_coupling_certified(self):
         # b_tilde < 4 here: the weighted solve runs at unit width, not
         # refused for the width of its minimizer
@@ -174,12 +181,12 @@ class TestEffectiveInfimum:
 
     def test_constant_weight_surrogate(self):
         # replacing the coupling by its peak reproduces the closed form
-        from magpolaron import WeightedProblem, solve_weighted
         kap1, gamma, Kperp = 0.7, 0.4, np.exp(8.0)
         lam = 1.0 / (4 * np.pi ** 2 * (1 - gamma))
         w0 = 2 * np.pi * np.log(Kperp)
-        wp = WeightedProblem(kap1, lam, lambda k: np.full(np.shape(k), w0), 1e9)
-        sol = solve_weighted(wp)
+        mu = 2 * np.pi * lam * w0 / kap1 / 4.0
+        sol = solve_weighted(mu, kap1, np.full(oned._GRID.n // 2 + 1, w0),
+                             lam / mu, 1e-10)
         assert sol.energy == pytest.approx(
             analytic_infimum_floor(kap1, gamma, Kperp, 1.0), rel=1e-5)
 

@@ -133,11 +133,14 @@ class TestOned:
 
 
 @pytest.mark.parametrize("command", [["oned", "--b", "3"],
-                                     ["minimize", "--B", "e10"]])
+                                     ["minimize", "--B", "e10"],
+                                     ["oned", "--b", "0"],
+                                     ["minimize", "--B", "e10", "--alpha", "0"]])
 @pytest.mark.parametrize("tol", ["inf", "1e300", "1", "0", "-1e-8", "nan"])
 def test_meaningless_tol_refused(command, tol, capsys):
     # the flow stops once its residual is below sqrt(tol) (1 + |E|): a tol
-    # of 1 or more accepted the first step and printed it as the minimum
+    # of 1 or more accepted the first step and printed it as the minimum;
+    # at zero coupling, where no flow runs, the parser refuses it
     assert main([*command, "--tol", tol]) == EXIT_VALIDATION
     captured = capsys.readouterr()
     err = captured.err.splitlines()
@@ -155,10 +158,10 @@ class TestMinimizeAndTrial:
         # the ulp of B = e^30 is ~2e-3, so E_total - B would lose the deficit
         # to rounding; it must come from the kinetic and Coulomb components
         from magpolaron import PhysParams, pekar_minimize
-        sol, bd = pekar_minimize(PhysParams(parse_b("e30"), 1.0))
-        assert sol.energy == bd.longitudinal_kinetic + bd.coulomb
+        _, bd = pekar_minimize(PhysParams(parse_b("e30"), 1.0))
+        assert bd.deficit == bd.longitudinal_kinetic + bd.coulomb
         assert main(["minimize", "--B", "e30"]) == EXIT_OK
-        expected = format(sol.energy, ".17g")
+        expected = format(bd.deficit, ".17g")
         assert f"E_total - B  = {expected}\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", [

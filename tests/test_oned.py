@@ -8,7 +8,7 @@ import magpolaron
 from magpolaron import oned
 from magpolaron import (ConvergenceError, DomainTooSmallError, Field1D, Grid1D,
                         InvalidFieldError, OneDProblem, ParameterError,
-                        PhysParams, SHARP_GN_Q4, WeightedProblem,
+                        PhysParams, SHARP_GN_Q4,
                         certify_projected, closed_form_energy,
                         closed_form_minimizer, distance_to_profile, gn_ratio,
                         kinetic, mass, pekar_minimize, quartic, solve_numeric,
@@ -243,51 +243,54 @@ class TestGap:
         assert gn_gap(f, b) >= -1e-6
 
 
+def _constant_weight_solve(kappa1, lam, w0):
+    """solve_weighted at the weight w0 on every dual cell, at the scale
+    mu = b/4 of the surrogate b = 2 pi lam w0 / kappa1."""
+    mu = 2 * np.pi * lam * w0 / kappa1 / 4.0
+    weights = np.full(oned._GRID.n // 2 + 1, w0)
+    return solve_weighted(mu, kappa1, weights, lam / mu, 1e-10)
+
+
 class TestSolveWeighted:
     def test_constant_weight_matches_closed_form(self):
         kappa1, lam, w0 = 0.8, 0.05, 3.0
-        wp = WeightedProblem(kappa1, lam,
-                             lambda k: np.full(np.shape(k), w0), 1e9)
-        sol = solve_weighted(wp)
+        sol = _constant_weight_solve(kappa1, lam, w0)
         b_tilde = 2 * np.pi * lam * w0 / kappa1
         assert sol.energy == pytest.approx(-(2 * np.pi * lam * w0) ** 2
                                            / (12 * kappa1), rel=1e-8)
         ref = solve_numeric(OneDProblem(1.0, b_tilde), 1e-11)
         assert sol.energy == pytest.approx(kappa1 * ref.energy, rel=1e-6)
 
-    def test_zero_weight_degenerate(self):
-        wp = WeightedProblem(1.0, 1.0, lambda k: np.zeros(np.shape(k)), 10.0)
-        sol = solve_weighted(wp)
-        assert sol.degenerate and sol.energy == 0.0
-
     def test_monotone_in_prefactor(self):
-        energies = []
-        for lam in (0.02, 0.04, 0.08):
-            wp = WeightedProblem(1.0, lam,
-                                 lambda k: 1.0 / (1.0 + np.asarray(k) ** 2) + 1.0,
-                                 50.0)
-            energies.append(solve_weighted(wp).energy)
+        # one scale for every prefactor: the weight 1/(1 + k^2) + 1 sampled
+        # on the same physical dual grid, cut off at |k| <= 50
+        mu = 0.25
+        k = oned.scaled_grid(mu).wavenumbers()
+        weights = (1.0 / (1.0 + k ** 2) + 1.0) * (k <= 50.0)
+        energies = [solve_weighted(mu, 1.0, weights, lam / mu, 1e-10).energy
+                    for lam in (0.02, 0.04, 0.08)]
         assert energies[0] >= energies[1] >= energies[2]
 
     def test_validation(self):
-        with pytest.raises(ParameterError):
-            WeightedProblem(0.0, 1.0, lambda k: np.ones(np.shape(k)), 1.0)
-        with pytest.raises(ParameterError):
-            WeightedProblem(1.0, -1.0, lambda k: np.ones(np.shape(k)), 1.0)
+        # the entry refuses a tolerance outside (0, 1) for every caller
+        for tol in (0.0, 1.0, -1e-8, np.inf, np.nan):
+            with pytest.raises(ParameterError, match="tol"):
+                solve_weighted(1.0, 1.0, np.ones(oned._GRID.n // 2 + 1), 1.0,
+                               tol)
 
     def test_weak_constant_weight_matches_closed_form(self):
         # b_tilde = 2 pi lam w0 / kappa1 ~ 0.063: solved at unit width too
         kappa1, lam, w0 = 1.0, 0.01, 1.0
-        wp = WeightedProblem(kappa1, lam,
-                             lambda k: np.full(np.shape(k), w0), 1e9)
-        sol = solve_weighted(wp)
+        sol = _constant_weight_solve(kappa1, lam, w0)
         assert sol.energy == pytest.approx(-(2 * np.pi * lam * w0) ** 2
                                            / (12 * kappa1), rel=1e-8)
 
     def test_weight_must_be_finite_nonnegative(self):
-        wp = WeightedProblem(1.0, 1.0, lambda k: -np.ones(np.shape(k)), 5.0)
-        with pytest.raises(ParameterError):
-            solve_weighted(wp)
+        for bad in (-1e-300, np.nan, np.inf):
+            weights = np.ones(oned._GRID.n // 2 + 1)
+            weights[3] = bad
+            with pytest.raises(ParameterError, match="weights"):
+                solve_weighted(1.0, 1.0, weights, 1.0, 1e-10)
 
 
 @pytest.fixture
@@ -408,8 +411,8 @@ class TestSpectralFlow:
 
 class TestSolverSignatures:
     def test_solvers_own_their_grid(self):
-        # oned decides the grid and solve_weighted's tolerance; no caller
-        # passes either
+        # oned decides the unit-width grid; a caller passes only the scale
+        # mu and reads the physical grid back from scaled_grid(mu)
         assert list(inspect.signature(solve_numeric).parameters) == ["p", "tol"]
-        assert list(inspect.signature(solve_weighted).parameters) == ["wp"]
+        assert "grid" not in inspect.signature(solve_weighted).parameters
         assert not hasattr(magpolaron, "standard_grid")

@@ -26,6 +26,18 @@ def test_only_special_imports_scipy():
     assert importers == ["special.py"]
 
 
+def test_no_module_imports_a_private_name_of_another():
+    # a module's underscored names are its own: no module of the package
+    # reaches into a sibling with from .x import _name
+    reached = sorted(
+        f"{path.name}: from .{node.module} import {alias.name}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names if alias.name.startswith("_"))
+    assert reached == []
+
+
 def _program_files():
     for top in ("src", "scripts", "perfbench"):
         yield from (ROOT / top).rglob("*.py")

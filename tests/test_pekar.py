@@ -23,7 +23,7 @@ from oracles import transverse_weight_mp, weight_cell_average_mp
 
 def _flow_grid(B, alpha):
     """The physical grid pekar_minimize builds its weights on."""
-    return oned._scaled_grid(_log_coupling(B, alpha) / 4.0)
+    return oned.scaled_grid(_log_coupling(B, alpha) / 4.0)
 
 
 #: half-widths of the grids the sweep used to size from alpha ln B,
@@ -171,9 +171,9 @@ class TestMinimize:
         # hot-path changes cannot drift them; ln B = 30 holds the weight with
         # its small-argument term x (1 - gamma - ln x), checked against
         # mpmath below
-        sol, _ = pekar_minimize(PhysParams(np.exp(lnB), 1.0))
+        sol, bd = pekar_minimize(PhysParams(np.exp(lnB), 1.0))
         assert sol.iterations == iters
-        assert sol.energy == pytest.approx(deficit, rel=1e-13, abs=0.0)
+        assert bd.deficit == pytest.approx(deficit, rel=1e-13, abs=0.0)
 
     def test_pinned_deficits_near_a_wider_grid(self, monkeypatch):
         # the flow's interaction is a periodic convolution, so each deficit
@@ -183,9 +183,9 @@ class TestMinimize:
         wide = Grid1D(4 * oned._GRID.n, 4 * oned._GRID.half_width)
         monkeypatch.setattr(oned, "_GRID", wide)
         for lnB, iters, deficit in self._PINNED:
-            sol, _ = pekar_minimize(PhysParams(np.exp(lnB), 1.0))
+            sol, bd = pekar_minimize(PhysParams(np.exp(lnB), 1.0))
             assert sol.iterations == iters
-            assert sol.energy == pytest.approx(deficit, rel=1e-10, abs=0.0)
+            assert bd.deficit == pytest.approx(deficit, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("lnB", [0.5, 12.0, 30.0, 100.0, 700.0])
     def test_weight_small_argument_against_mpmath(self, lnB):
@@ -435,8 +435,8 @@ class TestGridPolicy:
         weighted_iters = []
         solve_weighted = certificate.solve_weighted
 
-        def recording(wp):
-            sol = solve_weighted(wp)
+        def recording(*args, **kwargs):
+            sol = solve_weighted(*args, **kwargs)
             weighted_iters.append(sol.iterations)
             return sol
 
@@ -454,11 +454,10 @@ class TestGridPolicy:
         def outputs():
             out = {}
             for alpha, lnB in sweep_points:
-                sol, _ = pekar_minimize(PhysParams(np.exp(lnB), alpha))
-                out["sweep", alpha, lnB] = sol.energy, sol.iterations
+                sol, bd = pekar_minimize(PhysParams(np.exp(lnB), alpha))
+                out["sweep", alpha, lnB] = bd.deficit, sol.iterations
             for lnB in (2.0, 10.0, 30.0, 100.0, 700.0):
-                trial = trial_energy(np.exp(lnB), 1.0)
-                out["trial", lnB] = trial.longitudinal_kinetic + trial.coulomb, 0
+                out["trial", lnB] = trial_energy(np.exp(lnB), 1.0).deficit, 0
             for alpha, lnB in cert_points:
                 weighted_iters.clear()
                 cert = certificate.certify_projected(np.exp(lnB), alpha)
@@ -467,7 +466,6 @@ class TestGridPolicy:
 
         base = outputs()
         n2 = 2 * SPECTRAL_N
-        monkeypatch.setattr(pekar, "SPECTRAL_N", n2)
         monkeypatch.setattr(oned, "_GRID", Grid1D(n2, oned._GRID.half_width))
         sol, _ = pekar_minimize(PhysParams(np.exp(30.0), 1.0))
         assert sol.minimizer.grid.n == n2
