@@ -6,30 +6,31 @@ Example:
     python scripts/run_certificates.py --alpha 1.0 --lnB 12,16,20,24 \
         --json-dir certs/
 
-Bad input is refused as the magpolaron CLI refuses it: one error: line on
-stderr and exit code 1.  A variational energy below its analytic envelope is
-an invariant failure: one error: line and exit code 3.
+Each ln B x is read as the CLI token ex; ln B above 709.78 and an empty --lnB
+are refused.  As in the magpolaron CLI, bad input exits 1 and a convergence
+failure 2, each with one line on stderr.  A variational energy below its
+analytic envelope is an invariant failure: one error: line and exit code 3.
 """
-import json
 import os
 import sys
 
-import numpy as np
+from magpolaron import (ParameterError, PhysParams, analytic_infimum_floor,
+                        certify_projected, pekar_minimize)
+from magpolaron.cli import (EXIT_INVARIANT, EXIT_OK, Parser, certificate_json,
+                            parse_b, run)
 
-from magpolaron import (MagpolaronError, PhysParams, analytic_infimum_floor,
-                        certificate_to_dict, certify_projected, pekar_minimize)
-from magpolaron.cli import EXIT_INVARIANT, EXIT_OK, EXIT_VALIDATION, Parser
 
-
-def run(args) -> int:
+def tabulate(args) -> int:
     lnBs = [float(tok) for tok in args.lnB.split(",") if tok.strip()]
+    if not lnBs:
+        raise ParameterError("--lnB names no ln B: nothing to certify")
+    Bs = [parse_b(f"e{x}") for x in lnBs]  # all refused before any output
     if args.json_dir:
         os.makedirs(args.json_dir, exist_ok=True)
 
     print(f"{'lnB':>5} {'valid':>6} {'kappa1':>8} {'I':>10} {'B - p0':>12} "
           f"{'(B-p0)/lnB^2':>13} {'E_min - B':>12} {'sandwich':>9}")
-    for lnB in lnBs:
-        B = np.exp(lnB)
+    for lnB, B in zip(lnBs, Bs):
         cert = certify_projected(B, args.alpha)
         _, breakdown = pekar_minimize(PhysParams(B, args.alpha), tol=1e-10)
         gap = B - cert.p0_bound
@@ -48,9 +49,7 @@ def run(args) -> int:
         if args.json_dir:
             path = os.path.join(args.json_dir, f"certificate_lnB{lnB:g}.json")
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump(certificate_to_dict(cert), fh, indent=2,
-                          sort_keys=True)
-                fh.write("\n")
+                fh.write(certificate_json(cert))
     if args.json_dir:
         print(f"certificates written to {args.json_dir}/")
     return EXIT_OK
@@ -61,11 +60,7 @@ def main() -> int:
     ap.add_argument("--alpha", type=float, default=1.0)
     ap.add_argument("--lnB", default="12,16,20,24")
     ap.add_argument("--json-dir", default=None)
-    try:
-        return run(ap.parse_args())
-    except (MagpolaronError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    return run(lambda: tabulate(ap.parse_args()))
 
 
 if __name__ == "__main__":

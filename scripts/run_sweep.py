@@ -6,16 +6,17 @@ Example:
     python scripts/run_sweep.py --alpha 1.0 --lnB-min 10 --lnB-max 30 \
         --step 2 --out sweep.csv
 
-Bad input is refused as the magpolaron CLI refuses it: one error: line on
-stderr and exit code 1.
+Each ladder point x is read as the CLI token ex (ln B above 709.78 is
+refused).  As in the magpolaron CLI, bad input exits 1 and a convergence
+failure 2, each with one line on stderr.
 """
 import argparse
 import sys
 
 import numpy as np
 
-from magpolaron import MagpolaronError, ParameterError, fit_asymptotics, sweep
-from magpolaron.cli import (EXIT_OK, EXIT_VALIDATION, Parser, worker_count,
+from magpolaron import ParameterError, fit_asymptotics, sweep
+from magpolaron.cli import (EXIT_OK, Parser, parse_b, run, worker_count,
                             write_sweep_csv)
 
 
@@ -27,12 +28,13 @@ def positive(text: str) -> float:
     return value
 
 
-def run(args) -> None:
-    lnBs = list(np.arange(args.lnB_min, args.lnB_max + 1e-9, args.step))
-    if not lnBs:
+def sweep_and_fit(args) -> int:
+    Bs = [parse_b(f"e{x}")
+          for x in np.arange(args.lnB_min, args.lnB_max + 1e-9, args.step)]
+    if not Bs:
         raise ParameterError(f"no ln B in [{args.lnB_min:g}, "
                              f"{args.lnB_max:g}]: nothing to sweep")
-    records = sweep(lnBs, args.alpha, certify=args.certify,
+    records = sweep(Bs, args.alpha, certify=args.certify,
                     workers=args.workers)
     write_sweep_csv(records, args.out)
 
@@ -52,6 +54,7 @@ def run(args) -> None:
     else:
         print("\n(fewer than 4 points: skipping the coefficient fit)")
     print(f"wrote {args.out}")
+    return EXIT_OK
 
 
 def main() -> int:
@@ -64,12 +67,7 @@ def main() -> int:
     ap.add_argument("--certify", action="store_true",
                     help="also attach the projected lower-bound certificate")
     ap.add_argument("--out", default="sweep.csv")
-    try:
-        run(ap.parse_args())
-    except (MagpolaronError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    return EXIT_OK
+    return run(lambda: sweep_and_fit(ap.parse_args()))
 
 
 if __name__ == "__main__":

@@ -168,6 +168,7 @@ def default_cutoffs(B: float, alpha: float,
     L^2 = kappa^{1/5} K3^{-3/5} (ln Kperp)^{-3/5}, M = floor(1/L^2),
     gamma = kappa^{4/5} K3^{3/5} (ln Kperp)^{-7/5}.
     """
+    PhysParams(B, alpha)  # refuses a bad B or alpha before the cutoffs do
     if B < 1e3:
         raise ParameterError("default cutoffs require B >= 1e3")
     if K is None:
@@ -244,23 +245,22 @@ def certify_projected(B: float, alpha: float,
         projection_constant=1.0 + alpha / 2.0)
     p0 = (kap2 * B + I_value - cutoffs.M - blk - loc - (1.0 + alpha / 2.0))
 
-    validity = {
+    required = {
         "kappa_positive": kap > 0,
         "kappa1_positive": kap1 > 0,
         "gamma_in_range": 0 < cutoffs.gamma < 1,
         "mode_count_at_least_one": cutoffs.M >= 1,
         "K_at_least_sqrtB": K >= np.sqrt(B),
         "kappa_window": lnB ** -0.5 <= kap <= lnB,
+    }
+    validity = {
+        **required,
         # advisory flags: needed only for the absorbed asymptotic form
         "gamma_at_most_half": cutoffs.gamma <= 0.5,
         "kappa_gap_small": (kap - kap1) <= kap / 2.0,
         "B_over_K3sq_at_least_2": B / cutoffs.K3 ** 2 >= 2.0,
     }
-    valid = bool(validity["kappa_positive"] and validity["kappa1_positive"]
-                 and validity["gamma_in_range"]
-                 and validity["mode_count_at_least_one"]
-                 and validity["K_at_least_sqrtB"] and validity["kappa_window"]
-                 and np.isfinite(p0))
+    valid = bool(all(required.values()) and np.isfinite(p0))
     return LowerBoundCertificate(
         params=params, cutoffs=cutoffs, ledger=ledger, I_value=I_value,
         p0_bound=float(p0), validity=validity, valid=valid)

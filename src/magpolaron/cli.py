@@ -2,7 +2,8 @@
 
 Subcommands: oned, minimize, trial, sweep, fit, decompose, certify, verify.
 Exit codes: 0 success, 1 validation error, 2 convergence failure,
-3 invariant failure.  B values accept the shorthand "eN" meaning e^N.
+3 invariant failure, mapped from exceptions by run alone.  B values, read
+by parse_b alone, accept the shorthand "eN" meaning e^N.
 Optional plain-text "key = value" config files set the subcommand's flag
 defaults; explicit flags win.  The sweep worker count can also come from
 MAGPOLARON_WORKERS.
@@ -100,6 +101,12 @@ def write_sweep_csv(records, path: str) -> None:
                          for r in records)
 
 
+def certificate_json(cert) -> str:
+    """certificate_to_dict as JSON text: indent 2, sorted keys, a newline."""
+    return json.dumps(cert_mod.certificate_to_dict(cert), indent=2,
+                      sort_keys=True) + "\n"
+
+
 def read_sweep_csv(path: str):
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh, restval="")
@@ -167,11 +174,10 @@ def cmd_trial(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    lnBs = sorted(float(np.log(parse_b(tok)))
-                  for tok in args.B.split(",") if tok.strip())
-    if not lnBs:
+    Bs = [parse_b(tok) for tok in args.B.split(",") if tok.strip()]
+    if not Bs:
         raise ParameterError("sweep needs at least one B value")
-    records = pekar.sweep(lnBs, args.alpha, certify=args.certify,
+    records = pekar.sweep(Bs, args.alpha, certify=args.certify,
                           workers=args.workers)
     write_sweep_csv(records, args.out)
     print(f"wrote {len(records)} rows to {args.out}")
@@ -210,7 +216,6 @@ def cmd_decompose(args) -> int:
 
 def cmd_certify(args) -> int:
     B, alpha = parse_b(args.B), args.alpha
-    pekar.PhysParams(B, alpha)  # refuses a bad alpha before the cutoffs do
     overrides = {key: getattr(args, key)
                  for key in ("K3", "Kperp", "gamma", "L", "M")
                  if getattr(args, key) is not None}
@@ -221,14 +226,12 @@ def cmd_certify(args) -> int:
     if args.C_M is not None:
         cert.conditional_full_bound = cert_mod.conditional_full_bound(
             cert, args.C_M)
-    payload = cert_mod.certificate_to_dict(cert)
-    text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(certificate_json(cert))
         print(f"wrote certificate to {args.out}")
     else:
-        print(text)
+        print(certificate_json(cert), end="")
     print(f"valid={cert.valid} p0_bound={_fmt(cert.p0_bound)}")
     return EXIT_OK if cert.valid else EXIT_INVARIANT
 
@@ -396,27 +399,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def run(command) -> int:
+    """Call command() and return its exit code, mapping a failure to one
+    stderr line and its code: ConvergenceError 2, bad input 1.  The CLI and
+    the experiment scripts all return through it."""
     try:
-        args = parser.parse_args(argv)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        config = load_config(args.config) if args.config else {}
-    except (OSError, MagpolaronError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        if config:  # an entry naming a value-taking flag is its default
-            (commands,) = [a.choices for a in parser._actions
-                           if a.dest == "command"]
-            sub = commands[args.command]
-            sub.set_defaults(**{a.dest: config[a.dest] for a in sub._actions
-                                if a.nargs != 0 and a.dest in config})
-            args = parser.parse_args(argv)
-        return args.func(args)
+        return command()
     except ConvergenceError as exc:
         print(f"convergence failure: {exc} "
               f"(iterations={exc.iterations}, residual={exc.residual})",
@@ -425,6 +413,24 @@ def main(argv=None) -> int:
     except (MagpolaronError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+
+
+def _dispatch(argv) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:  # an entry naming a value-taking flag is its default
+        config = load_config(args.config)
+        (commands,) = [a.choices for a in parser._actions
+                       if a.dest == "command"]
+        sub = commands[args.command]
+        sub.set_defaults(**{a.dest: config[a.dest] for a in sub._actions
+                            if a.nargs != 0 and a.dest in config})
+        args = parser.parse_args(argv)
+    return args.func(args)
+
+
+def main(argv=None) -> int:
+    return run(lambda: _dispatch(argv))
 
 
 if __name__ == "__main__":

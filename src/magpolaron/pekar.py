@@ -284,8 +284,7 @@ def coherent_infimum(state: PekarProductState) -> float:
 
 
 def _sweep_point(args):
-    lnB, alpha, certify = args
-    B = float(np.exp(lnB))
+    B, alpha, certify = args
     sol, breakdown = pekar_minimize(PhysParams(B, alpha))
     trial = trial_energy(B, alpha)
     cert_bound = None
@@ -299,12 +298,12 @@ def _sweep_point(args):
         iters=sol.iterations, residual=sol.gradient_residual)
 
 
-def sweep(lnB_values: Sequence[float], alpha: float, certify: bool = False,
+def sweep(B_values: Sequence[float], alpha: float, certify: bool = False,
           workers: int = 1) -> list:
-    """Minimize at each B = exp(lnB) to tol 1e-11; records sorted by B
-    regardless of completion order.  Points are independent; workers > 1
-    fans them out."""
-    jobs = [(float(x), alpha, certify) for x in lnB_values]
+    """Minimize at each B of B_values, the field itself, not its log, to tol
+    1e-11; records sorted by B regardless of input or completion order.
+    Points are independent; workers > 1 fans them out."""
+    jobs = [(float(B), alpha, certify) for B in B_values]
     workers = min(workers, len(jobs), os.cpu_count() or 1)  # all fork at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

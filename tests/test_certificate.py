@@ -145,6 +145,12 @@ class TestDefaultCutoffs:
         with pytest.raises(ParameterError):
             default_cutoffs(1e6, 1.0, 10.0)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -1.0])
+    def test_refuses_bad_coupling(self, alpha):
+        # NaN was refused for its K, and -1 got cutoffs
+        with pytest.raises(ParameterError, match="alpha must be finite"):
+            default_cutoffs(np.exp(12.0), alpha)
+
 
 class TestEffectiveInfimum:
     def test_above_analytic_floor(self):

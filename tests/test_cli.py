@@ -268,9 +268,32 @@ class TestSweepCsv:
         from magpolaron import sweep as run_sweep
         out = tmp_path / "s.csv"
         main(["sweep", "--alpha", "1", "--B", "e10", "--out", str(out)])
-        direct = run_sweep([10.0], 1.0)
+        direct = run_sweep([np.exp(10.0)], 1.0)
         loaded = read_sweep_csv(str(out))
         assert loaded[0] == direct[0]  # 17 significant digits: exact restore
+
+    def test_sweep_solves_at_the_given_B(self, tmp_path):
+        # the B stored and solved at is the token's, not exp(log B)
+        from magpolaron import PhysParams, pekar_minimize
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--B", "3e12,1e8", "--out", str(out)]) == EXIT_OK
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["100000000",
+                                                       "3000000000000"]
+        for r in read_sweep_csv(str(out)):
+            _, bd = pekar_minimize(PhysParams(r.B, 1.0))
+            assert (r.E_kin3, r.E_coulomb) == (bd.longitudinal_kinetic,
+                                               bd.coulomb)
+
+    @pytest.mark.parametrize("token", ["0", "-5"])
+    def test_sweep_refuses_B_at_most_one(self, token, tmp_path, capsys):
+        # np.log printed RuntimeWarnings before the refusal
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--B", token, "--out", str(out)]) \
+            == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
 
     def test_reader_parses_each_column(self, tmp_path):
         out = tmp_path / "s.csv"

@@ -38,6 +38,26 @@ def test_no_module_imports_a_private_name_of_another():
     assert reached == []
 
 
+def test_scripts_leave_input_and_failures_to_the_cli():
+    # cli.parse_b turns ln B into B and cli.run maps failures to exit
+    # codes: a script holds no try statement and calls no exp
+    found = sorted(
+        f"{path.name}: {type(node).__name__}"
+        for path in (ROOT / "scripts").glob("*.py")
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Try) or (
+            isinstance(node, ast.Call) and "exp" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None))))
+    assert found == []
+
+
+def test_sweep_takes_B_values():
+    (sweep,) = [node for node in _tree(PACKAGE / "pekar.py").body
+                if isinstance(node, ast.FunctionDef) and node.name == "sweep"]
+    assert sweep.args.args[0].arg == "B_values"
+
+
 def _program_files():
     for top in ("src", "scripts", "perfbench"):
         yield from (ROOT / top).rglob("*.py")

@@ -347,7 +347,7 @@ class TestCoherentRoute:
 
 class TestSweepAndFit:
     def test_sweep_records_consistent(self):
-        records = sweep([10.0, 12.0], 1.0)
+        records = sweep([np.exp(10.0), np.exp(12.0)], 1.0)
         assert [r.B for r in records] == sorted(r.B for r in records)
         for r in records:
             assert r.E_total == r.B + r.E_kin3 + r.E_coulomb
@@ -355,8 +355,8 @@ class TestSweepAndFit:
             assert r.E_total <= r.trial_E + 1e-8
 
     def test_parallel_matches_serial(self):
-        serial = sweep([10.0, 12.0], 1.0)
-        parallel = sweep([10.0, 12.0], 1.0, workers=2)
+        serial = sweep([np.exp(10.0), np.exp(12.0)], 1.0)
+        parallel = sweep([np.exp(10.0), np.exp(12.0)], 1.0, workers=2)
         for a, b in zip(serial, parallel):
             assert a == b
 
@@ -384,8 +384,9 @@ class TestSweepAndFit:
         monkeypatch.setattr(pekar, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(pekar.os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(pekar, "_sweep_point", lambda job: SweepRecord(
-            np.exp(job[0]), job[1], 0.0, 0.0, 0.0, 0.0, None, 0, 0.0))
-        records = sweep([10.0 + x for x in range(n_jobs)], 1.0, workers=workers)
+            job[0], job[1], 0.0, 0.0, 0.0, 0.0, None, 0, 0.0))
+        records = sweep([np.exp(10.0 + x) for x in range(n_jobs)], 1.0,
+                        workers=workers)
         assert len(records) == n_jobs
         assert created == ([] if expected is None else [expected])
 

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import magpolaron
-from magpolaron import certificate_to_dict, certify_projected
-from magpolaron.cli import (CSV_HEADER, EXIT_INVARIANT, EXIT_OK,
-                            EXIT_VALIDATION)
+from magpolaron import (ConvergenceError, certificate_to_dict,
+                        certify_projected)
+from magpolaron.cli import (CSV_HEADER, EXIT_CONVERGENCE, EXIT_INVARIANT,
+                            EXIT_OK, EXIT_VALIDATION)
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -50,7 +51,8 @@ def one_error_line(capsys):
     ["--step", "0"],  # np.arange raised ZeroDivisionError
     ["--step", "-1"],  # wrote a header-only CSV and exited 0
     ["--lnB-min", "20", "--lnB-max", "10"],  # the same empty ladder
-    ["--workers", "0"]])  # ran, where the CLI refuses it
+    ["--workers", "0"],  # ran, where the CLI refuses it
+    ["--lnB-min", "800", "--lnB-max", "800"]])  # exp overflowed with a warning
 def test_run_sweep_refuses_bad_input(flags, tmp_path, monkeypatch, capsys):
     out = tmp_path / "sweep.csv"
     assert run_script("run_sweep.py", monkeypatch, *flags,
@@ -64,6 +66,31 @@ def test_run_certificates_refuses_bad_input(monkeypatch, capsys):
     assert run_script("run_certificates.py", monkeypatch,
                       "--lnB", "2") == EXIT_VALIDATION
     assert one_error_line(capsys)
+
+
+@pytest.mark.parametrize("lnB", [
+    "800", "12,1e3",  # exp overflowed with a warning
+    ","])  # printed a header and exited 0
+def test_run_certificates_refuses_a_bad_ladder(lnB, monkeypatch, capsys):
+    # refused as the CLI refuses the token ex, before any row is printed
+    assert run_script("run_certificates.py", monkeypatch,
+                      "--lnB", lnB) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert captured.out == ""
+
+
+def test_run_certificates_maps_convergence_to_exit_two(monkeypatch, capsys):
+    # exited 1, where certify exits 2
+    def stalled(*args, **kwargs):
+        raise ConvergenceError("stalled", iterations=7, residual=1.0)
+
+    monkeypatch.setattr(magpolaron, "certify_projected", stalled)
+    assert run_script("run_certificates.py", monkeypatch,
+                      "--lnB", "8") == EXIT_CONVERGENCE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("convergence failure: ")
 
 
 def test_run_certificates_reports_a_broken_envelope(monkeypatch, capsys):
