@@ -32,7 +32,7 @@ def tabulate(args) -> int:
           f"{'(B-p0)/lnB^2':>13} {'E_min - B':>12} {'sandwich':>9}")
     for lnB, B in zip(lnBs, Bs):
         cert = certify_projected(B, args.alpha)
-        _, breakdown = pekar_minimize(PhysParams(B, args.alpha), tol=1e-10)
+        _, breakdown = pekar_minimize(PhysParams(B, args.alpha))
         gap = B - cert.p0_bound
         sandwich = cert.p0_bound <= breakdown.total
         floor = analytic_infimum_floor(cert.ledger.kappa1, cert.cutoffs.gamma,

@@ -4,11 +4,11 @@ The bound is assembled term by term from explicit constants: kinetic
 retention factors after successive momentum cutoffs, the effective
 one-dimensional coupling and its total weight, localization and block-
 grouping penalties, and the variational energy of the weighted 1D problem,
-whose weight v^2, cutoff K3 and scale this module owns and oned's sphere
-flow (solve_weighted) minimizes.  Every term is carried exactly; no unnamed
-constant is absorbed.  The one genuinely conditional step (extending the
-projected bound to the full operator) takes its constant from the caller
-and is labeled as such.
+whose weight v^2 cut off at K3, prefactor and scale this module states and
+oned's sphere flow (solve_weighted) samples and minimizes.  Every term is
+carried exactly; no unnamed constant is absorbed.  The one genuinely
+conditional step (extending the projected bound to the full operator) takes
+its constant from the caller and is labeled as such.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError
-from .oned import scaled_grid, solve_weighted
+from .oned import solve_weighted
 from .pekar import PhysParams
 from .special import exp_scaled_e1
 
@@ -231,12 +231,13 @@ def certify_projected(B: float, alpha: float,
     else:
         # the constant-weight surrogate b = 2 pi lam v(0)^2/kappa1 sets the
         # scale mu = b/4; v^2 is cut off at K3 by each dual cell's fraction
+        def weight(grid):
+            k, dk = grid.wavenumbers(), np.pi / grid.half_width
+            frac = np.clip((cutoffs.K3 - (k - dk / 2)) / dk, 0.0, 1.0)
+            return coupling_v(k, cutoffs.Kperp) ** 2 * frac
+
         mu = 2.0 * np.pi * lam * v0_sq / kap1 / 4.0
-        grid = scaled_grid(mu)
-        k, dk = grid.wavenumbers(), np.pi / grid.half_width
-        frac = np.clip((cutoffs.K3 - (k - dk / 2)) / dk, 0.0, 1.0)
-        weights = coupling_v(k, cutoffs.Kperp) ** 2 * frac
-        sol = solve_weighted(mu, kap1, weights, lam / mu, 1e-10)
+        sol = solve_weighted(mu, kap1, weight, lam, 1e-10)
         I_value = min(sol.energy, 0.0)
 
     ledger = ConstantsLedger(

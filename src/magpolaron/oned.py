@@ -6,12 +6,13 @@ minimizer, solve_weighted, for its Fourier-weighted generalization
 
     akin * int |f'|^2  -  lam * int w(k) |rho_hat(k)|^2 dk ,
 
-where rho = f^2.  The caller owns the weight w, sampled on the dual grid
-with any cutoff already applied, and the scale mu at which the minimizer has
-unit width; the quartic problem is w = 1.  The numerical scheme is a
-projected gradient flow on the mass sphere: preconditioned residual
-directions with an energy-monotone backtracking line search; even starts
-and weights of |k| alone keep the field centred without translation resets.  The flow runs in spectral
+where rho = f^2.  The caller states the physical problem, w as a function
+of the grid, lam and the scale mu at which the minimizer has unit width;
+this module alone picks the grid w is sampled on and maps lam to unit
+width.  The numerical scheme is a projected gradient flow on the mass
+sphere: preconditioned residual directions with an energy-monotone
+backtracking line search; even starts and weights of |k| alone keep the
+field centred without translation resets.  The flow runs in spectral
 coordinates (Antoine, Levitt & Tang, J. Comput. Phys. 343 (2017) 92-109):
 the field is carried as its one-sided spectrum, where the mass constraint,
 the kinetic term and the preconditioner are diagonal, and only the density
@@ -110,10 +111,11 @@ def _minimize_on_sphere(grid: Grid1D, akin: float, weights: np.ndarray,
 
     weights = w on the one-sided dual grid grid.wavenumbers() (cutoff edge
     fractions already applied); f0, like the Gaussian default, is even on the
-    periodic grid, which keeps the flow centred.  Returns (values, energy,
-    iterations, residual) of the last accepted field once the flow stops, by
-    convergence, budget or an exhausted line search; ConvergenceError unless
-    the residual passes.
+    periodic grid, which keeps the flow centred.  It stops once a step moves
+    the energy by less than tol relative with the residuals before and after
+    it below sqrt(tol) (1 + |E|), at the budget, or when the line search runs
+    out, and returns (values, energy, iterations, residual) of the last
+    accepted field, the residual its own; ConvergenceError unless it passes.
 
     The flow runs in spectral coordinates: the field is its one-sided
     spectrum F = rfft(f), with the samples f = irfft(F) alongside.  Every
@@ -122,8 +124,8 @@ def _minimize_on_sphere(grid: Grid1D, akin: float, weights: np.ndarray,
     the preconditioner 1/(akin k^2 + shift) are diagonal.  The energy is
     akin sum g k^2 |F|^2 - 2 pi lam sum g w |P|^2 with g = h fold/n and
     P = rfft(f^2); a line-search trial costs one irfft and one rfft, and the
-    gradient of an accepted field, rfft(W f) - akin k^2 F with the flow
-    potential W = 4 pi lam irfft(w P), two more.
+    gradient of each field the flow holds, rfft(W f) - akin k^2 F with the
+    flow potential W = 4 pi lam irfft(w P), two more.
     """
     n, h = grid.n, grid.spacing
     t = grid.points()
@@ -140,6 +142,13 @@ def _minimize_on_sphere(grid: Grid1D, akin: float, weights: np.ndarray,
         Fv, Pv = F.view(float), P.view(float)
         return np.dot(g_kin * Fv, Fv) - np.dot(g_att * Pv, Pv)
 
+    def gradient(f, F, P):
+        """Tangent residual R of akin f'' + W f, ||R||, shift max(|W|, 1)."""
+        W = 4.0 * np.pi * lam * np.fft.irfft(weights * P, n)
+        G = np.fft.rfft(W * f) - akin * k2 * F  # akin f'' + W f
+        R = G - dot(F, G) * F
+        return R, np.sqrt(dot(R, R)), max(np.max(np.abs(W)), 1.0)
+
     f = np.exp(-t * t / 2.0) if f0 is None else np.array(f0, dtype=float)
     nrm = h * np.sum(f * f)
     if nrm <= 0:
@@ -147,14 +156,9 @@ def _minimize_on_sphere(grid: Grid1D, akin: float, weights: np.ndarray,
     f *= np.sqrt(1.0 / nrm)
     F, P = np.fft.rfft(f), np.fft.rfft(f * f)
     E = energy(F, P)
+    R, residual, shift = gradient(f, F, P)
     theta = 1.0
     for it in range(1, _MAX_ITER + 1):
-        W = 4.0 * np.pi * lam * np.fft.irfft(weights * P, n)
-        G = np.fft.rfft(W * f) - akin * k2 * F  # akin f'' + W f
-        mu = dot(F, G)
-        R = G - mu * F
-        residual = np.sqrt(dot(R, R))
-        shift = max(np.max(np.abs(W)), 1.0)
         D = R / (akin * k2 + shift)
         D -= dot(F, D) * F
         slope = dot(R, D)
@@ -173,7 +177,10 @@ def _minimize_on_sphere(grid: Grid1D, akin: float, weights: np.ndarray,
             break
         rel_change = abs(En - E) / max(abs(En), 1e-300)
         f, F, P, E = fn, Fn, Pn, En
-        if rel_change < tol and residual < np.sqrt(tol) * (1 + abs(E)):
+        before = residual
+        R, residual, shift = gradient(f, F, P)
+        if rel_change < tol and max(before, residual) < np.sqrt(tol) * (
+                1 + abs(E)):
             break
     if not residual < np.sqrt(tol) * (1 + abs(E)):
         raise ConvergenceError(
@@ -182,31 +189,29 @@ def _minimize_on_sphere(grid: Grid1D, akin: float, weights: np.ndarray,
     return f, E, it, residual
 
 
-def solve_weighted(mu: float, akin: float, weights: np.ndarray, lam: float,
+def solve_weighted(mu: float, akin: float, weight: Callable, lam: float,
                    tol: float, start: Optional[Callable] = None,
                    a: float = 1.0) -> OneDSolution:
-    """Minimize akin int q'^2 - lam dk sum_k weights |rho_hat(k)|^2 over unit
-    mass on the unit-width _GRID from start(t) (even) or the Gaussian, mapped
-    back to mass a: f(t) = sqrt(a mu) q(mu t) on scaled_grid(mu), energy
-    a mu^2 E_q, residual sqrt(a) mu^2 ||r_q|| (ConvergenceError keeps
-    ||r_q||, tol's measure).
-
-    The caller owns the scale mu and the weights, sampled on _GRID's
-    one-sided dual grid (scaled_grid(mu)'s divided by mu), cutoffs applied;
-    they must be finite and nonnegative.  A flow leaving the doubles is a
-    ParameterError.
-    """
+    """Minimize akin int f'^2 - lam dk sum_k w(k) |rho_hat(k)|^2 at mass a
+    over the dual grid of scaled_grid(mu), on which the minimizer has unit
+    width.  weight(grid), called once on that grid, returns w on its
+    one-sided dual grid grid.wavenumbers(), cutoffs applied, finite and
+    nonnegative.  Solved as f(t) = sqrt(a mu) q(mu t): unit mass on the
+    unit-width _GRID at coupling a lam/mu from start(t) (even) or the
+    Gaussian, mapped back with energy a mu^2 E_q and residual
+    sqrt(a) mu^2 ||r_q|| (ConvergenceError keeps ||r_q||, tol's measure).
+    A flow leaving the doubles is a ParameterError."""
     if not 0 < tol < 1:  # relative: at tol >= 1 the first step would pass
         raise ParameterError(f"tol must lie in (0, 1), got {tol:g}")
-    weights = np.asarray(weights, dtype=float)
+    grid = scaled_grid(mu)
+    weights = np.asarray(weight(grid), dtype=float)
     if not np.all(np.isfinite(weights) & (weights >= 0.0)):
         raise ParameterError("weights must be finite and nonnegative")
-    grid = scaled_grid(mu)
     f0 = None if start is None else start(_GRID.points())
     try:
         with np.errstate(over="raise", invalid="raise"):
             vals, E_int, iters, res = _minimize_on_sphere(
-                _GRID, akin, weights, lam, tol, f0)
+                _GRID, akin, weights, a * lam / mu, tol, f0)
     except FloatingPointError:
         raise ParameterError(f"the sphere flow at coupling lam = {lam:g} "
                              "leaves the doubles") from None
@@ -224,15 +229,15 @@ def scaled_grid(mu: float) -> Grid1D:
 def solve_numeric(p: OneDProblem, tol: float) -> OneDSolution:
     """Ground state of the quartic problem by projected gradient flow.
 
-    Every (a, b) is one problem: f(t) = sqrt(a mu) q(mu t), mu = a*b/4,
-    maps it to the unit-mass, unit-width q minimizing int q'^2 - 4 int q^4
-    on _GRID = Grid1D(SPECTRAL_N, 40), mapped back by solve_weighted.
+    b int f^4 = (b/2pi) int |rho_hat|^2 dk: solve_weighted with the flat
+    weight and lam = b/(2 pi) at mu = a*b/4, where every (a, b) becomes the
+    one unit-mass, unit-width q minimizing int q'^2 - 4 int q^4.
     """
     a, b = p.mass_a, p.coupling_b
     if b == 0.0:
         return OneDSolution(0.0, None, 0, 0.0)
-    return solve_weighted(a * b / 4.0, 1.0, np.ones(_GRID.n // 2 + 1),
-                          4.0 / (2 * np.pi), tol, a=a)
+    return solve_weighted(a * b / 4.0, 1.0, lambda g: np.ones(g.n // 2 + 1),
+                          b / (2 * np.pi), tol, a=a)
 
 
 def distance_to_profile(sol_field: Field1D, p: OneDProblem) -> float:

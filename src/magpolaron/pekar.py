@@ -199,8 +199,8 @@ def pekar_minimize(params: PhysParams, tol: float = 1e-11):
     if alpha == 0.0:
         return OneDSolution(0.0, None, 0, 0.0), EnergyBreakdown(B, 0.0, 0.0, 0.0)
     mu = _log_coupling(B, alpha) / 4.0
-    sol = solve_weighted(mu, 1.0, interaction_weights(scaled_grid(mu), B),
-                         alpha / (4 * np.pi ** 2 * mu), tol,
+    sol = solve_weighted(mu, 1.0, lambda grid: interaction_weights(grid, B),
+                         alpha / (4 * np.pi ** 2), tol,
                          lambda t: 1.0 / np.cosh(2.0 * t))
     return sol, pekar_energy(PekarProductState(params, sol.minimizer))
 

@@ -191,8 +191,8 @@ class TestEffectiveInfimum:
         lam = 1.0 / (4 * np.pi ** 2 * (1 - gamma))
         w0 = 2 * np.pi * np.log(Kperp)
         mu = 2 * np.pi * lam * w0 / kap1 / 4.0
-        sol = solve_weighted(mu, kap1, np.full(oned._GRID.n // 2 + 1, w0),
-                             lam / mu, 1e-10)
+        sol = solve_weighted(
+            mu, kap1, lambda grid: np.full(grid.n // 2 + 1, w0), lam, 1e-10)
         assert sol.energy == pytest.approx(
             analytic_infimum_floor(kap1, gamma, Kperp, 1.0), rel=1e-5)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import magpolaron
-from magpolaron import oned
+from magpolaron import certificate, oned, pekar
 from magpolaron import (ConvergenceError, DomainTooSmallError, Field1D, Grid1D,
                         InvalidFieldError, OneDProblem, ParameterError,
                         PhysParams, SHARP_GN_Q4,
@@ -243,12 +243,23 @@ class TestGap:
         assert gn_gap(f, b) >= -1e-6
 
 
+def _flat(w0):
+    """The weight w0 on every dual cell of the grid solve_weighted picks."""
+    return lambda grid: np.full(grid.n // 2 + 1, w0)
+
+
+def _cut_lorentzian(grid):
+    """The weight 1/(1 + k^2) + 1 on grid's one-sided dual grid, cut off at
+    |k| <= 50."""
+    k = grid.wavenumbers()
+    return (1.0 / (1.0 + k ** 2) + 1.0) * (k <= 50.0)
+
+
 def _constant_weight_solve(kappa1, lam, w0):
     """solve_weighted at the weight w0 on every dual cell, at the scale
     mu = b/4 of the surrogate b = 2 pi lam w0 / kappa1."""
     mu = 2 * np.pi * lam * w0 / kappa1 / 4.0
-    weights = np.full(oned._GRID.n // 2 + 1, w0)
-    return solve_weighted(mu, kappa1, weights, lam / mu, 1e-10)
+    return solve_weighted(mu, kappa1, _flat(w0), lam, 1e-10)
 
 
 class TestSolveWeighted:
@@ -264,19 +275,30 @@ class TestSolveWeighted:
     def test_monotone_in_prefactor(self):
         # one scale for every prefactor: the weight 1/(1 + k^2) + 1 sampled
         # on the same physical dual grid, cut off at |k| <= 50
-        mu = 0.25
-        k = oned.scaled_grid(mu).wavenumbers()
-        weights = (1.0 / (1.0 + k ** 2) + 1.0) * (k <= 50.0)
-        energies = [solve_weighted(mu, 1.0, weights, lam / mu, 1e-10).energy
-                    for lam in (0.02, 0.04, 0.08)]
+        energies = [solve_weighted(0.25, 1.0, _cut_lorentzian, lam,
+                                   1e-10).energy for lam in (0.02, 0.04, 0.08)]
         assert energies[0] >= energies[1] >= energies[2]
+
+    @pytest.mark.parametrize("mu", [3.0 / 8, 3.0 / 4, 3.0 / 2])
+    def test_one_answer_at_every_scale(self, mu):
+        # the caller states the physical problem, b int f^4 at b = 3 as the
+        # flat weight with lam = b/(2 pi); oned maps it to unit width at
+        # whatever scale mu is given
+        sol = solve_weighted(mu, 1.0, _flat(1.0), 3.0 / (2 * np.pi), 1e-10)
+        assert sol.energy == pytest.approx(-9.0 / 12.0, rel=1e-9, abs=0.0)
+
+    def test_non_flat_weight_at_two_scales(self):
+        # a weight of the physical k, sampled by oned on the grid it picks;
+        # at tol 1e-12 the two flows agree to ~1e-14
+        energies = [solve_weighted(mu, 1.0, _cut_lorentzian, 0.08, 1e-12).energy
+                    for mu in (0.25, 0.5)]
+        assert energies[0] == pytest.approx(energies[1], rel=1e-13, abs=0.0)
 
     def test_validation(self):
         # the entry refuses a tolerance outside (0, 1) for every caller
         for tol in (0.0, 1.0, -1e-8, np.inf, np.nan):
             with pytest.raises(ParameterError, match="tol"):
-                solve_weighted(1.0, 1.0, np.ones(oned._GRID.n // 2 + 1), 1.0,
-                               tol)
+                solve_weighted(1.0, 1.0, _flat(1.0), 1.0, tol)
 
     def test_weak_constant_weight_matches_closed_form(self):
         # b_tilde = 2 pi lam w0 / kappa1 ~ 0.063: solved at unit width too
@@ -287,10 +309,13 @@ class TestSolveWeighted:
 
     def test_weight_must_be_finite_nonnegative(self):
         for bad in (-1e-300, np.nan, np.inf):
-            weights = np.ones(oned._GRID.n // 2 + 1)
-            weights[3] = bad
+            def weight(grid):
+                w = np.ones(grid.n // 2 + 1)
+                w[3] = bad
+                return w
+
             with pytest.raises(ParameterError, match="weights"):
-                solve_weighted(1.0, 1.0, weights, 1.0, 1e-10)
+                solve_weighted(1.0, 1.0, weight, 1.0, 1e-10)
 
 
 @pytest.fixture
@@ -406,13 +431,67 @@ class TestSpectralFlow:
         (it,) = iterations
         trials = len(densities) - 1  # the start's energy is no trial
         assert it <= trials
-        assert len(transforms) <= 2 * (trials + 1) + 2 * it
+        # + 2: the gradient of the returned field, which the stop rule reads
+        assert len(transforms) <= 2 * (trials + 1) + 2 * it + 2
 
 
 class TestSolverSignatures:
     def test_solvers_own_their_grid(self):
-        # oned decides the unit-width grid; a caller passes only the scale
-        # mu and reads the physical grid back from scaled_grid(mu)
+        # oned decides the unit-width grid and samples the caller's weight
+        # on it; a caller passes the scale mu and the physical problem
         assert list(inspect.signature(solve_numeric).parameters) == ["p", "tol"]
-        assert "grid" not in inspect.signature(solve_weighted).parameters
+        assert list(inspect.signature(solve_weighted).parameters) == [
+            "mu", "akin", "weight", "lam", "tol", "start", "a"]
         assert not hasattr(magpolaron, "standard_grid")
+
+
+def _own_residual(f, akin, weights, lam):
+    """||akin f'' + W f - m f|| of the returned field f, recomputed in real
+    space on its own grid: W = 4 pi lam irfft(w rfft(f^2)) and m the
+    multiplier h sum f (akin f'' + W f) / h sum f^2."""
+    grid, v = f.grid, f.values
+    h, k2 = grid.spacing, grid.wavenumbers() ** 2
+    W = 4.0 * np.pi * lam * np.fft.irfft(weights * np.fft.rfft(v * v), grid.n)
+    G = akin * np.fft.irfft(-k2 * np.fft.rfft(v), grid.n) + W * v
+    r = G - (np.sum(v * G) / np.sum(v * v)) * v
+    return float(np.sqrt(h * np.sum(r * r)))
+
+
+class TestReturnedResidual:
+    """The flow judges and reports the field it returns: its residual is
+    that field's own, in the caller's units, and passes the bound
+    sqrt(tol) (1 + |E|) of the unit problem."""
+
+    def test_pekar_minimize(self):
+        B = np.exp(10.0)
+        sol, _ = pekar_minimize(PhysParams(B, 1.0))
+        own = _own_residual(sol.minimizer, 1.0, pekar.interaction_weights(
+            sol.minimizer.grid, B), 1.0 / (4 * np.pi ** 2))
+        assert sol.gradient_residual == pytest.approx(own, rel=1e-6)
+
+    def test_certify_projected(self, monkeypatch):
+        solves = []
+
+        def recording(mu, akin, weight, lam, tol, *args):
+            sol = solve_weighted(mu, akin, weight, lam, tol, *args)
+            solves.append((akin, weight, lam, sol))
+            return sol
+
+        monkeypatch.setattr(certificate, "solve_weighted", recording)
+        certify_projected(np.exp(20.0), 1.0)
+        ((akin, weight, lam, sol),) = solves
+        own = _own_residual(sol.minimizer, akin, weight(sol.minimizer.grid),
+                            lam)
+        assert sol.gradient_residual == pytest.approx(own, rel=1e-6)
+
+    def test_returned_field_passes_at_e100(self):
+        # here the field before the last step passes the bound and the
+        # field after it misses it by ~0.1%: the stop rule must read the
+        # residual of the field it returns
+        B, alpha, tol = np.exp(100.0), 5.0, 1e-11
+        sol, _ = pekar_minimize(PhysParams(B, alpha), tol)
+        mu = pekar._log_coupling(B, alpha) / 4.0
+        own = _own_residual(sol.minimizer, 1.0, pekar.interaction_weights(
+            sol.minimizer.grid, B), alpha / (4 * np.pi ** 2))
+        # the unit problem's bound, in physical units f = sqrt(mu) q(mu t)
+        assert own < np.sqrt(tol) * (mu * mu + abs(sol.energy))

@@ -116,3 +116,23 @@ def test_every_public_definition_has_a_program_use():
                     for path, tree in trees.items()):
                 unused.append(f"{module.name}:{node.name}")
     assert unused == []
+
+
+def test_oned_alone_scales_the_flow():
+    # oned picks the grid a flow's weight is sampled on and forms the
+    # unit-width coupling a lam/mu: callers state the physical problem
+    certificate_imports = [
+        alias.name for node in ast.walk(_tree(PACKAGE / "certificate.py"))
+        if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert "scaled_grid" not in certificate_imports
+    lams = [node.args[3] if len(node.args) > 3 else next(
+                kw.value for kw in node.keywords if kw.arg == "lam")
+            for path in PACKAGE.glob("*.py")
+            for node in ast.walk(_tree(path))
+            if isinstance(node, ast.Call) and "solve_weighted" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None))]
+    assert len(lams) == 3
+    assert [ast.unparse(lam) for lam in lams
+            if any(isinstance(n, ast.Name) and n.id == "mu"
+                   for n in ast.walk(lam))] == []
