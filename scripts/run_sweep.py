@@ -15,9 +15,9 @@ import sys
 
 import numpy as np
 
-from magpolaron import ParameterError, fit_asymptotics, sweep
-from magpolaron.cli import (EXIT_OK, Parser, parse_b, run, worker_count,
-                            write_sweep_csv)
+from magpolaron import ParameterError, fit_asymptotics
+from magpolaron.cli import (EXIT_OK, Parser, parse_b, run, sweep,
+                            worker_count, write_sweep_csv)
 
 
 def positive(text: str) -> float:

@@ -23,8 +23,8 @@ from .oned import (SHARP_GN_Q4, OneDProblem, OneDSolution, closed_form_energy,
                    closed_form_minimizer, distance_to_profile, gn_ratio,
                    scaled_grid, solve_numeric, solve_weighted)
 from .pekar import (AsymptoticFit, EnergyBreakdown, PekarProductState,
-                    PhysParams, SweepRecord, coherent_infimum, fit_asymptotics,
+                    PhysParams, coherent_infimum, fit_asymptotics,
                     pekar_energy, pekar_minimize, scaling_identity_check,
-                    sweep, trial_energy, trial_state)
+                    trial_energy, trial_state)
 
 __version__ = "0.1.0"

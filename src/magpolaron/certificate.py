@@ -90,7 +90,6 @@ class LowerBoundCertificate:
     conditional_full_bound: Optional[float] = None
     validity: dict = field(default_factory=dict)
     valid: bool = False
-    assumptions: list = field(default_factory=lambda: list(ASSUMPTIONS))
 
     def recompute_bound(self) -> float:
         """p0_bound from the ledger fields; must reproduce the stored value."""
@@ -101,9 +100,8 @@ class LowerBoundCertificate:
 
 
 def kappa(K: float, alpha: float) -> float:
-    """Kinetic retention 1 - 8 alpha/(pi K) after the first cutoff."""
-    if not K > 8 * alpha / np.pi:
-        raise ParameterError("cutoff K must exceed 8*alpha/pi")
+    """Kinetic retention 1 - 8 alpha/(pi K) after the first cutoff, the raw
+    value: it is positive only for K > 8 alpha/pi, which callers check."""
     return 1.0 - 8.0 * alpha / (np.pi * K)
 
 
@@ -177,7 +175,7 @@ def default_cutoffs(B: float, alpha: float,
         raise ParameterError("default cutoffs require K >= sqrt(B)")
     kap = kappa(K, alpha)
     if kap <= 0:
-        raise ParameterError("kappa must be positive for the default choices")
+        raise ParameterError("cutoff K must exceed 8*alpha/pi")
     lnB = np.log(B)
     Kperp = np.sqrt(B)
     K3 = kap ** -0.5 * lnB ** 1.5
@@ -215,7 +213,7 @@ def certify_projected(B: float, alpha: float,
         cutoffs = default_cutoffs(B, alpha)
     K = cutoffs.K
 
-    kap = 1.0 - 8.0 * alpha / (np.pi * K)  # raw value; positivity is flagged
+    kap = kappa(K, alpha)  # positivity is flagged, not refused
     kap1 = kappa1(kap, cutoffs.K3, B, alpha)
     kap2 = kappa2(kap, cutoffs.K3, cutoffs.Kperp, alpha)
     R = total_coupling_weight(cutoffs.K3, cutoffs.Kperp)
@@ -234,6 +232,7 @@ def certify_projected(B: float, alpha: float,
         def weight(grid):
             k, dk = grid.wavenumbers(), np.pi / grid.half_width
             frac = np.clip((cutoffs.K3 - (k - dk / 2)) / dk, 0.0, 1.0)
+            frac[0] = min(1.0, 2.0 * cutoffs.K3 / dk)  # the cell [0, dk/2]
             return coupling_v(k, cutoffs.Kperp) ** 2 * frac
 
         mu = 2.0 * np.pi * lam * v0_sq / kap1 / 4.0
@@ -294,5 +293,5 @@ def certificate_to_dict(cert: LowerBoundCertificate) -> dict:
         "conditional_full_bound": _num(cert.conditional_full_bound),
         "validity": {key: bool(val) for key, val in cert.validity.items()},
         "valid": bool(cert.valid),
-        "assumptions": list(cert.assumptions),
+        "assumptions": list(ASSUMPTIONS),
     }

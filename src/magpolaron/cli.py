@@ -5,8 +5,8 @@ Exit codes: 0 success, 1 validation error, 2 convergence failure,
 3 invariant failure, mapped from exceptions by run alone.  B values, read
 by parse_b alone, accept the shorthand "eN" meaning e^N.
 Optional plain-text "key = value" config files set the subcommand's flag
-defaults; explicit flags win.  The sweep worker count can also come from
-MAGPOLARON_WORKERS.
+defaults; explicit flags win.  sweep runs here, one SweepRecord (CSV row) a
+point, on as many processes as --workers or MAGPOLARON_WORKERS asks.
 """
 from __future__ import annotations
 
@@ -16,6 +16,8 @@ import dataclasses
 import json
 import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -23,7 +25,8 @@ from . import certificate as cert_mod
 from . import decomposition as dec
 from . import pekar
 from .errors import ConvergenceError, MagpolaronError, ParameterError
-from .grids import Field1D, Grid1D, mass as field_mass
+from .grids import (Field1D, Grid1D, density_power, kinetic,
+                    mass as field_mass, quartic)
 from .oned import (OneDProblem, closed_form_energy, closed_form_minimizer,
                    distance_to_profile, gn_ratio, SHARP_GN_Q4, solve_numeric)
 
@@ -33,7 +36,28 @@ EXIT_CONVERGENCE = 2
 EXIT_INVARIANT = 3
 _LN_DBL_MAX = float(np.log(np.finfo(float).max))  # e^N overflows beyond it
 
-CSV_HEADER = [f.name for f in dataclasses.fields(pekar.SweepRecord)]
+
+@dataclasses.dataclass
+class SweepRecord:
+    """One sweep point; its fields, in order, are the CSV header."""
+
+    B: float
+    alpha: float
+    E_total: float
+    E_kin3: float
+    E_coulomb: float
+    trial_E: float
+    cert_bound: Optional[float]
+    iters: int
+    residual: float
+
+    @property
+    def deficit(self) -> float:
+        """E_total - B from the stored components, as EnergyBreakdown's."""
+        return self.E_kin3 + self.E_coulomb
+
+
+CSV_HEADER = [f.name for f in dataclasses.fields(SweepRecord)]
 #: how each sweep CSV column is read back; every other column is a float
 _CSV_PARSE = {"iters": int, "cert_bound": lambda s: float(s) if s else None}
 
@@ -113,9 +137,38 @@ def read_sweep_csv(path: str):
         missing = set(CSV_HEADER) - set(reader.fieldnames or [])
         if missing:
             raise ParameterError(f"sweep CSV missing columns: {sorted(missing)}")
-        return [pekar.SweepRecord(**{
+        return [SweepRecord(**{
             name: _CSV_PARSE.get(name, float)(row[name]) for name in CSV_HEADER})
             for row in reader]
+
+
+def _sweep_point(args):
+    B, alpha, certify = args
+    sol, breakdown = pekar.pekar_minimize(pekar.PhysParams(B, alpha))
+    trial = pekar.trial_energy(B, alpha)
+    cert_bound = (cert_mod.certify_projected(B, alpha).p0_bound if certify
+                  else None)
+    return SweepRecord(
+        B=B, alpha=alpha, E_total=breakdown.total,
+        E_kin3=breakdown.longitudinal_kinetic, E_coulomb=breakdown.coulomb,
+        trial_E=trial.total, cert_bound=cert_bound,
+        iters=sol.iterations, residual=sol.gradient_residual)
+
+
+def sweep(B_values: Sequence[float], alpha: float, certify: bool = False,
+          workers: int = 1) -> list:
+    """Minimize at each B of B_values, the field itself, not its log, to tol
+    1e-11; records sorted by B regardless of input or completion order.
+    Points are independent; workers > 1 fans them out."""
+    jobs = [(float(B), alpha, certify) for B in B_values]
+    workers = min(workers, len(jobs), os.cpu_count() or 1)  # all fork at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            records = list(pool.map(_sweep_point, jobs))
+    else:
+        records = [_sweep_point(j) for j in jobs]
+    records.sort(key=lambda r: r.B)
+    return records
 
 
 # ----------------------------------------------------------------------------
@@ -177,8 +230,8 @@ def cmd_sweep(args) -> int:
     Bs = [parse_b(tok) for tok in args.B.split(",") if tok.strip()]
     if not Bs:
         raise ParameterError("sweep needs at least one B value")
-    records = pekar.sweep(Bs, args.alpha, certify=args.certify,
-                          workers=args.workers)
+    records = sweep(Bs, args.alpha, certify=args.certify,
+                    workers=args.workers)
     write_sweep_csv(records, args.out)
     print(f"wrote {len(records)} rows to {args.out}")
     for r in records:
@@ -238,8 +291,6 @@ def cmd_certify(args) -> int:
 
 def _verify_suites():
     """Deterministic invariant battery; yields (name, passed, detail)."""
-    from .grids import density_power, kinetic, quartic
-
     grid = Grid1D(4096, 40.0)
     t = grid.points()
 

@@ -4,18 +4,16 @@ The transverse factor is pinned to the ground Landau Gaussian, so the full
 energy is B plus an effective one-dimensional problem for the longitudinal
 factor.  This module evaluates that energy, minimizes it, checks the exact
 coupling-rescaling identity, reproduces the energy through the classical-field
-amplitude formulation, and fits the large-B coefficients from sweeps.
+amplitude formulation, and fits the large-B coefficients to cli's sweep rows.
 
 Minimization over the restricted ansatz yields an upper bound on the true
 ground-state energy; all trend checks are phrased accordingly.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, replace
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -86,24 +84,6 @@ class AsymptoticFit:
     c3: float
     c4: float
     residual_rms: float
-
-
-@dataclass
-class SweepRecord:
-    B: float
-    alpha: float
-    E_total: float
-    E_kin3: float
-    E_coulomb: float
-    trial_E: float
-    cert_bound: Optional[float]
-    iters: int
-    residual: float
-
-    @property
-    def deficit(self) -> float:
-        """E_total - B from the stored components, as EnergyBreakdown's."""
-        return self.E_kin3 + self.E_coulomb
 
 
 def pekar_energy(state: PekarProductState) -> EnergyBreakdown:
@@ -280,47 +260,16 @@ def coherent_infimum(state: PekarProductState) -> float:
 
 
 # ----------------------------------------------------------------------------
-# sweeps and asymptotic fits
+# asymptotic fits
 
 
-def _sweep_point(args):
-    B, alpha, certify = args
-    sol, breakdown = pekar_minimize(PhysParams(B, alpha))
-    trial = trial_energy(B, alpha)
-    cert_bound = None
-    if certify:
-        from .certificate import certify_projected
-        cert_bound = certify_projected(B, alpha).p0_bound
-    return SweepRecord(
-        B=B, alpha=alpha, E_total=breakdown.total,
-        E_kin3=breakdown.longitudinal_kinetic, E_coulomb=breakdown.coulomb,
-        trial_E=trial.total, cert_bound=cert_bound,
-        iters=sol.iterations, residual=sol.gradient_residual)
-
-
-def sweep(B_values: Sequence[float], alpha: float, certify: bool = False,
-          workers: int = 1) -> list:
-    """Minimize at each B of B_values, the field itself, not its log, to tol
-    1e-11; records sorted by B regardless of input or completion order.
-    Points are independent; workers > 1 fans them out."""
-    jobs = [(float(B), alpha, certify) for B in B_values]
-    workers = min(workers, len(jobs), os.cpu_count() or 1)  # all fork at once
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_sweep_point, jobs))
-    else:
-        records = [_sweep_point(j) for j in jobs]
-    records.sort(key=lambda r: r.B)
-    return records
-
-
-def fit_asymptotics(records: Sequence[SweepRecord]) -> AsymptoticFit:
+def fit_asymptotics(records: Sequence) -> AsymptoticFit:
     """Least squares for E(B) = B - c2 X^2 + c3 X Y + c4 X with X = ln B,
-    Y = ln ln B, fitted to the sweep energies.
+    Y = ln ln B, fitted to sweep records, of which only B and deficit are read.
 
-    The binding deficit is each record's deficit, from the stored energy
-    components (E_total = B + E_kin3 + E_coulomb), not E_total - B: at
-    B ~ e^30 the direct difference would lose the deficit to roundoff.
+    The binding deficit is from the stored energy components (E_total = B +
+    E_kin3 + E_coulomb), not E_total - B: at B ~ e^30 the direct difference
+    would lose the deficit to roundoff.
     """
     if len(records) < 4:
         raise FitError("need at least 4 sweep points for a 3-parameter fit")

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from magpolaron import (Grid1D, OneDProblem, PekarProductState, PhysParams,
-                        SHARP_GN_Q4, SweepRecord, analytic_infimum_floor,
+                        SHARP_GN_Q4, analytic_infimum_floor,
                         certify_projected, coherent_infimum,
                         d_product_fourier, decompose, distance_to_profile,
                         effective_potential, fit_asymptotics, gn_ratio, mass,
-                        pekar_energy, pekar_minimize, solve_numeric, sweep,
+                        pekar_energy, pekar_minimize, solve_numeric,
                         trial_energy, trial_state)
+from magpolaron.cli import SweepRecord, sweep
 
 from conftest import bump_field, sech_field
 from lemmas import (gn_gap, lll_projector_kernel, offdiag_bound_check,

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from magpolaron import oned
+from magpolaron import certificate, oned
 from magpolaron import (CutoffParams, Grid1D, ParameterError, PhysParams,
                         analytic_infimum_floor, block_error,
                         certificate_to_dict, certify_projected,
@@ -33,8 +33,10 @@ class TestKappaChain:
         assert expected_gap == pytest.approx(2.849e-7, rel=1e-3)
 
     def test_kappa_domain(self):
-        with pytest.raises(ParameterError):
-            kappa(8 / np.pi, 1.0)
+        # kappa is the raw value; default_cutoffs refuses K <= 8 alpha/pi
+        assert kappa(200.0, 100.0) < 0
+        with pytest.raises(ParameterError, match="8\\*alpha/pi"):
+            default_cutoffs(np.exp(10.0), 100.0, 200.0)
 
     def test_kappa1_integral_identity(self):
         # the cutoff integral equals e^x E1(x); x=1 case against quadrature
@@ -184,6 +186,29 @@ class TestEffectiveInfimum:
         monkeypatch.setattr(oned, "_GRID", Grid1D(4 * oned._GRID.n, 160.0))
         wide = certify_projected(np.exp(12.0), 0.01)
         assert cert.I_value == pytest.approx(wide.I_value, rel=1e-13, abs=0.0)
+
+    def test_one_sided_cell_fraction(self, monkeypatch):
+        # the m = 0 cell is [0, dk/2]: at K3 < dk/2 the share of it inside
+        # |k| <= K3 is 2 K3/dk (0.318 here, where K3/dk + 1/2 gave 0.659),
+        # and the m = 1 cell [dk/2, 3 dk/2] lies wholly beyond K3
+        weights = []
+
+        def capture(mu, akin, weight, lam, tol):
+            weights.append(weight)
+            return oned.OneDSolution(0.0, None, 0, 0.0)
+
+        monkeypatch.setattr(certificate, "solve_weighted", capture)
+        B, alpha = np.exp(12.0), 1e-3
+        cut = dataclasses.replace(default_cutoffs(B, alpha), K3=1.0)
+        assert certify_projected(B, alpha, cut).ledger.kappa1 > 0
+        grid = Grid1D(64, 0.5)
+        dk = np.pi / grid.half_width
+        (weight,) = weights
+        w = weight(grid)
+        assert w[0] == pytest.approx(
+            coupling_v(0.0, cut.Kperp) ** 2 * 2.0 * cut.K3 / dk, rel=1e-15)
+        assert 2.0 * cut.K3 / dk == pytest.approx(0.318, abs=1e-3)
+        assert np.all(w[1:] == 0.0)
 
     def test_constant_weight_surrogate(self):
         # replacing the coupling by its peak reproduces the closed form

@@ -265,7 +265,7 @@ class TestSweepCsv:
         assert a.read_bytes() == b.read_bytes()
 
     def test_float_fields_roundtrip_exactly(self, tmp_path):
-        from magpolaron import sweep as run_sweep
+        from magpolaron.cli import sweep as run_sweep
         out = tmp_path / "s.csv"
         main(["sweep", "--alpha", "1", "--B", "e10", "--out", str(out)])
         direct = run_sweep([np.exp(10.0)], 1.0)
@@ -473,7 +473,7 @@ class TestConfigFile:
             seen.append(kwargs["workers"])
             return []
 
-        monkeypatch.setattr(cli.pekar, "sweep", record)
+        monkeypatch.setattr(cli, "sweep", record)
         if env is None:
             monkeypatch.delenv("MAGPOLARON_WORKERS", raising=False)
         else:
@@ -495,7 +495,7 @@ class TestConfigFile:
         # refused wherever the count comes from, as a malformed flag is,
         # and not run serially
         import magpolaron.cli as cli
-        monkeypatch.setattr(cli.pekar, "sweep", None)  # never reached
+        monkeypatch.setattr(cli, "sweep", None)  # never reached
         if env is None:
             monkeypatch.delenv("MAGPOLARON_WORKERS", raising=False)
         else:

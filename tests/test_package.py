@@ -1,5 +1,6 @@
 """Layout guards on the installed package: what it imports and exports."""
 import ast
+from graphlib import TopologicalSorter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -53,9 +54,35 @@ def test_scripts_leave_input_and_failures_to_the_cli():
 
 
 def test_sweep_takes_B_values():
-    (sweep,) = [node for node in _tree(PACKAGE / "pekar.py").body
+    (sweep,) = [node for node in _tree(PACKAGE / "cli.py").body
                 if isinstance(node, ast.FunctionDef) and node.name == "sweep"]
     assert sweep.args.args[0].arg == "B_values"
+
+
+def _sibling_imports(path):
+    """(sibling module, line, at top level) for each relative import."""
+    tree = _tree(path)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            # from . import x names the module x
+            for module in ([node.module] if node.module
+                           else [alias.name for alias in node.names]):
+                yield module, node.lineno, node in tree.body
+
+
+def test_sibling_imports_sit_at_top_level():
+    # a module states what it needs of its siblings where it starts, not
+    # inside a function, where an import cycle can hide
+    nested = sorted(f"{path.name}:{line}: from .{module}"
+                    for path in PACKAGE.glob("*.py")
+                    for module, line, top in _sibling_imports(path) if not top)
+    assert nested == []
+
+
+def test_sibling_import_graph_is_acyclic():
+    graph = {path.stem: {module for module, _, _ in _sibling_imports(path)}
+             for path in PACKAGE.glob("*.py")}
+    TopologicalSorter(graph).prepare()  # raises CycleError naming a cycle
 
 
 def _program_files():

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from magpolaron import (Field1D, FitError, Grid1D, OneDProblem, ParameterError,
-                        PekarProductState, PhysParams, SweepRecord,
-                        closed_form_energy, coherent_infimum,
-                        d_product_fourier, d_product_real,
+                        PekarProductState, PhysParams, closed_form_energy,
+                        coherent_infimum, d_product_fourier, d_product_real,
                         effective_potential_fourier, fit_asymptotics,
                         kinetic, main_coefficient, mass, pekar_energy,
                         pekar_minimize, quartic, scaling_identity_check,
-                        sweep, trial_energy, trial_state)
-from magpolaron import certificate, oned, pekar
+                        trial_energy, trial_state)
+from magpolaron import certificate, cli, oned, pekar
+from magpolaron.cli import SweepRecord, sweep
 from magpolaron.grids import SPECTRAL_N
 from magpolaron.special import gauss_legendre_panels
 from magpolaron.pekar import (_log_coupling, _transverse_weight_quadrature,
@@ -381,9 +381,9 @@ class TestSweepAndFit:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(pekar, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(pekar.os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(pekar, "_sweep_point", lambda job: SweepRecord(
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(cli, "_sweep_point", lambda job: SweepRecord(
             job[0], job[1], 0.0, 0.0, 0.0, 0.0, None, 0, 0.0))
         records = sweep([np.exp(10.0 + x) for x in range(n_jobs)], 1.0,
                         workers=workers)
