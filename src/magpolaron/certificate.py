@@ -228,14 +228,14 @@ def certify_projected(B: float, alpha: float,
         I_value = 0.0  # no attraction: the infimum 0 is not attained
     else:
         # the constant-weight surrogate b = 2 pi lam v(0)^2/kappa1 sets the
-        # scale mu = b/4; v^2 is cut off at K3 by each dual cell's fraction
+        # scale mu = b/4, at most K3 so that K3 spans >= 40/pi dual cells
+        # (dk = pi mu/40); v^2 is cut off at K3 by each dual cell's fraction
         def weight(grid):
             k, dk = grid.wavenumbers(), np.pi / grid.half_width
             frac = np.clip((cutoffs.K3 - (k - dk / 2)) / dk, 0.0, 1.0)
-            frac[0] = min(1.0, 2.0 * cutoffs.K3 / dk)  # the cell [0, dk/2]
             return coupling_v(k, cutoffs.Kperp) ** 2 * frac
 
-        mu = 2.0 * np.pi * lam * v0_sq / kap1 / 4.0
+        mu = min(2.0 * np.pi * lam * v0_sq / kap1 / 4.0, cutoffs.K3)
         sol = solve_weighted(mu, kap1, weight, lam, 1e-10)
         I_value = min(sol.energy, 0.0)
 

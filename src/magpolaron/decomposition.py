@@ -27,7 +27,7 @@ from .errors import ParameterError, ResolutionError
 from .grids import (Field1D, density_correlation_at, density_fourier_at,
                     kinetic, mass, quartic)
 from .landau import effective_potential, effective_potential_fourier
-from .special import gauss_legendre_panels, geometric_edges
+from .special import gauss_legendre_panels, geometric_edges, log_end_rule
 
 DUAL_PATH_RTOL = 1e-9  # largest relative gap the two Coulomb paths may show
 
@@ -57,17 +57,15 @@ def longitudinal_double_integral(f: Field1D, kernel_at: Callable,
 def fourier_side_energy(f: Field1D, weight_at: Callable) -> float:
     """(1/(2 pi^2)) int_0^inf |rho_hat(k)|^2 weight(k) dk by panel quadrature.
 
-    The [0, k1] end uses k = k1 e^{-s} so integrable log singularities of the
-    weight are resolved exactly; the rest uses geometric panels to Nyquist.
+    The [0, k1] end uses special.log_end_rule, which resolves integrable log
+    singularities of the weight; the rest uses geometric panels to Nyquist.
     """
     g = f.grid
     rho = f.values ** 2
     k1 = np.pi / g.half_width
     k_max = np.pi / g.spacing
 
-    s_nodes, s_w = gauss_legendre_panels([0.0, 4.0, 12.0, 28.0, 46.0], order=24)
-    k_log = k1 * np.exp(-s_nodes)
-    w_log = s_w * k_log
+    k_log, w_log = log_end_rule(k1)
     k_geo, w_geo = gauss_legendre_panels(geometric_edges(k1, k_max)[1:], order=16)
 
     nodes = np.concatenate([k_log, k_geo])
@@ -151,7 +149,8 @@ def kernel_remainder_coefficient(B: float) -> float:
     density: (1/2) int_0^inf e^{-u^2/4} K(u/sqrt(B)) u du."""
     nodes, w = gauss_legendre_panels(geometric_edges(1e-8, 20.0), order=16)
     vals = log_kernel(nodes / np.sqrt(B), B)
-    # the [0, 1e-8] piece is bounded by eps^2 (|ln eps| + 1) ~ 1e-15, dropped
+    # geometric_edges starts at 0, so the panel [0, 1e-8] is integrated too;
+    # its u (ln 2 - ln u) integrand holds only ~eps^2 |ln eps|/2 ~ 1e-15
     return float(0.5 * np.sum(w * np.exp(-nodes ** 2 / 4.0) * nodes * vals))
 
 

@@ -43,7 +43,7 @@ def effective_potential_fourier(k3, B: float):
     scalar = k.ndim == 0
     k = np.atleast_1d(k)
     with np.errstate(over="ignore"):  # x = inf gives U = 0, its limit
-        x = k * k / B
+        x = (k / np.sqrt(B)) ** 2  # k * k overflows where x need not
     out = np.empty_like(x)
     tiny = x < 1e-12
     if np.any(tiny):

@@ -23,10 +23,10 @@ from .grids import Field1D, Grid1D, kinetic, mass
 from .landau import effective_potential_fourier
 from .oned import (OneDProblem, OneDSolution, closed_form_minimizer,
                    scaled_grid, solve_weighted)
-from .special import EULER_GAMMA, gauss_legendre_panels, gauss_legendre_rows
+from .special import gauss_legendre_panels, gauss_legendre_rows, log_end_rule
 
 NORMALIZATION_TOL = 1e-6
-_N_AVERAGE = 8  # dual-grid cells beside k = 0 given exact averages
+_N_AVERAGE = 8  # dual-grid cells beside k = 0 given cell averages
 # fixed rules of the coherent route's transverse integral, in s = u/B
 _RULE_ORDER = 16  # Gauss-Legendre points per panel
 _PANEL_BASE = 4.0  # ratio of successive panels on [0, 1], geometric toward 0
@@ -125,42 +125,37 @@ def trial_energy(B: float, alpha: float) -> EnergyBreakdown:
 def interaction_weights(grid: Grid1D, B: float) -> np.ndarray:
     """Fourier-side weight U(k;B) on the one-sided dual grid k_m = m dk.
 
-    U is log-singular at k = 0, so the cells [lo, hi] = [max(k_m - dk/2, 0),
-    k_m + dk/2], m <= _N_AVERAGE, hold exact averages, all in one pass: the
-    log part pi (ln B - gamma - 2 ln k) in closed form, the smooth rest by a
-    24-point Gauss-Legendre rule on [max(lo, 1e-12 hi), hi].
+    U is log-singular at k = 0, so the cells beside it, m <= _N_AVERAGE,
+    hold averages: the one-sided cell [0, dk/2] by special.log_end_rule and
+    the cells [k_m - dk/2, k_m + dk/2], m >= 1, on which U is analytic, by
+    24-point Gauss-Legendre, all in one evaluation of U.
     """
     k = grid.wavenumbers()
     dk = np.pi / grid.half_width
     w = effective_potential_fourier(k, B)
-    kc = k[:_N_AVERAGE + 1]
-    lo, hi = np.maximum(kc - dk / 2.0, 0.0), kc + dk / 2.0
-    log_b = np.log(B) - EULER_GAMMA
-
-    def log_part_antideriv(x):  # 0 at x = 0, where x ln x -> 0
-        return x * log_b - 2.0 * (x * np.log(np.where(x > 0, x, 1.0)) - x)
-
-    nodes, weights = gauss_legendre_rows(np.maximum(lo, hi * 1e-12), hi, 24)
-    smooth = effective_potential_fourier(nodes, B) - np.pi * (
-        log_b - 2.0 * np.log(nodes))
-    main = np.pi * (log_part_antideriv(hi) - log_part_antideriv(lo))
-    w[:_N_AVERAGE + 1] = (main + np.sum(weights * smooth, axis=1)) / (hi - lo)
+    k0, w0 = log_end_rule(dk / 2.0)
+    kc = k[1:_N_AVERAGE + 1]
+    nodes, weights = gauss_legendre_rows(kc - dk / 2.0, kc + dk / 2.0, 24)
+    u = effective_potential_fourier(np.concatenate([k0, nodes.ravel()]), B)
+    w[0] = np.sum(w0 * u[:k0.size]) / (dk / 2.0)
+    w[1:_N_AVERAGE + 1] = np.sum(
+        weights * u[k0.size:].reshape(nodes.shape), axis=1) / dk
     return w
 
 
 def _log_coupling(B: float, alpha: float) -> float:
     """The root b of b = alpha U(b/4; B)/2pi, by safeguarded Newton in y = ln b
     on g(y) = y - ln(alpha U(e^y/4)/2pi), which rises: g' = 1 + 2pi/U - 2k^2/B
-    >= 1.  A root above b/4 = 20 sqrt(B) (or e^350/4, with k^2 a double) is
-    refused: V saturates on so narrow a polaron, and b overshoots."""
+    >= 1.  A root above b/4 = 20 sqrt(B) is refused: V saturates on so
+    narrow a polaron, and b overshoots."""
     c = np.log(alpha) - np.log(2.0 * np.pi)
-    lo, hi = -np.inf, min(np.log(80.0) + np.log(B) / 2.0, 350.0)
+    lo, hi = -np.inf, np.log(80.0) + np.log(B) / 2.0
     y = min(hi, c + np.log(np.pi * np.log(B)))  # b ~ alpha ln B/2
     for _ in range(40):
         k = np.exp(y) / 4.0
         u = effective_potential_fourier(k, B)
         g = y - c - np.log(u)
-        step = g / (1.0 + 2.0 * np.pi / u - 2.0 * k * k / B)
+        step = g / (1.0 + 2.0 * np.pi / u - 2.0 * (k / np.sqrt(B)) ** 2)
         if abs(step) <= 1e-12 * max(1.0, abs(y)):
             return float(np.exp(y))
         lo, hi = (y, hi) if g < 0 else (lo, y)

@@ -2,7 +2,8 @@
 
 Everything here is plain numpy/scipy with explicit overflow handling; the
 test suite validates each closed form against adaptive quadrature.  This is
-the package's one scipy import.
+the package's one scipy import.  log_end_rule is the one rule every caller
+integrates the log singularity of U(k;B) at k = 0 with.
 """
 from __future__ import annotations
 
@@ -77,6 +78,16 @@ def _legendre_rule(order):
     xs.setflags(write=False)
     ws.setflags(write=False)
     return xs, ws
+
+
+def log_end_rule(k1):
+    """Nodes and weights for int_0^k1 g(k) dk, g log-singular at 0: with
+    k = k1 e^{-s} the integrand g(k) k becomes smooth and decays like
+    s e^{-s}, integrated by 24-point Gauss-Legendre panels on s in
+    [0, 4, 12, 28, 46]; the piece below k1 e^{-46} is ~1e-20 k1 |g|."""
+    s, w = gauss_legendre_panels([0.0, 4.0, 12.0, 28.0, 46.0], order=24)
+    nodes = k1 * np.exp(-s)
+    return nodes, w * nodes
 
 
 def geometric_edges(a, b):

@@ -187,28 +187,26 @@ class TestEffectiveInfimum:
         wide = certify_projected(np.exp(12.0), 0.01)
         assert cert.I_value == pytest.approx(wide.I_value, rel=1e-13, abs=0.0)
 
-    def test_one_sided_cell_fraction(self, monkeypatch):
-        # the m = 0 cell is [0, dk/2]: at K3 < dk/2 the share of it inside
-        # |k| <= K3 is 2 K3/dk (0.318 here, where K3/dk + 1/2 gave 0.659),
-        # and the m = 1 cell [dk/2, 3 dk/2] lies wholly beyond K3
-        weights = []
+    def test_cutoff_spans_the_dual_cells_on_the_ladder(self, monkeypatch):
+        # mu <= K3 gives the flow's grid dk = pi mu/40 <= pi K3/40 over the
+        # certify ladder (ln B 7.75..30.25, alpha 0.5, 1, 2), so K3 spans
+        # 40/pi dual cells and the m = 0 cell lies inside it; with mu = b/4
+        # alone K3/dk fell to 5.0 there
+        ratios = []
 
         def capture(mu, akin, weight, lam, tol):
-            weights.append(weight)
+            grid = oned.scaled_grid(mu)
+            ratios.append(cutoffs.K3 * grid.half_width / np.pi)
+            assert weight(grid)[0] == coupling_v(0.0, cutoffs.Kperp) ** 2
             return oned.OneDSolution(0.0, None, 0, 0.0)
 
         monkeypatch.setattr(certificate, "solve_weighted", capture)
-        B, alpha = np.exp(12.0), 1e-3
-        cut = dataclasses.replace(default_cutoffs(B, alpha), K3=1.0)
-        assert certify_projected(B, alpha, cut).ledger.kappa1 > 0
-        grid = Grid1D(64, 0.5)
-        dk = np.pi / grid.half_width
-        (weight,) = weights
-        w = weight(grid)
-        assert w[0] == pytest.approx(
-            coupling_v(0.0, cut.Kperp) ** 2 * 2.0 * cut.K3 / dk, rel=1e-15)
-        assert 2.0 * cut.K3 / dk == pytest.approx(0.318, abs=1e-3)
-        assert np.all(w[1:] == 0.0)
+        for lnB in np.arange(7.75, 30.5, 0.25):
+            for alpha in (0.5, 1.0, 2.0):
+                cutoffs = default_cutoffs(np.exp(lnB), alpha)
+                certify_projected(np.exp(lnB), alpha, cutoffs)
+        assert len(ratios) == 91 * 3
+        assert min(ratios) >= 40.0 / np.pi * (1.0 - 1e-15)
 
     def test_constant_weight_surrogate(self):
         # replacing the coupling by its peak reproduces the closed form
@@ -224,6 +222,9 @@ class TestEffectiveInfimum:
 
 class TestCertificate:
     @pytest.mark.parametrize("lnB, alpha, I_value, p0_bound", [
+        # at (8, 2) the 4x wider grid gives -211.417 (mu = K3 here; at
+        # mu = b/4 the cutoff spanned 5.9 dual cells and I was -214.591)
+        (8.0, 2.0, -211.58316954783717, 2487.797361002288),
         (12.0, 1.0, -37.09442771583225, 162317.16912399614),
         (20.0, 2.0, -260.16264694031696, 485163877.08408004),
         (30.0, 0.5, -16.938595355301562, 10686474580144.71),

@@ -370,6 +370,18 @@ class TestCertifyCommand:
                     "firstcut_constant", "assumptions"):
             assert key in payload
 
+    def test_narrow_cutoff_converges(self, tmp_path):
+        # at B = e^8, alpha = 4 the scale b/4 ~ 1448 put K3 ~ 23.3 inside
+        # the flow's first dual cell, and the flow ran out its budget
+        # (exit 2); the scale is now at most K3
+        out = tmp_path / "c.json"
+        assert main(["certify", "--B", "e8", "--alpha", "4",
+                     "--out", str(out)]) == EXIT_OK
+        payload = json.loads(out.read_text())
+        assert payload["valid"] is True
+        assert payload["I_value"] == pytest.approx(-534.7217989487608,
+                                                   rel=1e-10, abs=0.0)
+
     def test_json_key_set(self, tmp_path):
         out = tmp_path / "c.json"
         assert main(["certify", "--B", "e12", "--out", str(out)]) == EXIT_OK

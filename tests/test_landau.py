@@ -4,7 +4,7 @@ from scipy import special as sc
 
 from magpolaron import (ParameterError, effective_potential,
                         effective_potential_fourier)
-from magpolaron.special import exp_scaled_e1
+from magpolaron.special import exp_scaled_e1, log_end_rule
 
 from lemmas import (RadialTransverseDensity, effective_potential_general,
                     ground_radial, lll_projector_kernel,
@@ -175,6 +175,14 @@ class TestEffectivePotentialFourier:
             assert effective_potential_fourier(k, B) == pytest.approx(
                 oracles.u_weight_quad(k, B), rel=1e-9)
 
+    def test_no_overflow_where_the_argument_is_modest(self):
+        # k = 20 sqrt(B) at ln B = 705: k * k overflows (k ~ 2.45e154) while
+        # x = k^2/B = 400; forming k*k/B returned 0.0 in place of 7.834e-3
+        B = float(np.exp(705.0))
+        k = 20.0 * np.sqrt(B)
+        assert effective_potential_fourier(k, B) == pytest.approx(
+            oracles.transverse_weight_mp(k, B), rel=1e-14)
+
 
 class TestSpecialFunctionAccuracy:
     def test_scaled_e1_against_quadrature(self):
@@ -187,6 +195,17 @@ class TestSpecialFunctionAccuracy:
         from magpolaron.special import erfcx
         for x in np.linspace(0.0, 8.0, 20):
             assert erfcx(x) == pytest.approx(oracles.erfcx_quad(x), rel=1e-12)
+
+    @pytest.mark.parametrize("k1", [1e-3, 0.5, 7.0, 1e3])
+    def test_log_end_rule_on_log_moments(self, k1):
+        # int_0^k1 ln k dk = k1 (ln k1 - 1) and
+        # int_0^k1 k^2 ln k dk = k1^3 (3 ln k1 - 1)/9, singular at k = 0
+        k, w = log_end_rule(k1)
+        lk1 = np.log(k1)
+        assert np.sum(w * np.log(k)) == pytest.approx(
+            k1 * (lk1 - 1.0), rel=1e-14, abs=0.0)
+        assert np.sum(w * k * k * np.log(k)) == pytest.approx(
+            k1 ** 3 * (3.0 * lk1 - 1.0) / 9.0, rel=1e-14, abs=0.0)
 
 
 class TestGeneralPotential:

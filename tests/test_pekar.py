@@ -13,7 +13,6 @@ from magpolaron import (Field1D, FitError, Grid1D, OneDProblem, ParameterError,
 from magpolaron import certificate, cli, oned, pekar
 from magpolaron.cli import SweepRecord, sweep
 from magpolaron.grids import SPECTRAL_N
-from magpolaron.special import gauss_legendre_panels
 from magpolaron.pekar import (_log_coupling, _transverse_weight_quadrature,
                               interaction_weights)
 
@@ -30,27 +29,6 @@ def _flow_grid(B, alpha):
 #: 60/max(1, alpha ln B/4), kept for the cells checked on them
 _OLD_SWEEP_HALF_WIDTH = {(0.1, 0.5): 60.0, (1.0, 10.0): 24.0, (5.0, 10.0): 4.8,
                          (1.0, 30.0): 8.0, (1.0, 700.0): 60.0 / 175.0}
-_M0_CELL_DEFECT = ("m = 0 cell off by 2.5e-14 to 7.4e-12: its 24-point rule "
-                   "meets the k^2 ln k term of the smooth rest, visible once "
-                   "dk^2/B exceeds ~2e-4 (small B or large alpha)")
-
-
-def _cell_average_loop(kc, dk, B):
-    """One cell's average of U as the per-cell loop formed it: the log part
-    pi (ln B - gamma - 2 ln k) in closed form, the rest by 24-point
-    Gauss-Legendre on [max(lo, 1e-12 hi), hi]."""
-    lo, hi = max(kc - dk / 2.0, 0.0), kc + dk / 2.0
-
-    def log_part_antideriv(k):
-        if k <= 0.0:
-            return 0.0
-        return k * (np.log(B) - np.euler_gamma) - 2.0 * (k * np.log(k) - k)
-
-    main = np.pi * (log_part_antideriv(hi) - log_part_antideriv(lo))
-    nodes, w = gauss_legendre_panels([max(lo, hi * 1e-12), hi], order=24)
-    delta = effective_potential_fourier(nodes, B) - np.pi * (
-        np.log(B) - np.euler_gamma - 2.0 * np.log(nodes))
-    return float((main + np.sum(w * delta)) / (hi - lo))
 
 
 class TestEnergy:
@@ -200,48 +178,30 @@ class TestMinimize:
         rel = np.abs(effective_potential_fourier(k, B) / ref - 1.0)
         assert np.max(rel) <= 4e-15
 
-    @pytest.mark.parametrize("alpha", [0.1, 1.0, 5.0])
-    @pytest.mark.parametrize("lnB", [0.5, 10.0, 39.5, 700.0])
-    def test_cell_averages_equal_the_cell_loop(self, alpha, lnB):
-        # the one-pass cell averages repeat the per-cell loop's arithmetic,
-        # on the grid pekar_minimize builds
-        B = float(np.exp(lnB))
-        grid = _flow_grid(B, alpha)
-        dk = np.pi / grid.half_width
-        loop = [_cell_average_loop(km, dk, B) for km in grid.wavenumbers()[:9]]
-        assert interaction_weights(grid, B)[:9].tolist() == loop
-
     @staticmethod
     def _cells_against_mpmath(grid, B):
         # the cells m <= 8 beside k = 0 hold averages of the log-singular
-        # weight over [max(k_m - dk/2, 0), k_m + dk/2]
+        # weight over [max(k_m - dk/2, 0), k_m + dk/2]; on the m = 0 cell a
+        # closed-form log part plus one 24-point rule on the smooth rest
+        # was off by up to 7.4e-12 (alpha = 300, ln B = 0.5)
         k = grid.wavenumbers()[:9]
         dk = np.pi / grid.half_width
         ref = np.array([weight_cell_average_mp(max(km - dk / 2, 0.0),
                                                km + dk / 2, B) for km in k])
         rel = np.abs(interaction_weights(grid, B)[:9] / ref - 1.0)
-        assert np.max(rel) <= 1e-14
+        assert np.max(rel) <= 4e-15
 
     @pytest.mark.parametrize("alpha, lnB", [
-        pytest.param(0.1, 0.5, marks=pytest.mark.xfail(
-            strict=True, reason=_M0_CELL_DEFECT)),
-        (1.0, 10.0), (5.0, 10.0), (1.0, 30.0), (1.0, 700.0)])
+        (0.1, 0.5), (1.0, 10.0), (5.0, 10.0), (1.0, 30.0), (1.0, 700.0)])
     def test_cell_averages_against_mpmath(self, alpha, lnB):
         # on the explicit grids Grid1D(1024, T) the sweep used to build
         grid = Grid1D(SPECTRAL_N, _OLD_SWEEP_HALF_WIDTH[alpha, lnB])
         self._cells_against_mpmath(grid, float(np.exp(lnB)))
 
     @pytest.mark.parametrize("alpha, lnB", [
-        (0.1, 0.5),
-        pytest.param(1.0, 0.5, marks=pytest.mark.xfail(
-            strict=True, reason=_M0_CELL_DEFECT)),
-        pytest.param(5.0, 0.5, marks=pytest.mark.xfail(
-            strict=True, reason=_M0_CELL_DEFECT)),
-        pytest.param(300.0, 0.5, marks=pytest.mark.xfail(
-            strict=True, reason=_M0_CELL_DEFECT)),
-        pytest.param(300.0, 10.0, marks=pytest.mark.xfail(
-            strict=True, reason=_M0_CELL_DEFECT)),
-        (0.1, 10.0), (1.0, 10.0), (5.0, 10.0), (1.0, 30.0), (1.0, 700.0)])
+        (0.1, 0.5), (1.0, 0.5), (5.0, 0.5), (300.0, 0.5), (300.0, 10.0),
+        (0.1, 10.0), (1.0, 10.0), (5.0, 10.0), (1.0, 30.0), (1.0, 700.0),
+        (0.1, 39.5), (1.0, 39.5), (5.0, 39.5), (0.1, 700.0), (5.0, 700.0)])
     def test_cell_averages_against_mpmath_on_flow_grids(self, alpha, lnB):
         # on the grids pekar_minimize builds, (n, T/mu) at mu = b/4
         B = float(np.exp(lnB))
