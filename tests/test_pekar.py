@@ -13,6 +13,7 @@ from magpolaron import (Field1D, FitError, Grid1D, OneDProblem, ParameterError,
 from magpolaron import certificate, cli, oned, pekar
 from magpolaron.cli import SweepRecord, sweep
 from magpolaron.grids import SPECTRAL_N
+from magpolaron.special import gauss_legendre_panels, log_end_rule
 from magpolaron.pekar import (_log_coupling, _transverse_weight_quadrature,
                               interaction_weights)
 
@@ -29,6 +30,18 @@ def _flow_grid(B, alpha):
 #: 60/max(1, alpha ln B/4), kept for the cells checked on them
 _OLD_SWEEP_HALF_WIDTH = {(0.1, 0.5): 60.0, (1.0, 10.0): 24.0, (5.0, 10.0): 4.8,
                          (1.0, 30.0): 8.0, (1.0, 700.0): 60.0 / 175.0}
+
+
+def _cell_average_loop(km, dk, B):
+    """The average of U over the cell at km formed on its own: the one-sided
+    cell [0, dk/2] by log_end_rule, a cell [km - dk/2, km + dk/2], km > 0, by
+    one 24-point Gauss-Legendre rule."""
+    if km == 0.0:
+        nodes, w = log_end_rule(dk / 2.0)
+        return float(np.sum(w * effective_potential_fourier(nodes, B))
+                     / (dk / 2.0))
+    nodes, w = gauss_legendre_panels([km - dk / 2.0, km + dk / 2.0], order=24)
+    return float(np.sum(w * effective_potential_fourier(nodes, B)) / dk)
 
 
 class TestEnergy:
@@ -177,6 +190,17 @@ class TestMinimize:
         ref = np.array([transverse_weight_mp(kk, B) for kk in k])
         rel = np.abs(effective_potential_fourier(k, B) / ref - 1.0)
         assert np.max(rel) <= 4e-15
+
+    @pytest.mark.parametrize("alpha", [0.1, 1.0, 5.0])
+    @pytest.mark.parametrize("lnB", [0.5, 10.0, 39.5, 700.0])
+    def test_cell_averages_equal_the_cell_loop(self, alpha, lnB):
+        # the one-pass cell averages repeat a per-cell loop's arithmetic,
+        # on the grid pekar_minimize builds
+        B = float(np.exp(lnB))
+        grid = _flow_grid(B, alpha)
+        dk = np.pi / grid.half_width
+        loop = [_cell_average_loop(km, dk, B) for km in grid.wavenumbers()[:9]]
+        assert interaction_weights(grid, B)[:9].tolist() == loop
 
     @staticmethod
     def _cells_against_mpmath(grid, B):
