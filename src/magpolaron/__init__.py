@@ -21,7 +21,7 @@ from .grids import Field1D, Grid1D, kinetic, mass, quartic
 from .landau import effective_potential, effective_potential_fourier
 from .oned import (SHARP_GN_Q4, OneDProblem, OneDSolution, closed_form_energy,
                    closed_form_minimizer, distance_to_profile, gn_ratio,
-                   scaled_grid, solve_numeric, solve_weighted)
+                   solve_numeric, solve_weighted)
 from .pekar import (AsymptoticFit, EnergyBreakdown, PekarProductState,
                     PhysParams, coherent_infimum, fit_asymptotics,
                     pekar_energy, pekar_minimize, scaling_identity_check,

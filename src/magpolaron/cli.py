@@ -295,7 +295,7 @@ def _verify_suites():
     t = grid.points()
 
     # closed-form functionals
-    f11 = closed_form_minimizer(OneDProblem(1, 1), grid)
+    f11 = closed_form_minimizer(OneDProblem(1, 1))
     ok = (abs(field_mass(f11) - 1) < 1e-10
           and abs(kinetic(f11) - 1.0 / 12.0) < 1e-8
           and abs(quartic(f11) - 1.0 / 6.0) < 1e-8)
@@ -327,7 +327,7 @@ def _verify_suites():
     yield "sharp interpolation ratio floor", ok, f"min ratio={worst:.9f}"
 
     # coupling rescaling identity
-    f12 = closed_form_minimizer(OneDProblem(1, 2), Grid1D(4096, 20.0))
+    f12 = closed_form_minimizer(OneDProblem(1, 2))
     passed, rel = pekar.scaling_identity_check(np.exp(8.0), 2.0, f12)
     yield "coupling rescaling identity", passed, f"rel={rel:.2e}"
 

@@ -28,9 +28,6 @@ import numpy as np
 from .errors import DomainTooSmallError, InvalidFieldError
 
 BOUNDARY_DECAY = 1e-8
-# samples of oned's unit-width grid, which every minimizer and the trial
-# state live on scaled to their width: 2n moves no output > 1e-14
-SPECTRAL_N = 1024
 _OVERSAMPLE = 2  # fine-grid factor of the trigonometric sum
 _TAPS = 16  # Gaussian taps on each side of an off-grid point
 

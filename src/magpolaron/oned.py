@@ -8,15 +8,15 @@ minimizer, solve_weighted, for its Fourier-weighted generalization
 
 where rho = f^2.  The caller states the physical problem, w as a function
 of the grid, lam and the scale mu at which the minimizer has unit width;
-this module alone picks the grid w is sampled on and maps lam to unit
-width.  The numerical scheme is a projected gradient flow on the mass
-sphere: preconditioned residual directions with an energy-monotone
-backtracking line search; even starts and weights of |k| alone keep the
-field centred without translation resets.  The flow runs in spectral
-coordinates (Antoine, Levitt & Tang, J. Comput. Phys. 343 (2017) 92-109):
-the field is carried as its one-sided spectrum, where the mass constraint,
-the kinetic term and the preconditioner are diagonal, and only the density
-f^2 and the flow potential W f go through real space.
+this module alone picks where a 1D field is sampled, _GRID scaled to its
+width, and maps lam to unit width.  The numerical scheme is a projected
+gradient flow on the mass sphere: preconditioned residual directions with
+an energy-monotone backtracking line search; even starts and weights of |k|
+alone keep the field centred without translation resets.  The flow runs
+in spectral coordinates (Antoine, Levitt & Tang, J. Comput. Phys. 343
+(2017) 92-109): the field is carried as its one-sided spectrum, where the
+mass constraint, the kinetic term and the preconditioner are diagonal, and
+only the density f^2 and the flow potential W f go through real space.
 """
 from __future__ import annotations
 
@@ -26,14 +26,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (ConvergenceError, DomainTooSmallError, InvalidFieldError,
-                     ParameterError)
-from .grids import (SPECTRAL_N, Field1D, Grid1D, kinetic, mass,
-                    one_sided_fold, quartic)
+from .errors import ConvergenceError, InvalidFieldError, ParameterError
+from .grids import Field1D, Grid1D, kinetic, mass, one_sided_fold, quartic
 
 SHARP_GN_Q4 = 3.0 ** 0.125
 _MAX_ITER = 5000  # sphere-flow iteration budget
-_GRID = Grid1D(SPECTRAL_N, 40.0)  # the one grid of the unit-width rescaled flow
+# every 1D field is sampled on this unit-width grid scaled to its width,
+# _scaled_grid(mu); twice the samples move no output by more than 1e-14
+_GRID = Grid1D(1024, 40.0)
 
 
 @dataclass(frozen=True)
@@ -70,13 +70,15 @@ class OneDSolution:
         return self.minimizer is None
 
 
-def closed_form_minimizer(p: OneDProblem, g: Grid1D) -> Field1D:
-    """Sampled profile (a sqrt(b)/2) / cosh(a b t / 2); requires T*a*b >= 40."""
+def _unit_scale(p: OneDProblem) -> float:
+    return p.mass_a * p.coupling_b / 4.0  # mu: the minimizer has width 1/mu
+
+
+def closed_form_minimizer(p: OneDProblem) -> Field1D:
+    """(a sqrt(b)/2) / cosh(a b t / 2) on solve_numeric(p)'s grid."""
     if p.coupling_b == 0:
         raise ParameterError("no attained minimizer at zero coupling")
-    if g.half_width * p.mass_a * p.coupling_b < 40.0:
-        raise DomainTooSmallError(
-            "grid too narrow for the sech profile: need half_width*a*b >= 40")
+    g = _scaled_grid(_unit_scale(p))
     t = g.points()
     arg = p.mass_a * p.coupling_b * t / 2.0
     vals = (p.mass_a * np.sqrt(p.coupling_b) / 2.0) / np.cosh(arg)
@@ -104,12 +106,12 @@ def gn_ratio(f: Field1D) -> float:
 # core sphere minimizer
 
 
-def _minimize_on_sphere(grid: Grid1D, akin: float, weights: np.ndarray,
-                        lam: float, tol: float, f0: Optional[np.ndarray]):
+def _minimize_on_sphere(akin: float, weights: np.ndarray, lam: float,
+                        tol: float, f0: Optional[np.ndarray]):
     """Minimize akin*int f'^2 - lam*dk*sum_k w(|k|) |rho_hat(k)|^2 over all
-    dual-grid k on the unit sphere int f^2 = 1.
+    dual-grid k of _GRID on the unit sphere int f^2 = 1.
 
-    weights = w on the one-sided dual grid grid.wavenumbers() (cutoff edge
+    weights = w on the one-sided dual grid _GRID.wavenumbers() (cutoff edge
     fractions already applied); f0, like the Gaussian default, is even on the
     periodic grid, which keeps the flow centred.  It stops once a step moves
     the energy by less than tol relative with the residuals before and after
@@ -127,9 +129,9 @@ def _minimize_on_sphere(grid: Grid1D, akin: float, weights: np.ndarray,
     gradient of each field the flow holds, rfft(W f) - akin k^2 F with the
     flow potential W = 4 pi lam irfft(w P), two more.
     """
-    n, h = grid.n, grid.spacing
-    t = grid.points()
-    k2 = grid.wavenumbers() ** 2
+    n, h = _GRID.n, _GRID.spacing
+    t = _GRID.points()
+    k2 = _GRID.wavenumbers() ** 2
     g = np.repeat(h / n * one_sided_fold(n), 2)  # on the float view
     g_kin = akin * np.repeat(k2, 2) * g
     g_att = 2.0 * np.pi * lam * np.repeat(weights, 2) * g
@@ -193,7 +195,7 @@ def solve_weighted(mu: float, akin: float, weight: Callable, lam: float,
                    tol: float, start: Optional[Callable] = None,
                    a: float = 1.0) -> OneDSolution:
     """Minimize akin int f'^2 - lam dk sum_k w(k) |rho_hat(k)|^2 at mass a
-    over the dual grid of scaled_grid(mu), on which the minimizer has unit
+    over the dual grid of _scaled_grid(mu), on which the minimizer has unit
     width.  weight(grid), called once on that grid, returns w on its
     one-sided dual grid grid.wavenumbers(), cutoffs applied, finite and
     nonnegative.  Solved as f(t) = sqrt(a mu) q(mu t): unit mass on the
@@ -203,7 +205,7 @@ def solve_weighted(mu: float, akin: float, weight: Callable, lam: float,
     A flow leaving the doubles is a ParameterError."""
     if not 0 < tol < 1:  # relative: at tol >= 1 the first step would pass
         raise ParameterError(f"tol must lie in (0, 1), got {tol:g}")
-    grid = scaled_grid(mu)
+    grid = _scaled_grid(mu)
     weights = np.asarray(weight(grid), dtype=float)
     if not np.all(np.isfinite(weights) & (weights >= 0.0)):
         raise ParameterError("weights must be finite and nonnegative")
@@ -211,7 +213,7 @@ def solve_weighted(mu: float, akin: float, weight: Callable, lam: float,
     try:
         with np.errstate(over="raise", invalid="raise"):
             vals, E_int, iters, res = _minimize_on_sphere(
-                _GRID, akin, weights, a * lam / mu, tol, f0)
+                akin, weights, a * lam / mu, tol, f0)
     except FloatingPointError:
         raise ParameterError(f"the sphere flow at coupling lam = {lam:g} "
                              "leaves the doubles") from None
@@ -219,7 +221,7 @@ def solve_weighted(mu: float, akin: float, weight: Callable, lam: float,
         grid, np.sqrt(a * mu) * vals), iters, np.sqrt(a) * mu * mu * res)
 
 
-def scaled_grid(mu: float) -> Grid1D:
+def _scaled_grid(mu: float) -> Grid1D:
     """The grid (n, T/mu) of _GRID = (n, T) at scale mu, if 2T/mu is finite."""
     if not mu > 2.0 * _GRID.half_width / np.finfo(float).max:
         raise ParameterError(f"scale {mu:g} too small for a double grid")
@@ -231,19 +233,22 @@ def solve_numeric(p: OneDProblem, tol: float) -> OneDSolution:
 
     b int f^4 = (b/2pi) int |rho_hat|^2 dk: solve_weighted with the flat
     weight and lam = b/(2 pi) at mu = a*b/4, where every (a, b) becomes the
-    one unit-mass, unit-width q minimizing int q'^2 - 4 int q^4.
+    one unit-mass, unit-width q minimizing int q'^2 - 4 int q^4; the
+    minimizer comes on _scaled_grid(mu), closed_form_minimizer(p)'s grid.
     """
     a, b = p.mass_a, p.coupling_b
     if b == 0.0:
         return OneDSolution(0.0, None, 0, 0.0)
-    return solve_weighted(a * b / 4.0, 1.0, lambda g: np.ones(g.n // 2 + 1),
-                          b / (2 * np.pi), tol, a=a)
+    return solve_weighted(_unit_scale(p), 1.0,
+                          lambda g: np.ones(g.n // 2 + 1), b / (2 * np.pi),
+                          tol, a=a)
 
 
 def distance_to_profile(sol_field: Field1D, p: OneDProblem) -> float:
-    """L2 distance of |f| to the centred closed-form profile (the minimizer
-    is unique up to translation and sign); every flow starts even and has
-    weights of |k| alone, so its f is already centred."""
-    diff = np.abs(sol_field.values) - closed_form_minimizer(
-        p, sol_field.grid).values
+    """L2 distance of |f| to the closed-form profile, on its grid and f's;
+    every flow starts even with weights of |k| alone, so f is centred."""
+    profile = closed_form_minimizer(p)
+    if sol_field.grid != profile.grid:
+        raise InvalidFieldError(f"field off the profile's grid {profile.grid}")
+    diff = np.abs(sol_field.values) - profile.values
     return float(np.sqrt(sol_field.grid.spacing * np.sum(diff ** 2)))

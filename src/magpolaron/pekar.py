@@ -22,7 +22,7 @@ from .errors import FitError, ParameterError
 from .grids import Field1D, Grid1D, kinetic, mass
 from .landau import effective_potential_fourier
 from .oned import (OneDProblem, OneDSolution, closed_form_minimizer,
-                   scaled_grid, solve_weighted)
+                   solve_weighted)
 from .special import gauss_legendre_panels, gauss_legendre_rows, log_end_rule
 
 NORMALIZATION_TOL = 1e-6
@@ -105,12 +105,10 @@ def pekar_energy(state: PekarProductState) -> EnergyBreakdown:
 
 
 def trial_state(B: float, alpha: float = 1.0) -> PekarProductState:
-    """Closed-form unit-mass minimizer at coupling b = ln(B)/2, the sech
-    profile, on the grid of the flow that would solve its problem,
-    scaled_grid(b/4); alpha does not change it."""
+    """Closed-form unit-mass minimizer at coupling ln(B)/2, the sech profile
+    on the grid oned picks for it; alpha does not change it."""
     params = PhysParams(B, alpha)  # refuses B <= 1 before ln B sizes the grid
-    b = np.log(B) / 2.0
-    f = closed_form_minimizer(OneDProblem(1.0, b), scaled_grid(b / 4.0))
+    f = closed_form_minimizer(OneDProblem(1.0, np.log(B) / 2.0))
     return PekarProductState(params, f)
 
 

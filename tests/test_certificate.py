@@ -195,7 +195,7 @@ class TestEffectiveInfimum:
         ratios = []
 
         def capture(mu, akin, weight, lam, tol):
-            grid = oned.scaled_grid(mu)
+            grid = oned._scaled_grid(mu)
             ratios.append(cutoffs.K3 * grid.half_width / np.pi)
             assert weight(grid)[0] == coupling_v(0.0, cutoffs.Kperp) ** 2
             return oned.OneDSolution(0.0, None, 0, 0.0)

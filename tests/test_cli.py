@@ -612,7 +612,7 @@ class TestExitCodes:
         from magpolaron import OneDSolution, Field1D, Grid1D
         import numpy as np
 
-        g = Grid1D(4096, 40.0)
+        g = Grid1D(1024, 160.0)  # 40/mu at mu = a b/4, solve_numeric's grid
         fake_min = Field1D(g, np.exp(-g.points() ** 2 / 2.0))
 
         def wrong(problem, tol):
@@ -628,7 +628,7 @@ class TestExitCodes:
         from magpolaron import OneDSolution, Field1D, Grid1D, closed_form_energy
         import numpy as np
 
-        g = Grid1D(1024, 1.6e7)  # 40/mu at mu = b/4
+        g = Grid1D(1024, 40.0 / (1e-5 / 4.0))  # 40/mu at mu = b/4
         fake_min = Field1D(g, np.exp(-(g.points() / 1e5) ** 2))
 
         def half(problem, tol):

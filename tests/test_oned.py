@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 import magpolaron
 from magpolaron import certificate, oned, pekar
-from magpolaron import (ConvergenceError, DomainTooSmallError, Field1D, Grid1D,
+from magpolaron import (ConvergenceError, Field1D, Grid1D,
                         InvalidFieldError, OneDProblem, ParameterError,
                         PhysParams, SHARP_GN_Q4,
                         certify_projected, closed_form_energy,
@@ -20,27 +20,43 @@ import oracles
 
 
 class TestClosedForm:
-    def test_center_value(self, grid):
-        f = closed_form_minimizer(OneDProblem(1.0, 1.0), grid)
-        assert f.values[grid.n // 2] == pytest.approx(0.5, rel=1e-12)
+    def test_center_value(self):
+        f = closed_form_minimizer(OneDProblem(1.0, 1.0))
+        assert f.values[f.grid.n // 2] == pytest.approx(0.5, rel=1e-12)
 
-    def test_mass_matches_quadrature(self, grid):
-        f = closed_form_minimizer(OneDProblem(2.0, 3.0), grid)
+    def test_mass_matches_quadrature(self):
+        f = closed_form_minimizer(OneDProblem(2.0, 3.0))
         assert mass(f) == pytest.approx(oracles.quad_mass(2, 3), abs=1e-9)
 
     def test_small_coupling_peak_shrinks(self):
         peaks = []
-        for b, T in ((0.5, 160.0), (0.1, 800.0)):
-            g = Grid1D(8192, T)
-            f = closed_form_minimizer(OneDProblem(1.0, b), g)
+        for b in (0.5, 0.1):
+            f = closed_form_minimizer(OneDProblem(1.0, b))
             peak = float(np.max(f.values))
             assert peak == pytest.approx(np.sqrt(b) / 2.0, rel=1e-12)
+            assert f.boundary_decayed()
             peaks.append(peak)
         assert peaks[1] < peaks[0]
 
-    def test_domain_guard(self):
-        with pytest.raises(DomainTooSmallError):
-            closed_form_minimizer(OneDProblem(1.0, 0.5), Grid1D(4096, 40.0))
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (1.0, 2.0), (3.0, 0.5),
+                                      (1e-3, 1e-3), (100.0, 1.0)])
+    def test_on_the_grid_solve_numeric_returns(self, a, b):
+        # the profile and the flow's minimizer share one grid, (n, 40/mu)
+        # at mu = a b/4, so T a b = 160 holds the sech by construction
+        p = OneDProblem(a, b)
+        f = closed_form_minimizer(p)
+        assert f.grid == solve_numeric(p, 1e-10).minimizer.grid
+        assert f.grid.half_width * a * b == pytest.approx(160.0, rel=1e-15)
+        assert f.boundary_decayed()
+
+    def test_distance_refuses_another_grid(self):
+        # equal n on another half-width would compare samples at other t
+        p = OneDProblem(1.0, 1.0)
+        f = closed_form_minimizer(p)
+        assert distance_to_profile(f, p) == 0.0
+        other = Field1D(Grid1D(f.grid.n, 2.0 * f.grid.half_width), f.values)
+        with pytest.raises(InvalidFieldError, match="grid"):
+            distance_to_profile(other, p)
 
     def test_energy_values(self):
         assert closed_form_energy(OneDProblem(1, 1)) == pytest.approx(-1 / 12)
@@ -74,16 +90,16 @@ class TestSolveNumeric:
         sol = solve_numeric(OneDProblem(1.0, 10.0), 1e-10)
         assert sol.energy == pytest.approx(-100 / 12, rel=1e-4)
 
-    def test_determinism_of_minimum(self, grid):
+    def test_determinism_of_minimum(self):
         # the unit problem's flow (lam = 1/(2 pi), flat weight) from two
         # random starts, passed as the flow's own f0, ends at one minimum
         rng = np.random.default_rng(5)
+        grid = oned._GRID
         energies = []
         for _ in range(2):
             init = np.abs(bump_field(grid, rng).values) + 1e-3
             _, energy, _, _ = oned._minimize_on_sphere(
-                grid, 1.0, np.ones(grid.n // 2 + 1), 1.0 / (2 * np.pi), 1e-10,
-                init)
+                1.0, np.ones(grid.n // 2 + 1), 1.0 / (2 * np.pi), 1e-10, init)
             energies.append(energy)
         assert energies[0] == pytest.approx(energies[1], abs=1e-8)
 
@@ -104,19 +120,19 @@ class TestSolveNumeric:
         assert err.value.residual is not None
         assert err.value.iterations == 2
 
-    def test_exhausted_line_search_exit(self, grid):
+    def test_exhausted_line_search_exit(self):
         # NaN weights make every trial energy NaN, so the first line search
         # runs out; the flow stops there and reports that iteration
-        weights = np.full(grid.n // 2 + 1, np.nan)
+        weights = np.full(oned._GRID.n // 2 + 1, np.nan)
         with np.errstate(invalid="ignore"), \
                 pytest.raises(ConvergenceError) as err:
-            oned._minimize_on_sphere(grid, 1.0, weights, 1.0, 1e-8, None)
+            oned._minimize_on_sphere(1.0, weights, 1.0, 1e-8, None)
         assert err.value.iterations == 1
 
     @pytest.mark.parametrize("b", [1e-6, 0.1, 0.5])
     def test_weak_coupling_matches_closed_form(self, b):
         # the minimizer, of width ~1/b, is solved at unit width and mapped
-        # back onto the grid (SPECTRAL_N, 40/mu), mu = b/4
+        # back onto the grid (n, 40/mu) of oned._GRID = (n, 40), mu = b/4
         p = OneDProblem(1.0, b)
         sol = solve_numeric(p, 1e-10)
         assert sol.energy == pytest.approx(closed_form_energy(p), rel=1e-9)
@@ -321,13 +337,13 @@ class TestSolveWeighted:
 @pytest.fixture
 def flows(monkeypatch):
     """Every _minimize_on_sphere call as (grid, akin, weights, lam, f0,
-    output)."""
+    output), grid the unit-width one it runs on."""
     runs = []
     flow = oned._minimize_on_sphere
 
-    def recorded(grid, akin, weights, lam, tol, f0):
-        out = flow(grid, akin, weights, lam, tol, f0)
-        runs.append((grid, akin, weights, lam, f0, out))
+    def recorded(akin, weights, lam, tol, f0):
+        out = flow(akin, weights, lam, tol, f0)
+        runs.append((oned._GRID, akin, weights, lam, f0, out))
         return out
 
     monkeypatch.setattr(oned, "_minimize_on_sphere", recorded)
@@ -414,10 +430,10 @@ class TestSpectralFlow:
                 return fft(x, *args, **kwargs)
             return call
 
-        def scoped(grid, *args):
-            inside.append(grid)
+        def scoped(*args):
+            inside.append(oned._GRID)
             try:
-                out = flow(grid, *args)
+                out = flow(*args)
             finally:
                 inside.clear()
             iterations.append(out[2])

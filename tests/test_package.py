@@ -145,13 +145,32 @@ def test_every_public_definition_has_a_program_use():
     assert unused == []
 
 
+def _named(tree):
+    """Every identifier the tree defines, loads, stores or imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.arg)):
+            yield node.name if hasattr(node, "name") else node.arg
+
+
 def test_oned_alone_scales_the_flow():
-    # oned picks the grid a flow's weight is sampled on and forms the
-    # unit-width coupling a lam/mu: callers state the physical problem
-    certificate_imports = [
-        alias.name for node in ast.walk(_tree(PACKAGE / "certificate.py"))
-        if isinstance(node, ast.ImportFrom) for alias in node.names]
-    assert "scaled_grid" not in certificate_imports
+    # oned alone decides where a 1D field is sampled and forms the flow's
+    # unit-width coupling a lam/mu: callers state the physical problem and
+    # no other module names the grid rule or passes a grid to it
+    grid_rule = {"SPECTRAL_N", "_GRID", "scaled_grid", "_scaled_grid"}
+    assert sorted(f"{path.name}: {name}"
+                  for path in PACKAGE.glob("*.py") if path.name != "oned.py"
+                  for name in set(_named(_tree(path))) & grid_rule) == []
+    defs = {node.name: [a.arg for a in node.args.args]
+            for node in _tree(PACKAGE / "oned.py").body
+            if isinstance(node, ast.FunctionDef)}
+    assert defs["closed_form_minimizer"] == ["p"]
+    assert "grid" not in defs["_minimize_on_sphere"]
     lams = [node.args[3] if len(node.args) > 3 else next(
                 kw.value for kw in node.keywords if kw.arg == "lam")
             for path in PACKAGE.glob("*.py")

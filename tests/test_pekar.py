@@ -12,7 +12,6 @@ from magpolaron import (Field1D, FitError, Grid1D, OneDProblem, ParameterError,
                         trial_energy, trial_state)
 from magpolaron import certificate, cli, oned, pekar
 from magpolaron.cli import SweepRecord, sweep
-from magpolaron.grids import SPECTRAL_N
 from magpolaron.special import gauss_legendre_panels, log_end_rule
 from magpolaron.pekar import (_log_coupling, _transverse_weight_quadrature,
                               interaction_weights)
@@ -23,7 +22,7 @@ from oracles import transverse_weight_mp, weight_cell_average_mp
 
 def _flow_grid(B, alpha):
     """The physical grid pekar_minimize builds its weights on."""
-    return oned.scaled_grid(_log_coupling(B, alpha) / 4.0)
+    return oned._scaled_grid(_log_coupling(B, alpha) / 4.0)
 
 
 #: half-widths of the grids the sweep used to size from alpha ln B,
@@ -219,7 +218,7 @@ class TestMinimize:
         (0.1, 0.5), (1.0, 10.0), (5.0, 10.0), (1.0, 30.0), (1.0, 700.0)])
     def test_cell_averages_against_mpmath(self, alpha, lnB):
         # on the explicit grids Grid1D(1024, T) the sweep used to build
-        grid = Grid1D(SPECTRAL_N, _OLD_SWEEP_HALF_WIDTH[alpha, lnB])
+        grid = Grid1D(oned._GRID.n, _OLD_SWEEP_HALF_WIDTH[alpha, lnB])
         self._cells_against_mpmath(grid, float(np.exp(lnB)))
 
     @pytest.mark.parametrize("alpha, lnB", [
@@ -414,7 +413,7 @@ class TestSweepAndFit:
 class TestGridPolicy:
     def test_doubling_spectral_n_moves_nothing(self, monkeypatch):
         # every solver grid scales its half-width to its minimizer's width,
-        # so one SPECTRAL_N serves every (B, alpha): twice the samples on
+        # so one sample count serves every (B, alpha): twice the samples on
         # the same half-widths move no sweep deficit, trial deficit or
         # certify I_value beyond 1e-14 relative, and no iteration count
         weighted_iters = []
@@ -450,7 +449,7 @@ class TestGridPolicy:
             return out
 
         base = outputs()
-        n2 = 2 * SPECTRAL_N
+        n2 = 2 * oned._GRID.n
         monkeypatch.setattr(oned, "_GRID", Grid1D(n2, oned._GRID.half_width))
         sol, _ = pekar_minimize(PhysParams(np.exp(30.0), 1.0))
         assert sol.minimizer.grid.n == n2
