@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ParameterError
 from .oned import solve_weighted
 from .pekar import PhysParams
-from .special import exp_scaled_e1
+from .special import EULER_GAMMA, exp_scaled_e1
 
 _DBL_MAX = float(np.finfo(float).max)
 
@@ -107,18 +107,22 @@ def kappa(K: float, alpha: float) -> float:
 
 def kappa1(kappa_value: float, K3: float, B: float, alpha: float) -> float:
     """Retention after the longitudinal cutoff:
-    kappa - (8 alpha/(pi K3)) e^x E1(x) with x = K3^2/(2B)."""
+    kappa - (8 alpha/(pi K3)) e^x E1(x) with x = K3^2/(2B); where x
+    underflows, e^x E1(x) = -gamma - ln x with ln x from ln K3 and ln B."""
     if not (K3 > 0 and B > 0):
         raise ParameterError("K3 and B must be positive")
-    x = K3 * K3 / (2.0 * B)
-    return kappa_value - (8.0 * alpha / (np.pi * K3)) * float(exp_scaled_e1(x))
+    x = K3 * K3 / B / 2.0  # not / (2B): 2B overflows from ln B ~ 709.09
+    e1 = (float(exp_scaled_e1(x)) if x > 0 else
+          -EULER_GAMMA - 2.0 * np.log(K3) + np.log(B) + np.log(2.0))
+    return kappa_value - (8.0 * alpha / (np.pi * K3)) * e1
 
 
 def kappa2(kappa_value: float, K3: float, Kperp: float, alpha: float) -> float:
     """Retention after the transverse cutoff: kappa - 2 alpha K3/(pi Kperp^2)."""
     if Kperp < 1:
         raise ParameterError("Kperp must be at least 1")
-    return kappa_value - 2.0 * alpha * K3 / (np.pi * Kperp * Kperp)
+    with np.errstate(over="ignore"):  # pi Kperp^2 = inf: the term's limit 0
+        return kappa_value - 2.0 * alpha * K3 / (np.pi * Kperp * Kperp)
 
 
 def coupling_v(k3, Kperp: float):
@@ -159,7 +163,8 @@ def block_error(alpha: float, K3: float, L: float, gamma: float, M: int,
 
 def default_cutoffs(B: float, alpha: float,
                     K: Optional[float] = None) -> CutoffParams:
-    """Standard parameter choices driven by B.
+    """Standard parameter choices driven by B, for B >= 1e3 and
+    ln B > 2^2.8 kappa ~ 6.96 kappa, where gamma < 1.
 
     K = B (ln B)^{-4/3} unless given, Kperp = sqrt(B),
     K3 = kappa^{-1/2} (ln B)^{3/2},
@@ -183,6 +188,10 @@ def default_cutoffs(B: float, alpha: float,
     L2 = kap ** 0.2 * K3 ** -0.6 * ln_kp ** -0.6
     M = max(1, int(np.floor(1.0 / L2)))
     gamma = kap ** 0.8 * K3 ** 0.6 * ln_kp ** -1.4
+    if not gamma < 1:  # gamma = 2^1.4 sqrt(kappa/ln B)
+        raise ParameterError(f"default cutoffs require ln B > 2^2.8 kappa "
+                             f"(gamma < 1): B = {B:g}, alpha = {alpha:g} "
+                             f"give gamma = {gamma:.6g}")
     return CutoffParams(K=K, K3=K3, Kperp=Kperp, gamma=gamma,
                         L=float(np.sqrt(L2)), M=M)
 

@@ -89,13 +89,18 @@ def mass(f: Field1D) -> float:
 
 
 def kinetic(f: Field1D) -> float:
-    """int |f'|^2 dt = -int f f'' dt, f'' by the Fourier multiplier -k^2."""
+    """int |f'|^2 dt = -int f f'' dt, f'' by the Fourier multiplier -k^2,
+    k = m pi/T: formed with m^2 and (pi/T)^2 applied last, since f k^2 f
+    leaves the doubles on a wide or narrow grid (T ~ 1e103 or 1e-103 at
+    unit mass)."""
     if not f.boundary_decayed():
         raise DomainTooSmallError(
             "field has not decayed at the grid boundary; enlarge half_width")
     g = f.grid
-    lap = np.fft.irfft(-g.wavenumbers() ** 2 * np.fft.rfft(f.values), g.n)
-    return float(-g.spacing * np.sum(f.values * lap))
+    lap = np.fft.irfft(-np.arange(g.n // 2 + 1) ** 2.0 * np.fft.rfft(f.values),
+                       g.n)
+    return float(-g.spacing * np.sum(f.values * lap)
+                 * (np.pi / g.half_width) ** 2)
 
 
 def quartic(f: Field1D) -> float:

@@ -210,15 +210,16 @@ def solve_weighted(mu: float, akin: float, weight: Callable, lam: float,
     if not np.all(np.isfinite(weights) & (weights >= 0.0)):
         raise ParameterError("weights must be finite and nonnegative")
     f0 = None if start is None else start(_GRID.points())
-    try:
+    try:  # the flow and its map back to mass a and scale mu
         with np.errstate(over="raise", invalid="raise"):
             vals, E_int, iters, res = _minimize_on_sphere(
                 akin, weights, a * lam / mu, tol, f0)
+            return OneDSolution(
+                a * mu * mu * E_int, Field1D(grid, np.sqrt(a * mu) * vals),
+                iters, np.sqrt(a) * mu * mu * res)
     except FloatingPointError:
         raise ParameterError(f"the sphere flow at coupling lam = {lam:g} "
                              "leaves the doubles") from None
-    return OneDSolution(a * mu * mu * E_int, Field1D(
-        grid, np.sqrt(a * mu) * vals), iters, np.sqrt(a) * mu * mu * res)
 
 
 def _scaled_grid(mu: float) -> Grid1D:

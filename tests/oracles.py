@@ -166,6 +166,15 @@ def transverse_weight_mp(k, B):
         return float(mpmath.pi * mpmath.exp(y) * mpmath.e1(y))
 
 
+def kappa1_mp(kappa_value, K3, B, alpha):
+    """kappa - (8 alpha/(pi K3)) e^x E1(x), x = K3^2/(2B), in 40-digit
+    mpmath arithmetic, where neither 2B overflows nor x underflows."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(float(K3)) ** 2 / (2 * mpmath.mpf(float(B)))
+        gap = 8 * alpha / (mpmath.pi * K3) * mpmath.exp(x) * mpmath.e1(x)
+        return float(kappa_value - gap)
+
+
 def weight_cell_average_mp(lo, hi, B):
     """(1/(hi - lo)) int_lo^hi pi e^x E1(x) dk, x = k^2/B, by 40-digit
     mpmath tanh-sinh quadrature; the log singularity at k = 0 sits at an

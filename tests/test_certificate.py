@@ -66,6 +66,27 @@ class TestKappaChain:
         assert max(ratios) < 4.0
         assert max(ratios) / min(ratios) < 1.5
 
+    def test_kappa1_where_the_ratio_underflows(self):
+        # x = K3^2/(2B) = 2.6e-431 is 0 in doubles; e^x E1(x) = -gamma - ln x
+        # from ln K3 and ln B, against 40-digit mpmath
+        B, K3 = float(np.exp(300.0)), 1e-150
+        assert K3 * K3 / B == 0.0
+        assert kappa1(1.0, K3, B, 1.0) == pytest.approx(
+            oracles.kappa1_mp(1.0, K3, B, 1.0), rel=1e-14)
+
+    @pytest.mark.parametrize("lnB", [708.7, 709.5, 709.78])
+    def test_kappas_at_the_top_of_the_B_range(self, lnB):
+        # pi Kperp^2 = pi B overflows from ln B ~ 708.64 and 2B from 709.09;
+        # each term takes its value without a numpy warning
+        B = float(np.exp(lnB))
+        cut = default_cutoffs(B, 1.0)
+        kap = kappa(cut.K, 1.0)
+        with np.errstate(all="raise"):
+            assert kappa2(kap, cut.K3, cut.Kperp, 1.0) == kap
+            k1 = kappa1(kap, cut.K3, B, 1.0)
+        assert k1 == pytest.approx(oracles.kappa1_mp(kap, cut.K3, B, 1.0),
+                                   rel=1e-15)
+
     def test_kappa2_values(self):
         assert kappa2(0.9, 0.0, 10.0, 1.0) == 0.9
         assert kappa2(1.0, 10.0, 100.0, 1.0) == pytest.approx(
@@ -142,6 +163,15 @@ class TestDefaultCutoffs:
     def test_requires_large_B(self):
         with pytest.raises(ParameterError):
             default_cutoffs(100.0, 1.0, 1e3)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.2])
+    def test_requires_gamma_below_one(self, alpha):
+        # gamma = 2^1.4 sqrt(kappa/ln B) reaches 1 at ln B = 2^2.8 kappa,
+        # 6.96 kappa: refused here, naming B and alpha, not by CutoffParams
+        with pytest.raises(ParameterError, match=r"2\^2.8 kappa.*B = 1000, "
+                           f"alpha = {alpha:g}"):
+            default_cutoffs(1e3, alpha)
+        assert default_cutoffs(1e3, 0.3).gamma < 1
 
     def test_requires_wide_K(self):
         with pytest.raises(ParameterError):

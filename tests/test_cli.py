@@ -170,11 +170,13 @@ class TestMinimizeAndTrial:
         ["minimize", "--B", "e10", "--alpha", "1e160"],
         ["trial", "--B", "e10", "--alpha", "1e308"],
         ["minimize", "--B", "e10", "--alpha", "1e8"],
-        ["minimize", "--B", "e709", "--alpha", "1e120"],
+        ["minimize", "--B", "e709", "--alpha", "1e155"],
         ["minimize", "--B", "e709", "--alpha", "1e-300"]])
     def test_overflowing_coupling_refused(self, argv, capfd):
         # an energy that leaves the doubles is a typed refusal, not a
-        # numpy warning, a stalled flow or a printed -inf
+        # numpy warning, a stalled flow or a printed -inf; at ln B = 709 the
+        # deficit, alpha^2 times that at (B/alpha^2, 1), is -1.4e307 at
+        # alpha = 1e154 and leaves the doubles by 1e155
         assert main(argv) == EXIT_VALIDATION
         captured = capfd.readouterr()
         err = captured.err.splitlines()
@@ -202,6 +204,19 @@ class TestMinimizeAndTrial:
                 captured = capfd.readouterr()
                 assert captured.err == "", argv
                 assert "E_total - B  = -" in captured.out, argv
+
+    def test_weak_coupling_kinetic_term(self, capsys):
+        # f k^2 f underflowed on the grid of alpha = 1e-120: kinetic(3)
+        # printed -0 and the deficit was twice the rescaling identity's
+        from magpolaron import PhysParams, pekar_minimize
+        assert main(["minimize", "--B", "e10", "--alpha", "1e-120"]) == EXIT_OK
+        out = capsys.readouterr().out
+        kin = float(out.split("kinetic(3)   = ")[1].split()[0])
+        deficit = float(out.split("E_total - B  = ")[1].split()[0])
+        _, low = pekar_minimize(PhysParams(parse_b("e10") / 1e-240, 1.0))
+        assert kin > 0
+        assert deficit == pytest.approx(1e-240 * low.deficit, rel=1e-13,
+                                        abs=0.0)
 
     def test_minimize_zero_coupling(self, capsys):
         assert main(["minimize", "--B", "e8", "--alpha", "0"]) == EXIT_OK
@@ -421,6 +436,35 @@ class TestCertifyCommand:
         err = captured.err.splitlines()
         assert captured.out == ""
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("lnB", ["708.7", "709.5", "709.78"])
+    def test_top_of_the_B_range(self, lnB, capfd):
+        # pi B overflowed in kappa2 (a numpy warning from ln B ~ 708.64) and
+        # 2B in kappa1 (exit 1 from ln B ~ 709.09)
+        assert main(["certify", "--B", f"e{lnB}"]) == EXIT_OK
+        captured = capfd.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[-1].startswith("valid=True ")
+
+    def test_underflowing_cutoff_ratio(self, capfd):
+        # K3^2/(2B) underflows: kappa1 is -2.5e153, an invalid certificate,
+        # not an error about the special function
+        assert main(["certify", "--B", "e300", "--K3", "1e-150"]) == \
+            EXIT_INVARIANT
+        captured = capfd.readouterr()
+        assert captured.err == ""
+        payload = json.loads(captured.out[:captured.out.rindex("valid=")])
+        assert payload["validity"]["kappa1_positive"] is False
+        assert payload["kappa1"] < -1e153
+
+    def test_default_cutoff_domain(self, capfd):
+        # gamma >= 1 at B = 1e3, alpha = 0: one line naming the default
+        # cutoffs' domain, not the --gamma flag nobody set
+        assert main(["certify", "--B", "1e3", "--alpha", "0"]) == \
+            EXIT_VALIDATION
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: default cutoffs require ln B > ")
 
     def test_cutoff_overrides(self, tmp_path):
         out = tmp_path / "c.json"

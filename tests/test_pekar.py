@@ -242,7 +242,26 @@ class TestMinimize:
         assert abs(d_real - d_four) <= 1e-13 * abs(d_four)
 
 
+_EXTREME_COUPLINGS = [(alpha, lnB) for alpha in (1e-106, 1e-120, 1e-150)
+                      for lnB in (0.5, 10.0, 100.0)
+                      if float(np.exp(lnB)) / alpha ** 2 < np.inf]
+
+
 class TestScalingIdentity:
+    @pytest.mark.parametrize("alpha, lnB",
+                             _EXTREME_COUPLINGS + [(1e120, 709.0)])
+    def test_minimized_deficits_at_extreme_coupling(self, alpha, lnB):
+        # deficit(B, alpha) = alpha^2 deficit(B/alpha^2, 1) on the
+        # minimizers; f k^2 f in kinetic underflowed on the wide grids of
+        # weak coupling (off by 5.8e-12 at alpha = 1e-106, 2x at 1e-120)
+        # and overflowed on the narrow one at alpha = 1e120, which was refused
+        B = float(np.exp(lnB))
+        _, high = pekar_minimize(PhysParams(B, alpha))
+        _, low = pekar_minimize(PhysParams(B / alpha ** 2, 1.0))
+        assert high.longitudinal_kinetic > 0
+        assert high.deficit == pytest.approx(alpha ** 2 * low.deficit,
+                                             rel=1e-13, abs=0.0)
+
     def test_alpha_one_trivial(self, f11):
         passed, rel = scaling_identity_check(np.exp(6.0), 1.0, f11)
         assert passed and rel < 1e-12
