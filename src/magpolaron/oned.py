@@ -210,7 +210,7 @@ def solve_weighted(mu: float, akin: float, weight: Callable, lam: float,
     if not np.all(np.isfinite(weights) & (weights >= 0.0)):
         raise ParameterError("weights must be finite and nonnegative")
     f0 = None if start is None else start(_GRID.points())
-    try:  # the flow and its map back to mass a and scale mu
+    try:  # the map back to mass a and scale mu can leave the doubles too
         with np.errstate(over="raise", invalid="raise"):
             vals, E_int, iters, res = _minimize_on_sphere(
                 akin, weights, a * lam / mu, tol, f0)

@@ -154,8 +154,10 @@ def _named(tree):
             yield node.attr
         elif isinstance(node, ast.alias):
             yield node.asname or node.name
-        elif isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.arg)):
-            yield node.name if hasattr(node, "name") else node.arg
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.arg):
+            yield node.arg
 
 
 def test_oned_alone_scales_the_flow():
