@@ -32,6 +32,8 @@ _RULE_ORDER = 16  # Gauss-Legendre points per panel
 _PANEL_BASE = 4.0  # ratio of successive panels on [0, 1], geometric toward 0
 _S_FLOOR = 1e-30  # first panel [0, floor]: |integrand| <= 1 bounds it by floor
 _S_TAIL = 48.0  # int_48^inf e^{-s}/(s + y) ds < e^{-47} int_1^inf
+_Y_MIN = 1.0 / np.finfo(float).max  # below it 1/y overflows
+_ROWS = 64  # k-rows per block of the Cauchy matrix: 512 KB at 1024 nodes
 
 
 @dataclass(frozen=True)
@@ -223,17 +225,33 @@ def _transverse_weight_quadrature(k3: np.ndarray, B: float) -> np.ndarray:
     Fourier-side weight.
 
     Integrated in s = u/B, y = k3^2/B, at unit scale for every B: the sum
-    int_0^1 expm1(-s)/(s + y) ds + int_1^48 e^{-s}/(s + y) ds is one
-    (k x s) matrix product over a node set shared by every k, and the log
-    part ln(1 + 1/y) of int_0^1 ds/(s + y) is split off in closed form.
+    int_0^1 expm1(-s)/(s + y) ds + int_1^48 e^{-s}/(s + y) ds runs over a
+    node set shared by every k, and the log part ln(1 + 1/y) of
+    int_0^1 ds/(s + y) is split off in closed form (ln B - 2 ln|k3| where
+    1/y overflows; the dropped ln(1 + y) is below 1e-308 there).  The
+    (k x s) Cauchy matrix is formed _ROWS k-rows at a time in one buffer, so
+    the working set is one (_ROWS x s) block whatever the node count; each
+    row's sum is the same matrix-vector product as for the whole matrix.
     Geometric panels toward s = 0 resolve the pole at s = -y for every y
     down to the floor.  For smaller y the first panel [0, floor] is not
     resolved, but |integrand| <= 1 keeps its error near the floor, against
     a weight above 68.
     """
     s, numer = _transverse_rule()
-    y = np.asarray(k3, dtype=float) ** 2 / B
-    return np.pi * ((1.0 / (y[:, None] + s)) @ numer + np.log1p(1.0 / y))
+    k = np.asarray(k3, dtype=float)
+    y = k ** 2 / B
+    out = np.empty_like(y)
+    tiny = y < _Y_MIN
+    out[~tiny] = np.log1p(1.0 / y[~tiny])
+    out[tiny] = np.log(B) - 2.0 * np.log(np.abs(k[tiny]))
+    m = np.empty((min(_ROWS, y.size), s.size))
+    for i in range(0, y.size, _ROWS):
+        rows = y[i:i + _ROWS]
+        block = m[:rows.size]
+        np.add.outer(rows, s, out=block)
+        np.divide(1.0, block, out=block)
+        out[i:i + _ROWS] += block @ numer
+    return np.pi * out
 
 
 def coherent_infimum(state: PekarProductState) -> float:

@@ -16,6 +16,7 @@ from scipy import integrate, special
 from magpolaron.errors import ResolutionError
 from magpolaron.grids import density_power
 from magpolaron.landau import effective_potential
+from magpolaron.pekar import _transverse_rule
 
 from lemmas import twisted_kernel, twisted_norm_bound
 
@@ -164,6 +165,15 @@ def transverse_weight_mp(k, B):
     with mpmath.workdps(40):
         y = mpmath.mpf(float(k)) ** 2 / mpmath.mpf(float(B))
         return float(mpmath.pi * mpmath.exp(y) * mpmath.e1(y))
+
+
+def transverse_weight_one_matrix(k3, B):
+    """The coherent route's transverse quadrature as one (k x s) Cauchy
+    matrix product over pekar's node set: the reference its row blocks must
+    reproduce bit for bit.  Defined where 1/y = B/k3^2 is a finite double."""
+    s, numer = _transverse_rule()
+    y = np.asarray(k3, dtype=float) ** 2 / B
+    return np.pi * ((1.0 / (y[:, None] + s)) @ numer + np.log1p(1.0 / y))
 
 
 def kappa1_mp(kappa_value, K3, B, alpha):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,12 +13,14 @@ from magpolaron import (Field1D, FitError, Grid1D, OneDProblem, ParameterError,
                         trial_energy, trial_state)
 from magpolaron import certificate, cli, oned, pekar
 from magpolaron.cli import SweepRecord, sweep
+from magpolaron.decomposition import fourier_side_energy
 from magpolaron.special import gauss_legendre_panels, log_end_rule
 from magpolaron.pekar import (_log_coupling, _transverse_weight_quadrature,
                               interaction_weights)
 
 from conftest import sech_field
-from oracles import transverse_weight_mp, weight_cell_average_mp
+from oracles import (transverse_weight_mp, transverse_weight_one_matrix,
+                     weight_cell_average_mp)
 
 
 def _flow_grid(B, alpha):
@@ -313,10 +316,13 @@ class TestCoherentRoute:
         state = PekarProductState(PhysParams(np.exp(6.0), 1.0), f11)
         assert np.exp(6.0) + kinetic(f11) >= coherent_infimum(state)
 
-    @pytest.mark.parametrize("lnB", [12.0, 20.0, 30.0])
+    @pytest.mark.parametrize("lnB", [12.0, 20.0, 30.0, 650.0, 700.0, 709.78])
     def test_transverse_quadrature_pointwise(self, lnB):
+        # with the trial grid's log-end nodes, where 1/y = B/k^2 overflows
+        # from ln B ~ 640 (17 of 96 nodes at 650, 84 at 709.78)
         B = np.exp(lnB)
-        k = np.geomspace(1e-6, 1e4, 41)
+        k1 = np.pi / trial_state(B).f.grid.half_width
+        k = np.concatenate([np.geomspace(1e-6, 1e4, 41), log_end_rule(k1)[0]])
         ratio = _transverse_weight_quadrature(k, B) / effective_potential_fourier(k, B)
         # the quadrature is pinned to 1e-13 against mpmath below, and the
         # closed form's small-argument branch keeps its x (1 - gamma - ln x)
@@ -334,6 +340,40 @@ class TestCoherentRoute:
             rel = np.abs(_transverse_weight_quadrature(k, B) / ref - 1.0)
             worst = max(worst, float(np.max(rel)))
         assert worst <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, pekar._ROWS - 1, pekar._ROWS,
+                                   pekar._ROWS + 1, 240, 2000])
+    @pytest.mark.parametrize("lnB", [0.01, 6.0, 30.0, 300.0])
+    def test_row_blocks_match_one_matrix(self, lnB, n):
+        # a ragged last block must not move a bit
+        B = np.exp(lnB)
+        k = np.geomspace(1e-6, 1e4, n)
+        assert np.array_equal(_transverse_weight_quadrature(k, B),
+                              transverse_weight_one_matrix(k, B))
+
+    def test_working_set_is_one_block(self):
+        # the whole 2000 x 1024 Cauchy matrix would be 16 MB, twice over
+        k = np.geomspace(1e-6, 1e4, 2000)
+        _transverse_weight_quadrature(k[:1], 1e6)  # the cached node set
+        tracemalloc.start()
+        try:
+            _transverse_weight_quadrature(k, 1e6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_000_000
+
+    @pytest.mark.parametrize("lnB", [650.0, 700.0, 709.78])
+    def test_attraction_at_the_top_of_the_B_range(self, lnB):
+        # the coherent route's Coulomb attraction against the closed-form
+        # weight's, where B/k^2 overflows on the log-end nodes
+        state = trial_state(np.exp(lnB), 1.0)
+        B = state.params.B
+        attraction = fourier_side_energy(
+            state.f, lambda k: _transverse_weight_quadrature(k, B))
+        assert attraction == pytest.approx(d_product_fourier(state.f, B),
+                                           rel=1e-13)
+        assert np.isfinite(coherent_infimum(state))
 
     @pytest.mark.parametrize("lnB", [6.0, 12.0, 20.0, 30.0])
     def test_deficit_matches_energy_at_large_B(self, lnB):
