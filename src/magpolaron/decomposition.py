@@ -19,6 +19,7 @@ closure remainder bounded by an explicit norm expression.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -61,17 +62,27 @@ def fourier_side_energy(f: Field1D, weight_at: Callable) -> float:
     singularities of the weight; the rest uses geometric panels to Nyquist.
     """
     g = f.grid
-    rho = f.values ** 2
     k1 = np.pi / g.half_width
-    k_max = np.pi / g.spacing
+    unit_nodes, unit_weights = _fourier_rule(g.n)
+    nodes = k1 * unit_nodes
+    rho_hat = density_fourier_at(f.values ** 2, g, nodes)
+    power = rho_hat.real ** 2 + rho_hat.imag ** 2
+    return float(np.sum(k1 * unit_weights * power * weight_at(nodes))
+                 / (2 * np.pi ** 2))
 
-    k_log, w_log = log_end_rule(k1)
-    k_geo, w_geo = gauss_legendre_panels(geometric_edges(k1, k_max)[1:], order=16)
 
+@lru_cache(maxsize=None)
+def _fourier_rule(n: int):
+    """fourier_side_energy's rule in units of k1 = pi/T: the log end, then
+    octaves [1, 2, 4, ..., n/2] to Nyquist; built once per n, read-only."""
+    k_log, w_log = log_end_rule(1.0)
+    k_geo, w_geo = gauss_legendre_panels(2.0 ** np.arange(n.bit_length() - 1),
+                                         order=16)
     nodes = np.concatenate([k_log, k_geo])
     weights = np.concatenate([w_log, w_geo])
-    power = np.abs(density_fourier_at(rho, g, nodes)) ** 2
-    return float(np.sum(weights * power * weight_at(nodes)) / (2 * np.pi ** 2))
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 # ----------------------------------------------------------------------------
@@ -147,11 +158,20 @@ def smooth_remainder_bound(f: Field1D, B: float) -> float:
 def kernel_remainder_coefficient(B: float) -> float:
     """Gaussian average of the log kernel over the transverse difference
     density: (1/2) int_0^inf e^{-u^2/4} K(u/sqrt(B)) u du."""
+    nodes, weights = _kernel_remainder_rule()
+    return float(0.5 * np.sum(weights * log_kernel(nodes / np.sqrt(B), B)))
+
+
+@lru_cache(maxsize=None)
+def _kernel_remainder_rule():
+    """kernel_remainder_coefficient's nodes u, weights w e^{-u^2/4} u; built
+    once, read-only.  The panel [0, 1e-8] of geometric_edges holds only
+    ~eps^2 |ln eps|/2 ~ 1e-15 of its u (ln 2 - ln u) integrand."""
     nodes, w = gauss_legendre_panels(geometric_edges(1e-8, 20.0), order=16)
-    vals = log_kernel(nodes / np.sqrt(B), B)
-    # geometric_edges starts at 0, so the panel [0, 1e-8] is integrated too;
-    # its u (ln 2 - ln u) integrand holds only ~eps^2 |ln eps|/2 ~ 1e-15
-    return float(0.5 * np.sum(w * np.exp(-nodes ** 2 / 4.0) * nodes * vals))
+    weights = w * np.exp(-nodes ** 2 / 4.0) * nodes
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def kernel_remainder(f: Field1D, B: float) -> float:

@@ -5,10 +5,10 @@ Conventions:
   - continuum transform rho_hat(k) = int e^{-ikt} rho(t) dt, approximated by
     h * sum_j e^{-ik t_j} rho_j; density_fourier_at evaluates it on the band
     |k| <= pi/h
-  - off the dual grid, density_fourier_at and density_correlation_at (on
-    |z| <= T) both go through one oversampled-FFT trigonometric sum with
-    Gaussian gridding (_trig_sum), O(n log n + 32 len(k)), accurate to a few
-    1e-16 of rho_hat(0) and of C(0)
+  - off the dual grid, density_fourier_at (complex fine grid) and
+    density_correlation_at (real, on |z| <= T) are one Gaussian-gridding
+    NUFFT (_gather), O(n log n + 32 len(k)), accurate to a few 1e-16 of
+    rho_hat(0) and of C(0); a node off the band raises ParameterError
   - the dual grid is one-sided, k_m = m pi/T, m = 0..n/2 (rfft order), and
     every on-grid transform is an rfft/irfft pair on it; density_power forms
     only the power, so the phase e^{ikT} of t_0 = -T drops out; Parseval reads
@@ -22,14 +22,16 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainTooSmallError, InvalidFieldError
+from .errors import DomainTooSmallError, InvalidFieldError, ParameterError
 
 BOUNDARY_DECAY = 1e-8
 _OVERSAMPLE = 2  # fine-grid factor of the trigonometric sum
 _TAPS = 16  # Gaussian taps on each side of an off-grid point
+_TAP_OFFSETS = np.arange(1.0 - _TAPS, _TAPS + 1)  # fine cells from floor(u)
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,7 @@ def mass(f: Field1D) -> float:
 
 
 def kinetic(f: Field1D) -> float:
-    """int |f'|^2 dt = -int f f'' dt, f'' by the Fourier multiplier -k^2,
+    """int |f'|^2 dt = -int f f'' dt, -f'' by the Fourier multiplier k^2,
     k = m pi/T: formed with m^2 and (pi/T)^2 applied last, since f k^2 f
     leaves the doubles on a wide or narrow grid (T ~ 1e103 or 1e-103 at
     unit mass)."""
@@ -97,27 +99,44 @@ def kinetic(f: Field1D) -> float:
         raise DomainTooSmallError(
             "field has not decayed at the grid boundary; enlarge half_width")
     g = f.grid
-    lap = np.fft.irfft(-np.arange(g.n // 2 + 1) ** 2.0 * np.fft.rfft(f.values),
-                       g.n)
-    return float(-g.spacing * np.sum(f.values * lap)
+    curvature = np.fft.irfft(_mode_squares(g.n) * np.fft.rfft(f.values), g.n)
+    return float(g.spacing * np.sum(f.values * curvature)
                  * (np.pi / g.half_width) ** 2)
+
+
+@lru_cache(maxsize=None)
+def _mode_squares(n: int) -> np.ndarray:
+    """m^2, m = 0..n/2, as floats; built once per n, read-only."""
+    m2 = np.arange(n // 2 + 1) ** 2.0
+    m2.setflags(write=False)
+    return m2
 
 
 def quartic(f: Field1D) -> float:
     """int f^4 dt."""
-    return float(f.grid.spacing * np.sum(f.values ** 4))
+    rho = f.values * f.values
+    return float(f.grid.spacing * np.sum(rho * rho))
 
 
 def density_fourier_at(rho_vals: np.ndarray, grid: Grid1D, k: np.ndarray) -> np.ndarray:
     """rho_hat(k) = h * sum_j e^{-ik t_j} rho_j on the band |k| <= pi/h.
 
     Evaluates the trigonometric interpolant's transform. Since
-    t_j = (j - n/2) h it is h times the centred trigonometric sum at x = -k h.
+    t_j = (j - n/2) h it is h times the centred trigonometric sum at x = -k h,
+    whose mode m = j - n/2 sits at index m mod 2n of the complex fine grid.
     O(n log n + 32 len(k)); for a density rho >= 0 the error stays within a
-    few 1e-16 of rho_hat(0) = h sum_j rho_j.
+    few 1e-16 of rho_hat(0) = h sum_j rho_j. A k off the band raises
+    ParameterError.
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    return grid.spacing * _trig_sum(rho_vals, -k, grid.spacing)
+    if not np.all(np.abs(k) <= np.pi / grid.spacing):
+        raise ParameterError("density_fourier_at takes |k| <= pi/h")
+    half = grid.n // 2
+    deconv = _deconvolution(grid.n)
+    spread = np.zeros(_OVERSAMPLE * grid.n, dtype=complex)
+    spread[:half] = rho_vals[half:] * deconv[:half]
+    spread[-half:] = rho_vals[:half] * deconv[half:0:-1]
+    return grid.spacing * _gather(np.fft.ifft(spread), -k * grid.spacing)
 
 
 def one_sided_fold(n: int) -> np.ndarray:
@@ -144,46 +163,52 @@ def density_power(f: Field1D):
 def density_correlation_at(f: Field1D, z: np.ndarray) -> np.ndarray:
     """C(z) = int rho(x) rho(x+z) dx on |z| <= T.
 
-    The cosine series over density_power with k_m = m pi / T is the real part
-    of the trigonometric sum at x = pi z / T; the Nyquist term sits in the
-    m = -n/2 slot, since Re e^{-inx/2} = cos(nx/2). O(n log n + 32 len(z));
-    the error stays within a few 1e-16 of C(0).
+    The cosine series over density_power with k_m = m pi / T at x = pi z / T,
+    on the real fine grid: one irfft, which counts each m > 0 twice, with -m.
+    O(n log n + 32 len(z)); the error stays within a few 1e-16 of C(0). A z
+    off |z| <= T raises ParameterError.
     """
-    _, measure = density_power(f)
-    n = f.grid.n
-    coeffs = np.zeros(n)
-    coeffs[0] = measure[-1]
-    coeffs[n // 2:] = measure[:-1]
-    z = np.asarray(z, dtype=float)
-    return _trig_sum(coeffs, z, np.pi / f.grid.half_width).real
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    if not np.all(np.abs(z) <= f.grid.half_width):
+        raise ParameterError("density_correlation_at takes |z| <= T")
+    spread = density_power(f)[1] * _deconvolution(f.grid.n)
+    spread[1:] *= 0.5
+    return _gather(np.fft.irfft(spread, _OVERSAMPLE * f.grid.n),
+                   z * (np.pi / f.grid.half_width))
 
 
-def _trig_sum(c: np.ndarray, y: np.ndarray, scale: float) -> np.ndarray:
-    """sum_{m=-n/2}^{n/2-1} c[m + n/2] e^{imx} at x = y * scale, by Gaussian
-    gridding: a type-2 NUFFT (Dutt & Rokhlin, SIAM J. Sci. Comput. 14, 1993;
-    Greengard & Lee, SIAM Rev. 46, 2004).
-
-    The coefficients are deconvolved by e^{m^2 tau} and summed on the
-    _OVERSAMPLE-times finer periodic grid by one FFT; each x then gathers
-    2 _TAPS fine-grid values through the Gaussian e^{-(x - x_l)^2 / 4 tau}.
-    Accurate for |x| <= pi, the band every caller stays in.
-    """
-    n = len(c)
-    size = _OVERSAMPLE * n
+@lru_cache(maxsize=None)
+def _deconvolution(n: int) -> np.ndarray:
+    """sqrt(pi/tau) e^{tau m^2}, m = 0..n/2, for n modes; built once per n,
+    read-only."""
     tau = np.pi * _TAPS / (n * n * _OVERSAMPLE * (_OVERSAMPLE - 0.5))
-    m = np.arange(-(n // 2), n // 2)
-    spread = np.zeros(size, dtype=complex)
-    spread[m] = c * np.exp(tau * m * m)  # mode m at index m mod size
-    fine = np.fft.ifft(spread)
+    m = np.arange(n // 2 + 1)
+    deconv = np.sqrt(np.pi / tau) * np.exp(tau * m * m)
+    deconv.setflags(write=False)
+    return deconv
 
-    # position in fine-grid cells
-    u = np.asarray(y, dtype=float) * scale * (size / (2.0 * np.pi))
+
+def _gather(fine: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Gaussian gridding, a type-2 NUFFT (Dutt & Rokhlin, SIAM J. Sci.
+    Comput. 14, 1993; Greengard & Lee, SIAM Rev. 46, 2004): fine is one FFT
+    of the modes |m| <= n/2 deconvolved by _deconvolution on the
+    _OVERSAMPLE-times finer grid, and each |x| <= pi gathers 2 _TAPS of its
+    values through the Gaussian e^{-(x - x_l)^2 / 4 tau}, as one row of a
+    strided window over it padded periodically to the cells
+    -size/2 - _TAPS .. size/2 + _TAPS. The rows serve floor(u) from
+    -size/2 - 1, an x rounded one ulp past -pi, to size/2; the window cannot
+    wrap, so the callers keep x in the band.
+    """
+    size = len(fine)
+    half = size // 2
+    u = x * (size / (2.0 * np.pi))  # position in fine-grid cells
     left = np.floor(u)
-    taps = np.arange(1 - _TAPS, _TAPS + 1)
-    dist = (u - left)[:, None] - taps
+    dist = (u - left)[:, None] - _TAP_OFFSETS
     # (2 pi / size)^2 / (4 tau) = pi (R - 1/2) / (R _TAPS), R = _OVERSAMPLE
     gauss = np.exp(-np.pi * (_OVERSAMPLE - 0.5) / (_OVERSAMPLE * _TAPS)
                    * dist * dist)
-    gathered = fine[(left.astype(np.int64)[:, None] + taps) % size]
-    return np.sqrt(np.pi / tau) * np.sum(gauss * gathered, axis=1)
-
+    padded = np.concatenate((fine[half - _TAPS:], fine[:half + _TAPS + 1]))
+    rows = np.ndarray((size + 2, 2 * _TAPS), padded.dtype, padded, 0,
+                      2 * padded.strides)  # row r: padded[r:r + 2 _TAPS]
+    gathered = rows[left.astype(np.intp) + (half + 1)]
+    return (gauss[:, None, :] @ gathered[:, :, None])[:, 0, 0]  # row dots

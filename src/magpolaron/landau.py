@@ -44,17 +44,14 @@ def effective_potential_fourier(k3, B: float):
     k = np.atleast_1d(k)
     with np.errstate(over="ignore"):  # x = inf gives U = 0, its limit
         x = (k / np.sqrt(B)) ** 2  # k * k overflows where x need not
-    out = np.empty_like(x)
     tiny = x < 1e-12
-    if np.any(tiny):
+    out = np.pi * exp_scaled_e1(np.where(tiny, 1.0, x))  # tiny x: set below
+    if tiny.any():
         with np.errstate(divide="ignore"):
             lead = -EULER_GAMMA - 2.0 * np.log(k[tiny]) + np.log(B)
         xt = x[tiny]
         # x (1 + L) is 0 at x = 0, where L is inf
         nxt = np.multiply(xt, 1.0 + lead, out=np.zeros_like(xt), where=xt > 0)
         out[tiny] = np.pi * (lead + nxt)
-    big = ~tiny
-    if np.any(big):
-        out[big] = np.pi * exp_scaled_e1(x[big])
     return float(out[0]) if scalar else out
 

@@ -26,21 +26,20 @@ def exp_scaled_e1(x):
     continued fraction 1/(x+1- 1/(x+3- 4/(x+5- 9/(...)))).
     """
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if np.any(x <= 0):
+    if (x <= 0).any():
         raise ValueError("exp_scaled_e1 requires x > 0")
-    out = np.empty_like(x)
     lo = x < _CF_SWITCH
-    if np.any(lo):
-        out[lo] = np.exp(x[lo]) * _sc.exp1(x[lo])
-    hi = ~lo
-    if np.any(hi):
-        xh = x[hi]
-        v = np.zeros_like(xh)
-        for j in range(80, 0, -1):
-            v = j * j / (xh + 2 * j + 1 - v)
-        out[hi] = 1.0 / (xh + 1 - v)
+    if lo.all():  # the common case, without masks
+        return np.exp(x) * _sc.exp1(x)
+    scalar = x.ndim == 0
+    x, lo = np.atleast_1d(x), np.atleast_1d(lo)
+    out = np.empty_like(x)
+    out[lo] = np.exp(x[lo]) * _sc.exp1(x[lo])
+    xh = x[~lo]
+    v = np.zeros_like(xh)
+    for j in range(80, 0, -1):
+        v = j * j / (xh + 2 * j + 1 - v)
+    out[~lo] = 1.0 / (xh + 1 - v)
     return out[0] if scalar else out
 
 
@@ -85,9 +84,19 @@ def log_end_rule(k1):
     k = k1 e^{-s} the integrand g(k) k becomes smooth and decays like
     s e^{-s}, integrated by 24-point Gauss-Legendre panels on s in
     [0, 4, 12, 28, 46]; the piece below k1 e^{-46} is ~1e-20 k1 |g|."""
-    s, w = gauss_legendre_panels([0.0, 4.0, 12.0, 28.0, 46.0], order=24)
-    nodes = k1 * np.exp(-s)
+    unit, w = _log_end_unit()
+    nodes = k1 * unit
     return nodes, w * nodes
+
+
+@lru_cache(maxsize=None)
+def _log_end_unit():
+    """log_end_rule's e^{-s} and s-weights, built once, read-only."""
+    s, w = gauss_legendre_panels([0.0, 4.0, 12.0, 28.0, 46.0], order=24)
+    unit = np.exp(-s)
+    unit.setflags(write=False)
+    w.setflags(write=False)
+    return unit, w
 
 
 def geometric_edges(a, b):

@@ -324,22 +324,33 @@ def d_product_grid(f, B):
 
 
 def dense_fourier_at(rho_vals, grid, k):
-    """rho_hat(k) = h * sum_j e^{-ik t_j} rho_j by the dense O(len(k) n) sum."""
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    return grid.spacing * _dense_sum(lambda x: np.exp(-1j * x), k,
-                                     grid.points(), rho_vals)
+    """rho_hat(k) = h * sum_j e^{-ik t_j} rho_j, t_j = (j - n/2) h, by the
+    dense O(len(k) n) sum in 80-bit (np.longdouble) arithmetic: each phase
+    k t_j is rounded once, to ~1e-19 relative; in doubles that rounding
+    alone reached 2.4e-14 of h sum rho at n = 8192."""
+    k = np.atleast_1d(np.asarray(k, dtype=float)).astype(np.longdouble)
+    h = np.longdouble(grid.spacing)
+    t = (np.arange(grid.n) - grid.n // 2) * h
+    rho = np.asarray(rho_vals, dtype=np.longdouble)
+    return (h * _dense_sum(lambda x: np.exp(-1j * x), k, t, rho)).astype(complex)
 
 
 def dense_correlation_at(f, z):
-    """C(z) = sum measure cos(k z) over density_power by the dense sum."""
-    k_pos, measure = density_power(f)
-    return _dense_sum(np.cos, np.asarray(z, dtype=float), k_pos, measure)
+    """C(z) = sum_m measure_m cos(m pi z / T) over density_power by the
+    dense sum in 80-bit arithmetic, pi being the double np.pi that the
+    dual grid k_m = m pi / T is built from."""
+    _, measure = density_power(f)
+    theta = np.asarray(z, dtype=np.longdouble) * (np.longdouble(np.pi)
+                                                  / f.grid.half_width)
+    m = np.arange(len(measure)).astype(np.longdouble)
+    return _dense_sum(np.cos, theta, m,
+                      measure.astype(np.longdouble)).astype(float)
 
 
 def _dense_sum(kernel, rows, cols, coeffs):
     """sum_j kernel(rows_i * cols_j) coeffs_j for every row, in row chunks
     that keep each dense kernel block near 4e6 entries."""
     chunk = max(1, int(4e6 // len(cols)))
-    return np.concatenate([np.zeros(0)] + [
+    return np.concatenate([np.zeros(0, dtype=coeffs.dtype)] + [
         kernel(np.outer(rows[i:i + chunk], cols)) @ coeffs
         for i in range(0, len(rows), chunk)])

@@ -6,7 +6,7 @@ from magpolaron import (Field1D, Grid1D, ParameterError, ResolutionError,
                         decompose, kernel_remainder,
                         kernel_remainder_coefficient, kinetic, log_kernel,
                         main_coefficient, mass, quartic,
-                        smooth_remainder_bound)
+                        smooth_remainder_bound, trial_state)
 
 from conftest import sech_field
 from lemmas import first_excited_radial, ground_radial, offdiag_bound_check
@@ -44,6 +44,19 @@ class TestDualPaths:
         val, err = coulomb_D_product(f, 7.0)
         assert val == pytest.approx(ref, rel=1e-8)
         assert err < 1e-8 * abs(val) + 1e-12
+
+    @pytest.mark.parametrize("lnB, real, fourier", [
+        (6.0, 1.5545543259854213, 1.5545543259854218),
+        (20.0, 14.82310190214459, 14.823101902144595),
+        (30.0, 33.72098922726687, 33.72098922726688)])
+    def test_paths_pinned_on_trial_state(self, lnB, real, fourier):
+        # each path on its own, so that a hot-path change cannot move one
+        # behind the other's back; the sweep pins hold only their average
+        f = trial_state(np.exp(lnB)).f
+        assert d_product_real(f, np.exp(lnB)) == pytest.approx(
+            real, rel=2e-15, abs=0.0)
+        assert d_product_fourier(f, np.exp(lnB)) == pytest.approx(
+            fourier, rel=2e-15, abs=0.0)
 
     def test_grid_guard_raises(self):
         f = sech_field(Grid1D(4096, 40.0), 1.0, 1.0)  # h ~ 0.0195

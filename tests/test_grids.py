@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from magpolaron import (DomainTooSmallError, Field1D, Grid1D,
-                        InvalidFieldError, kinetic, mass, quartic)
+                        InvalidFieldError, ParameterError, kinetic, mass,
+                        quartic)
+from magpolaron import decomposition, grids, special
 from magpolaron.decomposition import (fourier_side_energy,
                                       longitudinal_double_integral)
 from magpolaron.grids import (density_correlation_at, density_fourier_at,
@@ -185,32 +187,23 @@ def _production_nodes(f, B):
     return seen["k"], seen["z"]
 
 
-def _check_against_dense(f, k, z, phase_slack=False):
-    """The fast off-grid transforms against the dense sums: |d rho_hat| <=
-    1e-14 h sum|rho| and |d C| <= 1e-14 C(0).
-
-    With phase_slack the rho_hat bound also allows the dense sum's own
-    first-order rounding of its phases k t_j, eps |k| h sum|rho_j t_j|: on
-    bumps 4 off centre at n = 8192 that alone reaches 2e-14 h sum|rho| in
-    the band (against an 80-bit sum, the fast transform stays below 3e-17)."""
+def _check_against_dense(f, k, z):
+    """The fast off-grid transforms against the dense 80-bit sums:
+    |d rho_hat| <= 4e-15 h sum|rho| and |d C| <= 4e-15 C(0)."""
     g = f.grid
     rho = f.values ** 2
-    bound = 1e-14 * g.spacing * np.sum(np.abs(rho))
-    if phase_slack:
-        bound = bound + np.finfo(float).eps * np.abs(k) * g.spacing \
-            * np.sum(np.abs(rho * g.points()))
     fast = density_fourier_at(rho, g, k)
     dense = oracles.dense_fourier_at(rho, g, k)
-    assert np.all(np.abs(fast - dense) <= bound)
+    assert np.max(np.abs(fast - dense)) <= 4e-15 * g.spacing * np.sum(rho)
     c0 = np.sum(density_power(f)[1])
     fast_c = density_correlation_at(f, z)
     dense_c = oracles.dense_correlation_at(f, z)
-    assert np.max(np.abs(fast_c - dense_c)) <= 1e-14 * c0
+    assert np.max(np.abs(fast_c - dense_c)) <= 4e-15 * c0
 
 
 class TestTrigSum:
-    """density_fourier_at and density_correlation_at against the dense
-    trigonometric sums they replace."""
+    """density_fourier_at (the complex fine grid) and density_correlation_at
+    (the real one) against the dense trigonometric sums they replace."""
 
     @pytest.mark.parametrize("n", [64, 8192])
     @pytest.mark.parametrize("lnB", [10.0, 30.0])
@@ -236,6 +229,70 @@ class TestTrigSum:
         _check_against_dense(f, k, z)
 
     @pytest.mark.parametrize("n", [64, 8192])
+    def test_band_ends_exactly(self, n):
+        # T and h powers of two: x = -k h and x = pi z / T are exactly
+        # -+pi, the last fine cell each way
+        g = Grid1D(n, 8.0)
+        f = bump_field(g, np.random.default_rng(7))
+        k = np.array([np.pi / g.spacing, -np.pi / g.spacing])
+        z = np.array([g.half_width, -g.half_width])
+        assert (-k * g.spacing).tolist() == [-np.pi, np.pi]
+        assert (z * (np.pi / g.half_width)).tolist() == [np.pi, -np.pi]
+        _check_against_dense(f, k, z)
+
+    @pytest.mark.parametrize("n", [64, 8192])
+    def test_band_ends_rounded_outward(self, n):
+        # at T = 25 the callers' x at k = -+pi/h and z = -+T round to one
+        # ulp past -+pi, so -pi falls in the spare fine cell below the band
+        g = Grid1D(n, 25.0)
+        f = bump_field(g, np.random.default_rng(9))
+        k = np.array([np.pi / g.spacing, -np.pi / g.spacing])
+        z = np.array([g.half_width, -g.half_width])
+        assert np.all(np.abs(k * g.spacing) > np.pi)
+        assert np.all(np.abs(z * (np.pi / g.half_width)) > np.pi)
+        _check_against_dense(f, k, z)
+
+    @pytest.mark.parametrize("n", [64, 8192])
+    def test_fine_cell_boundaries(self, n):
+        # x = pi l / n falls on the edge of fine cell l of the 2n-cell grid,
+        # at k = l pi / 2T and z = l h / 2, from one end of the band to the
+        # other; rounding puts some just below the edge, so floor picks
+        # either neighbour
+        g = Grid1D(n, 8.0)
+        rng = np.random.default_rng(11)
+        f = bump_field(g, rng)
+        cells = np.r_[-n, 1 - n, -1, 0, 1, n - 1, n, rng.integers(-n, n, 40)]
+        _check_against_dense(f, cells * (np.pi / (2 * g.half_width)),
+                             cells * (g.spacing / 2))
+
+    @pytest.mark.parametrize("n", [64, 8192])
+    def test_single_node(self, n):
+        g = Grid1D(n, 40.0)
+        f = bump_field(g, np.random.default_rng(3))
+        _check_against_dense(f, np.array([0.3]), np.array([1.7]))
+        # a scalar node comes back as one value, on both grids
+        rho = f.values ** 2
+        assert density_fourier_at(rho, g, 0.3).shape == (1,)
+        assert density_correlation_at(f, 1.7).shape == (1,)
+
+    @pytest.mark.parametrize("n", [64, 8192])
+    def test_nodes_off_the_band_raise(self, n):
+        # the gather's padded window cannot wrap as an index mod 2n did: a
+        # node past the band end is refused, not read from a wrong window
+        g = Grid1D(n, 8.0)
+        f = bump_field(g, np.random.default_rng(5))
+        rho = f.values ** 2
+        nyquist = np.pi / g.spacing
+        for k in (np.nextafter(nyquist, np.inf), -np.nextafter(nyquist, np.inf),
+                  -1.5 * nyquist, np.nan):
+            with pytest.raises(ParameterError):
+                density_fourier_at(rho, g, np.array([0.0, k]))
+        for z in (np.nextafter(g.half_width, np.inf), -2.0 * g.half_width,
+                  np.nan):
+            with pytest.raises(ParameterError):
+                density_correlation_at(f, np.array([0.0, z]))
+
+    @pytest.mark.parametrize("n", [64, 8192])
     @given(seed=st.integers(0, 10_000))
     def test_random_fields_and_nodes(self, n, seed):
         g = Grid1D(n, 40.0)
@@ -243,4 +300,20 @@ class TestTrigSum:
         f = bump_field(g, rng)
         k = rng.uniform(-1.0, 1.0, 64) * np.pi / g.spacing
         z = rng.uniform(0.0, g.half_width, 64)
-        _check_against_dense(f, k, z, phase_slack=True)
+        _check_against_dense(f, k, z)
+
+
+@pytest.mark.parametrize("rule", [
+    lambda: (grids._deconvolution(64),), lambda: (grids._mode_squares(64),),
+    special._log_end_unit, lambda: decomposition._fourier_rule(64),
+    decomposition._kernel_remainder_rule],
+    ids=["deconvolution", "mode_squares", "log_end_unit", "fourier_rule",
+         "kernel_remainder_rule"])
+def test_rules_built_once_are_read_only(rule):
+    # each call hands out the one cached array: a write would change every
+    # later transform or quadrature, so it raises instead
+    arrays = rule()
+    assert all(a is b for a, b in zip(arrays, rule()))
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 1.0
