@@ -148,16 +148,16 @@ def one_sided_fold(n: int) -> np.ndarray:
     return fold
 
 
-def density_power(f: Field1D):
-    """One-sided power of rho = f^2 on the dual grid: (k >= 0, measure) with
-    measure = |rho_hat|^2 dk / 2pi = |rho_hat|^2 / 2T and the negative
+def density_power(f: Field1D) -> np.ndarray:
+    """One-sided power of rho = f^2 on the dual grid k = f.grid.wavenumbers():
+    measure = |rho_hat|^2 dk / 2pi = |rho_hat|^2 / 2T with the negative
     wavenumbers folded in, so C(z) = int rho(x) rho(x+z) dx
     = sum measure * cos(k z)."""
     g = f.grid
     rho_hat = g.spacing * np.fft.rfft(f.values ** 2)
     measure = (rho_hat.real ** 2 + rho_hat.imag ** 2) / (2.0 * g.half_width)
     measure *= one_sided_fold(g.n)
-    return g.wavenumbers(), measure
+    return measure
 
 
 def density_correlation_at(f: Field1D, z: np.ndarray) -> np.ndarray:
@@ -171,7 +171,7 @@ def density_correlation_at(f: Field1D, z: np.ndarray) -> np.ndarray:
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if not np.all(np.abs(z) <= f.grid.half_width):
         raise ParameterError("density_correlation_at takes |z| <= T")
-    spread = density_power(f)[1] * _deconvolution(f.grid.n)
+    spread = density_power(f) * _deconvolution(f.grid.n)
     spread[1:] *= 0.5
     return _gather(np.fft.irfft(spread, _OVERSAMPLE * f.grid.n),
                    z * (np.pi / f.grid.half_width))

@@ -7,6 +7,7 @@ integrates the log singularity of U(k;B) at k = 0 with.
 """
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -54,7 +55,7 @@ def gauss_legendre_panels(edges, order=16):
     edges: increasing panel boundaries; returns flat (nodes, weights).
     """
     edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0):
+    if edges.ndim != 1 or len(edges) < 2 or np.any(edges[1:] <= edges[:-1]):
         raise ValueError("panel edges must be strictly increasing")
     nodes, weights = gauss_legendre_rows(edges[:-1], edges[1:], order)
     return nodes.ravel(), weights.ravel()
@@ -103,7 +104,9 @@ def geometric_edges(a, b):
     """Panel edges [0, a, 2a, 4a, ...] ending at b (a > 0, b > a)."""
     if not (0 < a < b):
         raise ValueError("need 0 < a < b")
-    edges = [0.0, a]
-    while edges[-1] < b:
-        edges.append(min(edges[-1] * 2.0, b))
-    return np.asarray(edges)
+    # a 2^j < b exactly for j < eb - ea + (mb > ma), with x = mx 2^ex
+    (ma, ea), (mb, eb) = math.frexp(a), math.frexp(b)
+    edges = np.empty(eb - ea + (mb > ma) + 2)
+    edges[0], edges[-1] = 0.0, b
+    edges[1:-1] = np.ldexp(a, np.arange(edges.size - 2))
+    return edges

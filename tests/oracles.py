@@ -176,6 +176,34 @@ def transverse_weight_one_matrix(k3, B):
     return np.pi * ((1.0 / (y[:, None] + s)) @ numer + np.log1p(1.0 / y))
 
 
+def geometric_edges_loop(a, b):
+    """Panel edges [0, a, 2a, 4a, ...] ending at b by doubling in a loop:
+    the reference special.geometric_edges must reproduce bit for bit."""
+    edges = [0.0, a]
+    while edges[-1] < b:
+        edges.append(min(edges[-1] * 2.0, b))
+    return np.asarray(edges)
+
+
+def trial_coulomb_mp(B):
+    """(D, (ln B)^2/48 - D) of the sech trial state at b = ln B/2, in 30-digit
+    mpmath arithmetic at the double B itself: D = (1/2 pi^2) int_0^inf
+    pi e^x E1(x) |rho_hat(k)|^2 dk, x = k^2/B, over the density's transform
+    rho_hat(k) = (pi k/b)/sinh(pi k/b), by tanh-sinh on [0, b/4, b, 4b, 16b,
+    64b, inf]."""
+    with mpmath.workdps(30):
+        B = mpmath.mpf(float(B))
+        b = mpmath.log(B) / 2
+
+        def integrand(k):
+            x = k * k / B
+            rho_hat = (mpmath.pi * k / b) / mpmath.sinh(mpmath.pi * k / b)
+            return mpmath.pi * mpmath.exp(x) * mpmath.e1(x) * rho_hat ** 2
+        d = mpmath.quad(integrand, [0, b / 4, b, 4 * b, 16 * b, 64 * b,
+                                    mpmath.inf]) / (2 * mpmath.pi ** 2)
+        return float(d), float(b * b / 12 - d)
+
+
 def kappa1_mp(kappa_value, K3, B, alpha):
     """kappa - (8 alpha/(pi K3)) e^x E1(x), x = K3^2/(2B), in 40-digit
     mpmath arithmetic, where neither 2B overflows nor x underflows."""
@@ -311,7 +339,7 @@ def d_product_grid(f, B):
     z = np.abs(lags) * h
     trap = h * np.sum(corr * effective_potential(z, B))
 
-    k_pos, measure = density_power(f)
+    k_pos, measure = f.grid.wavenumbers(), density_power(f)
     c0 = float(np.sum(measure))  # C(0)
     c2 = -float(np.sum(measure * k_pos ** 2))  # C''(0)
     correction = -(h ** 2) * B * c0 / 12.0 \
@@ -339,7 +367,7 @@ def dense_correlation_at(f, z):
     """C(z) = sum_m measure_m cos(m pi z / T) over density_power by the
     dense sum in 80-bit arithmetic, pi being the double np.pi that the
     dual grid k_m = m pi / T is built from."""
-    _, measure = density_power(f)
+    measure = density_power(f)
     theta = np.asarray(z, dtype=np.longdouble) * (np.longdouble(np.pi)
                                                   / f.grid.half_width)
     m = np.arange(len(measure)).astype(np.longdouble)

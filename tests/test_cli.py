@@ -569,6 +569,73 @@ class TestConfigFile:
         assert not (tmp_path / "s.csv").exists()
 
 
+class TestParserReuse:
+    """One parser per process for calls that bring no defaults; a call with
+    config entries or MAGPOLARON_WORKERS parses with a parser of its own."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        import magpolaron.cli as cli
+        calls = []
+        real = cli.build_parser
+
+        def counted():
+            calls.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "build_parser", counted)
+        monkeypatch.delenv("MAGPOLARON_WORKERS", raising=False)
+        return calls
+
+    @pytest.fixture
+    def seen_workers(self, monkeypatch):
+        import magpolaron.cli as cli
+        seen = []
+
+        def record(Bs, alpha, **kwargs):
+            seen.append(kwargs["workers"])
+            return []
+
+        monkeypatch.setattr(cli, "sweep", record)
+        return seen
+
+    def _sweep(self, tmp_path, *extra):
+        return main([*extra, "sweep", "--B", "e10",
+                     "--out", str(tmp_path / "s.csv")])
+
+    def test_plain_calls_build_once(self, builds, capsys):
+        for _ in range(2):
+            assert main(["minimize", "--B", "e10", "--alpha", "0"]) == EXIT_OK
+        assert len(builds) == 1
+
+    def test_config_defaults_do_not_leak(self, builds, seen_workers,
+                                         tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("workers = 3\n")
+        assert self._sweep(tmp_path, "--config", str(cfg)) == EXIT_OK
+        assert self._sweep(tmp_path) == EXIT_OK
+        assert seen_workers == [3, 1]
+        assert len(builds) == 2  # the shared parser, then the config call's
+
+    def test_environment_read_at_each_call(self, builds, seen_workers,
+                                           monkeypatch, tmp_path, capsys):
+        assert self._sweep(tmp_path) == EXIT_OK
+        monkeypatch.setenv("MAGPOLARON_WORKERS", "2")
+        assert self._sweep(tmp_path) == EXIT_OK
+        monkeypatch.delenv("MAGPOLARON_WORKERS")
+        assert self._sweep(tmp_path) == EXIT_OK
+        assert seen_workers == [1, 2, 1]
+
+    def test_replaced_command_is_called(self, builds, monkeypatch, capsys):
+        # the shared parser calls the module's current command functions
+        import magpolaron.cli as cli
+        assert main(["minimize", "--B", "e10", "--alpha", "0"]) == EXIT_OK
+        monkeypatch.setattr(cli, "cmd_minimize", lambda args: 7)
+        assert main(["minimize", "--B", "e10", "--alpha", "0"]) == 7
+        assert len(builds) == 1
+
+
 def test_readme_command_block_parses():
     # every documented command line parses, so a renamed flag cannot leave
     # the README stale; nothing is run
@@ -604,7 +671,8 @@ class TestExitCodes:
 
     def test_dual_path_disagreement_maps_to_exit_one(self, monkeypatch,
                                                      capsys):
-        # an unresolved density: the Coulomb paths part by 1.9e-6 of D
+        # an unresolved density: the Coulomb paths part by 1.9e-6 of D;
+        # decompose reaches them through the sampled trial state
         import magpolaron.cli as cli
         from magpolaron import (Field1D, Grid1D, PekarProductState,
                                 PhysParams, mass)
@@ -617,7 +685,7 @@ class TestExitCodes:
             return PekarProductState(PhysParams(B, alpha), f)
 
         monkeypatch.setattr(cli.pekar, "trial_state", coarse)
-        assert main(["trial", "--B", "1e4"]) == EXIT_VALIDATION
+        assert main(["decompose", "--B", "1e4"]) == EXIT_VALIDATION
         captured = capsys.readouterr()
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")

@@ -4,7 +4,7 @@ from scipy import special as sc
 
 from magpolaron import (ParameterError, effective_potential,
                         effective_potential_fourier)
-from magpolaron.special import exp_scaled_e1, log_end_rule
+from magpolaron.special import exp_scaled_e1, geometric_edges, log_end_rule
 
 from lemmas import (RadialTransverseDensity, effective_potential_general,
                     ground_radial, lll_projector_kernel,
@@ -206,6 +206,25 @@ class TestSpecialFunctionAccuracy:
             k1 * (lk1 - 1.0), rel=1e-14, abs=0.0)
         assert np.sum(w * k * k * np.log(k)) == pytest.approx(
             k1 ** 3 * (3.0 * lk1 - 1.0) / 9.0, rel=1e-14, abs=0.0)
+
+    def test_geometric_edges_match_the_doubling_loop(self):
+        # the closed form reproduces the loop bit for bit, at exact powers
+        # of two, one ulp either side, subnormal a and b near DBL_MAX
+        rng = np.random.default_rng(11)
+        cases = [(1.0, 4.0), (1.0, 5.0), (0.75, 1.5), (1e-8, 20.0),
+                 (5e-324, 1.0), (1e300, 1.7e308)]
+        for a in 10.0 ** rng.uniform(-300, 280, 300):
+            j = int(rng.integers(1, 60))
+            b = a * 2.0 ** j
+            cases += [(a, b), (a, np.nextafter(b, 0)),
+                      (a, np.nextafter(b, np.inf)),
+                      (a, a * 10.0 ** rng.uniform(1e-9, 8))]
+        for a, b in cases:
+            if 0 < a < b < np.inf:
+                expected = oracles.geometric_edges_loop(a, b)
+                got = geometric_edges(a, b)
+                assert got.shape == expected.shape and np.array_equal(
+                    got, expected), (a, b)
 
 
 class TestGeneralPotential:

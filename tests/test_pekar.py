@@ -20,7 +20,7 @@ from magpolaron.pekar import (_log_coupling, _transverse_weight_quadrature,
 
 from conftest import sech_field
 from oracles import (transverse_weight_mp, transverse_weight_one_matrix,
-                     weight_cell_average_mp)
+                     trial_coulomb_mp, weight_cell_average_mp)
 
 
 def _flow_grid(B, alpha):
@@ -111,6 +111,27 @@ class TestTrialState:
             assert f.boundary_decayed()
             assert f.grid == fields[0].grid
             assert np.array_equal(f.values, fields[0].values)
+
+    @pytest.mark.parametrize("lnB", [0.5, 1.0, 3.0, 6.0, 8.333837752801326,
+                                     12.0, 23.0, 30.0, 100.0, 300.0, 700.0,
+                                     709.0, 709.78])
+    def test_trial_energy_matches_mpmath(self, lnB):
+        # the closed-form transform's rule against 30-digit mpmath across
+        # the accepted B range: D within the 1e-15 relative coulomb_error
+        # reports, the deficit within it plus a few ulps of the exact
+        # kinetic term (at ln B 8.33 and 23 that is 1.03e-15 of the deficit)
+        B = float(np.exp(lnB))
+        d_ref, deficit_ref = trial_coulomb_mp(B)
+        bd = trial_energy(B, 1.0)
+        assert bd.coulomb_error == 1e-15 * abs(bd.coulomb) > 0
+        assert abs(-bd.coulomb - d_ref) <= bd.coulomb_error
+        assert abs(bd.deficit - deficit_ref) <= (
+            bd.coulomb_error + 4 * np.spacing(bd.longitudinal_kinetic))
+
+    def test_trial_energy_refuses_nonfinite(self):
+        with pytest.raises(ParameterError, match="not a finite double"):
+            trial_energy(np.exp(10.0), 1e308)
+        assert not np.signbit(trial_energy(np.exp(10.0), 0.0).coulomb)
 
     def test_coulomb_linear_in_alpha(self):
         # one field for every alpha: the Coulomb energy is exactly alpha * D
