@@ -12,7 +12,7 @@ its constant from the caller and is labeled as such.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -295,8 +295,8 @@ def certificate_to_dict(cert: LowerBoundCertificate) -> dict:
     return {
         "B": cert.params.B,
         "alpha": cert.params.alpha,
-        **asdict(cert.cutoffs),
-        **asdict(cert.ledger),
+        **vars(cert.cutoffs),  # flat float and int fields: no deep copy
+        **vars(cert.ledger),
         "I_value": _num(cert.I_value),
         "p0_bound": _num(cert.p0_bound),
         "conditional_full_bound": _num(cert.conditional_full_bound),

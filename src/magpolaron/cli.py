@@ -235,9 +235,9 @@ def cmd_sweep(args) -> int:
                     workers=args.workers)
     write_sweep_csv(records, args.out)
     print(f"wrote {len(records)} rows to {args.out}")
-    for r in records:
+    for r in records:  # the trial deficit from its components, as r's
         print(f"  B={r.B:.6g}  E_total-B={r.deficit:+.8g}  "
-              f"trial-B={r.trial_E - r.B:+.8g}")
+              f"trial-B={pekar.trial_energy(r.B, r.alpha).deficit:+.8g}")
     return EXIT_OK
 
 

@@ -9,19 +9,16 @@ minimizer, solve_weighted, for its Fourier-weighted generalization
 where rho = f^2.  The caller states the physical problem, w as a function
 of the grid, lam and the scale mu at which the minimizer has unit width;
 this module alone picks where a 1D field is sampled, _GRID scaled to its
-width, and maps lam to unit width.  The numerical scheme is a projected
-gradient flow on the mass sphere: preconditioned residual directions with
-an energy-monotone backtracking line search; even starts and weights of |k|
-alone keep the field centred without translation resets.  The flow runs
-in spectral coordinates (Antoine, Levitt & Tang, J. Comput. Phys. 343
-(2017) 92-109): the field is carried as its one-sided spectrum, where the
-mass constraint, the kinetic term and the preconditioner are diagonal, and
-only the density f^2 and the flow potential W f go through real space.
+width, and maps lam to unit width.  The numerical scheme is preconditioned
+nonlinear CG on the mass sphere with an exact, closed-form line search, in
+spectral coordinates (Antoine, Levitt & Tang, J. Comput. Phys. 343 (2017)
+92-109); even starts and weights of |k| alone keep the field centred.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -106,6 +103,49 @@ def gn_ratio(f: Field1D) -> float:
 # core sphere minimizer
 
 
+@lru_cache(maxsize=None)
+def _flow_arrays(grid: Grid1D):
+    """Read-only g = h fold/n and g k^2 (float view), k^2, Gaussian start."""
+    t, k2 = grid.points(), grid.wavenumbers() ** 2
+    g = np.repeat(grid.spacing / grid.n * one_sided_fold(grid.n), 2)
+    arrays = (g, g * np.repeat(k2, 2), k2, np.exp(-t * t / 2.0))
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _along(c, th):
+    """E(th) = K/N - A/N^2 and E'(th) on the curve (F + th D)/sqrt(N(th)),
+    N = n0 + 2 th n1 + th^2 n2, K likewise, A = a0 + a1 th + ... + a4 th^4."""
+    n0, n1, n2, k0, k1, k2, a0, a1, a2, a3, a4 = c
+    N, dN = n0 + th * (2.0 * n1 + th * n2), 2.0 * (n1 + th * n2)
+    K, dK = k0 + th * (2.0 * k1 + th * k2), 2.0 * (k1 + th * k2)
+    A = a0 + th * (a1 + th * (a2 + th * (a3 + th * a4)))
+    dA = a1 + th * (2.0 * a2 + th * (3.0 * a3 + th * 4.0 * a4))
+    return (K / N - A / (N * N),
+            (dK * N - K * dN - dA + 2.0 * A * dN / N) / (N * N))
+
+
+def _line_minimum(c, theta):
+    """(E(0), th, E(th)) at the first root of E' past 0: bracketed by doubling
+    theta up to 50, then Illinois iteration to 1e-3 relative in th."""
+    (e0, d_lo), lo, hi, side = _along(c, 0.0), 0.0, theta, 0
+    e_hi, d_hi = _along(c, hi)
+    while d_lo < 0 and d_hi < 0 and hi < 50.0:
+        lo, d_lo, hi = hi, d_hi, 2.0 * hi
+        e_hi, d_hi = _along(c, hi)
+    while d_lo < 0 < d_hi and hi - lo > 1e-3 * hi:
+        x = (lo * d_hi - hi * d_lo) / (d_hi - d_lo)
+        e_x, d_x = _along(c, x)
+        if d_x < 0:
+            d_hi *= 0.5 if side < 0 else 1.0
+            lo, d_lo, side = x, d_x, -1
+        else:
+            d_lo *= 0.5 if side > 0 else 1.0
+            hi, e_hi, d_hi, side = x, e_x, d_x, 1
+    return e0, hi, e_hi
+
+
 def _minimize_on_sphere(akin: float, weights: np.ndarray, lam: float,
                         tol: float, f0: Optional[np.ndarray]):
     """Minimize akin*int f'^2 - lam*dk*sum_k w(|k|) |rho_hat(k)|^2 over all
@@ -119,68 +159,68 @@ def _minimize_on_sphere(akin: float, weights: np.ndarray, lam: float,
     out, and returns (values, energy, iterations, residual) of the last
     accepted field, the residual its own; ConvergenceError unless it passes.
 
-    The flow runs in spectral coordinates: the field is its one-sided
-    spectrum F = rfft(f), with the samples f = irfft(F) alongside.  Every
-    inner product h sum x y is the Parseval sum (h/n) sum fold Re(X conj Y),
-    a real dot product on the float views, so the mass, the kinetic term and
-    the preconditioner 1/(akin k^2 + shift) are diagonal.  The energy is
-    akin sum g k^2 |F|^2 - 2 pi lam sum g w |P|^2 with g = h fold/n and
-    P = rfft(f^2); a line-search trial costs one irfft and one rfft, and the
-    gradient of each field the flow holds, rfft(W f) - akin k^2 F with the
-    flow potential W = 4 pi lam irfft(w P), two more.
+    The field is its spectrum F = rfft(f), with f alongside; h sum x y is
+    (h/n) sum fold Re(X conj Y), a dot product on the float views.  The
+    energy is akin sum g k^2 |F|^2 - 2 pi lam sum g w |P|^2, g = h fold/n,
+    P = rfft(f^2); its gradient R = G - sigma F, G = akin f'' + W f with
+    W = 4 pi lam irfft(w P), costs two transforms.  D is Polak-Ribiere+ CG
+    on Z = R/(akin k^2 + sigma), sigma = <f, G> floored at 1e-3 max(|W|, 1),
+    restarted at Z when beta <= 0 or <R, D> <= 0.  On (F + th D)/sqrt(N)
+    the density is (P + 2 th Q1 + th^2 Q2)/N, [Q1, Q2] = rfft([f d, d^2]),
+    so E(th) is closed form in Gram sums: an iteration costs four transforms.
     """
-    n, h = _GRID.n, _GRID.spacing
-    t = _GRID.points()
-    k2 = _GRID.wavenumbers() ** 2
-    g = np.repeat(h / n * one_sided_fold(n), 2)  # on the float view
-    g_kin = akin * np.repeat(k2, 2) * g
-    g_att = 2.0 * np.pi * lam * np.repeat(weights, 2) * g
-
-    def dot(X, Y):
-        """h sum x y of two real fields from their one-sided spectra."""
-        return np.dot(g * X.view(float), Y.view(float))
-
-    def energy(F, P):
-        Fv, Pv = F.view(float), P.view(float)
-        return np.dot(g_kin * Fv, Fv) - np.dot(g_att * Pv, Pv)
+    g, gk2, k2, gauss = _flow_arrays(_GRID)
+    kin, g_kin, wq = akin * k2, akin * gk2, 4.0 * np.pi * lam * weights
+    gram = np.array((g, g, g_kin, g_kin) + (0.5 * np.repeat(wq, 2) * g,) * 3)
 
     def gradient(f, F, P):
-        """Tangent residual R of akin f'' + W f, ||R||, shift max(|W|, 1)."""
-        W = 4.0 * np.pi * lam * np.fft.irfft(weights * P, n)
-        G = np.fft.rfft(W * f) - akin * k2 * F  # akin f'' + W f
-        R = G - dot(F, G) * F
-        return R, np.sqrt(dot(R, R)), max(np.max(np.abs(W)), 1.0)
+        """R, g R on the float view, ||R|| and the shift."""
+        W = np.fft.irfft(wq * P, _GRID.n)
+        G = np.fft.rfft(W * f) - kin * F
+        sigma = (g * F.view(float)) @ G.view(float)
+        R = G - sigma * F
+        Rg = g * R.view(float)
+        return R, Rg, np.sqrt(Rg @ R.view(float)), max(
+            sigma, 1e-3 * max(np.abs(W).max(), 1.0))
 
-    f = np.exp(-t * t / 2.0) if f0 is None else np.array(f0, dtype=float)
-    nrm = h * np.sum(f * f)
+    f = np.array(gauss if f0 is None else f0, dtype=float)
+    nrm = _GRID.spacing * np.sum(f * f)
     if nrm <= 0:
         raise InvalidFieldError("initial field must be nonzero")
     f *= np.sqrt(1.0 / nrm)
     F, P = np.fft.rfft(f), np.fft.rfft(f * f)
-    E = energy(F, P)
-    R, residual, shift = gradient(f, F, P)
-    theta = 1.0
+    R, Rg, residual, shift = gradient(f, F, P)
+    theta, D, Z_prev, rz_prev = 1.0, 0.0, np.zeros_like(R), np.inf
     for it in range(1, _MAX_ITER + 1):
-        D = R / (akin * k2 + shift)
-        D -= dot(F, D) * F
-        slope = dot(R, D)
-        theta = min(theta * 1.5, 50.0)
+        Z = R / (kin + shift)
+        rz = Rg @ Z.view(float)
+        beta = max(0.0, (rz - Rg @ Z_prev.view(float)) / rz_prev)
+        D = Z + beta * D
+        D = D if Rg @ D.view(float) > 0 else Z  # restart at <R, D> <= 0
+        D -= ((g * F.view(float)) @ D.view(float)) * F
+        slope, Z_prev, rz_prev = Rg @ D.view(float), Z, rz
+        d = np.fft.irfft(D, _GRID.n)
+        Q = np.fft.rfft(np.array((f * d, d * d)))
+        X = np.array((F, D, F, D, P, Q[0], Q[1])).view(float)
+        M = ((X * gram) @ X.T).tolist()
+        c = (*M[0][:2], M[1][1], *M[2][2:4], M[3][3], M[4][4], 4 * M[4][5],
+             4 * M[5][5] + 2 * M[4][6], 4 * M[5][6], M[6][6])
+        E, theta, En = _line_minimum(c, theta)
         for _ in range(60):
-            Fn = F + theta * D
-            Fn *= np.sqrt(1.0 / dot(Fn, Fn))
-            fn = np.fft.irfft(Fn, n)
-            Pn = np.fft.rfft(fn * fn)
-            En = energy(Fn, Pn)
             if En <= E - 1e-4 * theta * slope + 1e-14 * (1 + abs(E)):
                 break
             theta *= 0.5
+            En = _along(c, theta)[0]
         else:
             # line search exhausted: gradient is at the numerical floor
             break
         rel_change = abs(En - E) / max(abs(En), 1e-300)
-        f, F, P, E = fn, Fn, Pn, En
-        before = residual
-        R, residual, shift = gradient(f, F, P)
+        scale = 1.0 / math.sqrt(c[0] + theta * (2.0 * c[1] + theta * c[2]))
+        F = scale * F + (scale * theta) * D
+        f = scale * f + (scale * theta) * d
+        P = scale * scale * (P + np.dot((2.0 * theta, theta * theta), Q))
+        E, before = En, residual
+        R, Rg, residual, shift = gradient(f, F, P)
         if rel_change < tol and max(before, residual) < np.sqrt(tol) * (
                 1 + abs(E)):
             break
@@ -230,7 +270,7 @@ def _scaled_grid(mu: float) -> Grid1D:
 
 
 def solve_numeric(p: OneDProblem, tol: float) -> OneDSolution:
-    """Ground state of the quartic problem by projected gradient flow.
+    """Ground state of the quartic problem by the sphere minimizer.
 
     b int f^4 = (b/2pi) int |rho_hat|^2 dk: solve_weighted with the flat
     weight and lam = b/(2 pi) at mu = a*b/4, where every (a, b) becomes the

@@ -254,11 +254,11 @@ class TestCertificate:
     @pytest.mark.parametrize("lnB, alpha, I_value, p0_bound", [
         # at (8, 2) the 4x wider grid gives -211.417 (mu = K3 here; at
         # mu = b/4 the cutoff spanned 5.9 dual cells and I was -214.591)
-        (8.0, 2.0, -211.58316954783717, 2487.797361002288),
-        (12.0, 1.0, -37.09442771583225, 162317.16912399614),
-        (20.0, 2.0, -260.16264694031696, 485163877.08408004),
-        (30.0, 0.5, -16.938595355301562, 10686474580144.71),
-    ])
+        (8.0, 2.0, -211.5831695479932, 2487.797361002132),
+        (12.0, 1.0, -37.09442771621215, 162317.16912399576),
+        (20.0, 2.0, -260.1626469474464, 485163877.08408004),
+        (30.0, 0.5, -16.938595355317712, 10686474580144.71),
+    ], ids=["e8-a2", "e12-a1", "e20-a2", "e30-a0.5"])
     def test_certify_numbers_pinned(self, lnB, alpha, I_value, p0_bound):
         # the weighted solve runs on oned's one grid to tol 1e-10; pinned so
         # that neither can drift

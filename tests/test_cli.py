@@ -266,6 +266,19 @@ class TestSweepCsv:
         for r in records:
             assert r.E_total < r.B
 
+    def test_stdout_trial_deficit_from_components(self, tmp_path, capsys):
+        # trial_E - B loses the trial deficit to B's ulp: it printed -256 at
+        # e40 and +0 at e700, where the components give -270.01 and -9.05e4
+        from magpolaron.pekar import trial_energy
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--B", "e40,e700", "--alpha", "5",
+                     "--out", str(out)]) == EXIT_OK
+        printed = [line.split("trial-B=")[1] for line in
+                   capsys.readouterr().out.splitlines() if "trial-B=" in line]
+        assert printed == [
+            format(trial_energy(parse_b(tok), 5.0).deficit, "+.8g")
+            for tok in ("e40", "e700")]
+
     def test_byte_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["sweep", "--alpha", "1", "--B", "e10,e11", "--out", str(a)])

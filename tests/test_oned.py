@@ -411,27 +411,23 @@ class TestSpectralFlow:
 
     @pytest.mark.parametrize("case", ["certify-e20-a1", "sweep-e20-a1"])
     def test_transform_budget(self, monkeypatch, case):
-        # two transforms per trial energy (irfft of the trial spectrum, rfft
-        # of its density) and two per iteration (the flow potential W and
-        # rfft(W f)); the real-space evaluation cost four per trial plus the
-        # preconditioner's pair.  Trial energies are counted by their
-        # density: the one nonnegative, unit-mass rfft input each has.
+        # four transforms per iteration, whatever the line search does: the
+        # flow potential W and rfft(W f) of the gradient, d = irfft(D) and
+        # one two-row rfft of [f d, d^2], from which every trial energy of
+        # the line search is closed form; + 4: the start's spectrum, its
+        # density and its gradient
         flow = oned._minimize_on_sphere
-        inside, transforms, densities, iterations = [], [], [], []
+        inside, transforms, iterations = [], [], []
 
         def counted(fft):
-            def call(x, *args, **kwargs):
+            def call(*args, **kwargs):
                 if inside:
                     transforms.append(fft)
-                    x_arr = np.asarray(x)
-                    if (fft is rfft and np.all(x_arr >= 0) and abs(
-                            inside[0].spacing * np.sum(x_arr) - 1) < 1e-12):
-                        densities.append(x_arr)
-                return fft(x, *args, **kwargs)
+                return fft(*args, **kwargs)
             return call
 
         def scoped(*args):
-            inside.append(oned._GRID)
+            inside.append(True)
             try:
                 out = flow(*args)
             finally:
@@ -439,16 +435,56 @@ class TestSpectralFlow:
             iterations.append(out[2])
             return out
 
-        rfft, irfft = np.fft.rfft, np.fft.irfft
-        monkeypatch.setattr(np.fft, "rfft", counted(rfft))
-        monkeypatch.setattr(np.fft, "irfft", counted(irfft))
+        for name in ("rfft", "irfft", "fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
         monkeypatch.setattr(oned, "_minimize_on_sphere", scoped)
         _FLOW_CASES[case]()
         (it,) = iterations
-        trials = len(densities) - 1  # the start's energy is no trial
-        assert it <= trials
-        # + 2: the gradient of the returned field, which the stop rule reads
-        assert len(transforms) <= 2 * (trials + 1) + 2 * it + 2
+        assert len(transforms) <= 4 * it + 4
+
+
+# the production ladders: the sweep's ln B = 10, 12, ..., 30 at alpha = 1 and
+# the certificate's ln B = 8, 9, ..., 30 at alpha = 0.5, 1 and 2
+_SWEEP_LADDER = [float(x) for x in range(10, 31, 2)]
+_CERTIFY_LADDER = [(float(x), alpha) for x in range(8, 31)
+                   for alpha in (0.5, 1.0, 2.0)]
+
+
+class TestFlowDepth:
+    """Nonlinear CG with an exact line search converges at tol 1e-15 on both
+    ladders, where an energy-monotone gradient flow ran out its 5000
+    iterations on every point; the default-tol answers lie within 10 tol of
+    those tight solves, in at most 0.6 times that flow's iterations (173
+    on the sweep ladder, 959 on the certificate's)."""
+
+    def test_sweep_ladder(self):
+        iterations = 0
+        for lnB in _SWEEP_LADDER:
+            params = PhysParams(np.exp(lnB), 1.0)
+            sol, bd = pekar_minimize(params)
+            _, tight = pekar_minimize(params, tol=1e-15)
+            assert bd.deficit == pytest.approx(tight.deficit, rel=1e-10,
+                                               abs=0.0)
+            iterations += sol.iterations
+        assert iterations <= 0.6 * 173
+
+    def test_certify_ladder(self, monkeypatch):
+        solve, tight, iterations = certificate.solve_weighted, [], []
+
+        def at_tol(mu, akin, weight, lam, tol, *args):
+            sol = solve(mu, akin, weight, lam, 1e-15 if tight else tol, *args)
+            if not tight:
+                iterations.append(sol.iterations)
+            return sol
+
+        monkeypatch.setattr(certificate, "solve_weighted", at_tol)
+        for lnB, alpha in _CERTIFY_LADDER:
+            default = certify_projected(np.exp(lnB), alpha).I_value
+            tight.append(True)
+            deep = certify_projected(np.exp(lnB), alpha).I_value
+            tight.clear()
+            assert default == pytest.approx(deep, rel=1e-9, abs=0.0)
+        assert sum(iterations) <= 0.6 * 959
 
 
 class TestSolverSignatures:

@@ -175,11 +175,12 @@ class TestMinimize:
         assert all(r <= 1.05 / 48.0 for r in ratios.values())
         assert ratios[24.0] <= ratios[27.0] <= ratios[30.0]
 
-    _PINNED = [(10.0, 14, -1.8777661808354174),
-               (20.0, 16, -6.825338356613889),
-               (30.0, 15, -15.463754545112614)]
+    _PINNED = [(10.0, 7, -1.87776618083822),
+               (20.0, 7, -6.825338356620785),
+               (30.0, 7, -15.4637545451194)]
 
-    @pytest.mark.parametrize("lnB, iters, deficit", _PINNED)
+    @pytest.mark.parametrize("lnB, iters, deficit", _PINNED,
+                             ids=[f"e{p[0]:g}" for p in _PINNED])
     def test_sweep_numbers_pinned(self, lnB, iters, deficit):
         # the minimizer's iteration count and deficit E - B, pinned so that
         # hot-path changes cannot drift them; ln B = 30 holds the weight with
@@ -193,7 +194,7 @@ class TestMinimize:
         # the flow's interaction is a periodic convolution, so each deficit
         # carries an image error of the period 2T; on oned's grid with 4x
         # the half-width and 4x the samples (same spacing) the pins move by
-        # 8.8e-11, 1.9e-11 and 7.3e-12 relative
+        # 8.6e-11, 1.8e-11 and 6.9e-12 relative
         wide = Grid1D(4 * oned._GRID.n, 4 * oned._GRID.half_width)
         monkeypatch.setattr(oned, "_GRID", wide)
         for lnB, iters, deficit in self._PINNED:
