@@ -12,6 +12,7 @@ its constant from the caller and is labeled as such.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -32,6 +33,10 @@ ASSUMPTIONS = [
     "localization bump chi(t) = sqrt(2) cos(pi t) on [-1/2, 1/2]; "
     "||chi'||^2 = pi^2",
 ]
+#: the validity flags a valid certificate needs; the others are advisory
+REQUIRED_FLAGS = ("kappa_positive", "kappa1_positive", "gamma_in_range",
+                  "mode_count_at_least_one", "K_at_least_sqrtB",
+                  "kappa_window")
 
 
 @dataclass(frozen=True)
@@ -129,9 +134,11 @@ def coupling_v(k3, Kperp: float):
     """Effective 1D coupling sqrt(pi) (ln(Kperp^2+k3^2) - ln(1+k3^2))^(1/2)."""
     if Kperp < 1:
         raise ParameterError("Kperp must be at least 1")
+    if isinstance(k3, float) and k3 == 0.0:  # the array path's bits
+        return math.sqrt(math.pi * max(math.log(Kperp ** 2), 0.0))
     k3 = np.asarray(k3, dtype=float)
     val = np.log(Kperp ** 2 + k3 ** 2) - np.log1p(k3 ** 2)
-    out = np.sqrt(np.pi * np.clip(val, 0.0, None))
+    out = np.sqrt(np.pi * np.maximum(val, 0.0))
     return float(out) if out.ndim == 0 else out
 
 
@@ -174,26 +181,25 @@ def default_cutoffs(B: float, alpha: float,
     PhysParams(B, alpha)  # refuses a bad B or alpha before the cutoffs do
     if B < 1e3:
         raise ParameterError("default cutoffs require B >= 1e3")
+    lnB, Kperp = math.log(B), math.sqrt(B)  # Python floats: numpy's bits
     if K is None:
-        K = B * np.log(B) ** (-4.0 / 3.0)
-    if K < np.sqrt(B):
+        K = B * lnB ** (-4.0 / 3.0)
+    if K < Kperp:
         raise ParameterError("default cutoffs require K >= sqrt(B)")
     kap = kappa(K, alpha)
     if kap <= 0:
         raise ParameterError("cutoff K must exceed 8*alpha/pi")
-    lnB = np.log(B)
-    Kperp = np.sqrt(B)
     K3 = kap ** -0.5 * lnB ** 1.5
-    ln_kp = np.log(Kperp)
+    ln_kp = math.log(Kperp)
     L2 = kap ** 0.2 * K3 ** -0.6 * ln_kp ** -0.6
-    M = max(1, int(np.floor(1.0 / L2)))
+    M = max(1, math.floor(1.0 / L2))
     gamma = kap ** 0.8 * K3 ** 0.6 * ln_kp ** -1.4
     if not gamma < 1:  # gamma = 2^1.4 sqrt(kappa/ln B)
         raise ParameterError(f"default cutoffs require ln B > 2^2.8 kappa "
                              f"(gamma < 1): B = {B:g}, alpha = {alpha:g} "
                              f"give gamma = {gamma:.6g}")
     return CutoffParams(K=K, K3=K3, Kperp=Kperp, gamma=gamma,
-                        L=float(np.sqrt(L2)), M=M)
+                        L=math.sqrt(L2), M=M)
 
 
 def analytic_infimum_floor(kappa1_value: float, gamma: float, Kperp: float,
@@ -217,7 +223,7 @@ def certify_projected(B: float, alpha: float,
     still returned.  Without cutoffs, default_cutoffs(B, alpha) applies.
     """
     params = PhysParams(B, alpha)
-    lnB = np.log(B)
+    lnB = math.log(B)
     if cutoffs is None:
         cutoffs = default_cutoffs(B, alpha)
     K = cutoffs.K
@@ -241,7 +247,8 @@ def certify_projected(B: float, alpha: float,
         # (dk = pi mu/40); v^2 is cut off at K3 by each dual cell's fraction
         def weight(grid):
             k, dk = grid.wavenumbers(), np.pi / grid.half_width
-            frac = np.clip((cutoffs.K3 - (k - dk / 2)) / dk, 0.0, 1.0)
+            frac = np.minimum(np.maximum((cutoffs.K3 - (k - dk / 2)) / dk,
+                                         0.0), 1.0)
             return coupling_v(k, cutoffs.Kperp) ** 2 * frac
 
         mu = min(2.0 * np.pi * lam * v0_sq / kap1 / 4.0, cutoffs.K3)
@@ -254,22 +261,19 @@ def certify_projected(B: float, alpha: float,
         projection_constant=1.0 + alpha / 2.0)
     p0 = (kap2 * B + I_value - cutoffs.M - blk - loc - (1.0 + alpha / 2.0))
 
-    required = {
+    validity = {
         "kappa_positive": kap > 0,
         "kappa1_positive": kap1 > 0,
         "gamma_in_range": 0 < cutoffs.gamma < 1,
         "mode_count_at_least_one": cutoffs.M >= 1,
-        "K_at_least_sqrtB": K >= np.sqrt(B),
+        "K_at_least_sqrtB": K >= math.sqrt(B),
         "kappa_window": lnB ** -0.5 <= kap <= lnB,
-    }
-    validity = {
-        **required,
         # advisory flags: needed only for the absorbed asymptotic form
         "gamma_at_most_half": cutoffs.gamma <= 0.5,
         "kappa_gap_small": (kap - kap1) <= kap / 2.0,
         "B_over_K3sq_at_least_2": B / cutoffs.K3 ** 2 >= 2.0,
     }
-    valid = bool(all(required.values()) and np.isfinite(p0))
+    valid = all(validity[k] for k in REQUIRED_FLAGS) and math.isfinite(p0)
     return LowerBoundCertificate(
         params=params, cutoffs=cutoffs, ledger=ledger, I_value=I_value,
         p0_bound=float(p0), validity=validity, valid=valid)

@@ -52,6 +52,10 @@ class SweepRecord:
     iters: int
     residual: float
 
+    #: trial deficit from its components (trial_E - B loses it to B's ulp);
+    #: set by _sweep_point, not a field, so no CSV column
+    trial_deficit = None
+
     @property
     def deficit(self) -> float:
         """E_total - B from the stored components, as EnergyBreakdown's."""
@@ -122,7 +126,7 @@ def write_sweep_csv(records, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        writer.writerows([_fmt(v) for v in dataclasses.astuple(r)]
+        writer.writerows([_fmt(getattr(r, name)) for name in CSV_HEADER]
                          for r in records)
 
 
@@ -149,11 +153,13 @@ def _sweep_point(args):
     trial = pekar.trial_energy(B, alpha)
     cert_bound = (cert_mod.certify_projected(B, alpha).p0_bound if certify
                   else None)
-    return SweepRecord(
+    record = SweepRecord(
         B=B, alpha=alpha, E_total=breakdown.total,
         E_kin3=breakdown.longitudinal_kinetic, E_coulomb=breakdown.coulomb,
         trial_E=trial.total, cert_bound=cert_bound,
         iters=sol.iterations, residual=sol.gradient_residual)
+    record.trial_deficit = trial.deficit
+    return record
 
 
 def sweep(B_values: Sequence[float], alpha: float, certify: bool = False,
@@ -235,9 +241,9 @@ def cmd_sweep(args) -> int:
                     workers=args.workers)
     write_sweep_csv(records, args.out)
     print(f"wrote {len(records)} rows to {args.out}")
-    for r in records:  # the trial deficit from its components, as r's
+    for r in records:
         print(f"  B={r.B:.6g}  E_total-B={r.deficit:+.8g}  "
-              f"trial-B={pekar.trial_energy(r.B, r.alpha).deficit:+.8g}")
+              f"trial-B={r.trial_deficit:+.8g}")
     return EXIT_OK
 
 
@@ -287,7 +293,13 @@ def cmd_certify(args) -> int:
     else:
         print(certificate_json(cert), end="")
     print(f"valid={cert.valid} p0_bound={_fmt(cert.p0_bound)}")
-    return EXIT_OK if cert.valid else EXIT_INVARIANT
+    if cert.valid:
+        return EXIT_OK
+    failed = [k for k in cert_mod.REQUIRED_FLAGS if not cert.validity[k]]
+    print("error: invalid certificate: " + (
+        f"required validity flags fail: {', '.join(failed)}" if failed else
+        f"p0_bound = {cert.p0_bound} is not finite"), file=sys.stderr)
+    return EXIT_INVARIANT
 
 
 def _verify_suites():

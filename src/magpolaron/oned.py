@@ -13,6 +13,8 @@ width, and maps lam to unit width.  The numerical scheme is preconditioned
 nonlinear CG on the mass sphere with an exact, closed-form line search, in
 spectral coordinates (Antoine, Levitt & Tang, J. Comput. Phys. 343 (2017)
 92-109); even starts and weights of |k| alone keep the field centred.
+Each solve allocates one workspace and every iteration writes into it: four
+transforms and ~20 other numpy calls an iteration.
 """
 from __future__ import annotations
 
@@ -105,10 +107,13 @@ def gn_ratio(f: Field1D) -> float:
 
 @lru_cache(maxsize=None)
 def _flow_arrays(grid: Grid1D):
-    """Read-only g = h fold/n and g k^2 (float view), k^2, Gaussian start."""
-    t, k2 = grid.points(), grid.wavenumbers() ** 2
+    """Read-only: [g, g k^2, k^2] (g = h fold/n) on the float view, and the
+    unit-mass Gaussian start f with rfft(f), rfft(f^2), bit for bit."""
+    t, k2 = grid.points(), np.repeat(grid.wavenumbers() ** 2, 2)
     g = np.repeat(grid.spacing / grid.n * one_sided_fold(grid.n), 2)
-    arrays = (g, g * np.repeat(k2, 2), k2, np.exp(-t * t / 2.0))
+    f = np.exp(-t * t / 2.0)
+    f *= np.sqrt(1.0 / (grid.spacing * np.sum(f * f)))
+    arrays = (np.array((g, g * k2, k2)), f, np.fft.rfft(f), np.fft.rfft(f * f))
     for a in arrays:
         a.setflags(write=False)
     return arrays
@@ -168,43 +173,84 @@ def _minimize_on_sphere(akin: float, weights: np.ndarray, lam: float,
     restarted at Z when beta <= 0 or <R, D> <= 0.  On (F + th D)/sqrt(N)
     the density is (P + 2 th Q1 + th^2 Q2)/N, [Q1, Q2] = rfft([f d, d^2]),
     so E(th) is closed form in Gram sums: an iteration costs four transforms.
+
+    Each call allocates one workspace that every iteration writes into (the
+    transforms by out=); sigma, the direction's six inner products and the
+    7 x 5 Gram sums are one matrix product each, the updates two dots: an
+    iteration is four transforms and ~20 other numpy calls.
     """
-    g, gk2, k2, gauss = _flow_arrays(_GRID)
-    kin, g_kin, wq = akin * k2, akin * gk2, 4.0 * np.pi * lam * weights
-    gram = np.array((g, g, g_kin, g_kin) + (0.5 * np.repeat(wq, 2) * g,) * 3)
+    n = _GRID.n
+    g_rows, gauss, gauss_F, gauss_P = _flow_arrays(_GRID)
+    g = g_rows[0]
+    # float rows Z, Z_prev, D, F, P, Q1, Q2, R, T (scratch); g D (g R until
+    # the Gram sums), g akin k^2 D, g F, g akin k^2 F, (g w/2) [P, Q1, Q2];
+    # g akin k^2, akin k^2, wq = 4 pi lam w, g w/2, ks = akin k^2 + shift.
+    # Samples d, f; u, v: [f d, d^2] for the Gram sums, [W, W f] for R
+    X, Y = np.zeros((21, n + 2)), np.empty((4, n))
+    Z, Z_prev, D, F, P, _, _, R, T, gD, gkD, gF, gkF = X[:13]
+    g_kin, kin, wq, gw, ks = X[16:]
+    _, _, Dc, Fc, Pc, _, _, Rc, Tc = S = X[:9].view(complex)
+    d, f, u, v = Y
+    np.multiply(g_rows[1:], akin, out=X[16:18])  # g akin k^2, akin k^2
+    np.multiply(np.repeat(weights, 2), 4.0 * np.pi * lam, out=wq)
+    np.multiply(np.multiply(wq, 0.5, out=gw), g, out=gw)
+    # max|W| <= w_sum P[0]: W = irfft(wq P), |P_m| <= P_0 = sum f^2
+    w_sum = (g @ wq) / (2.0 * _GRID.spacing)
+    ZD, DQ, FP, FG, PQ, Qc = X[:4], X[2:7], X[3:5], X[3:8:4].T, X[4:7], S[5:7]
+    ZD_T, DQ_T, gram, gRF, gFk, gPQ, df, uv = (
+        ZD.T, DQ.T, X[9:16], X[9:12:2], X[11:13], X[13:16], Y[:2], Y[2:])
+    # D on [Z, Z_prev, D, F]; F, P on [D, F, P, Q1, Q2]; f on [d, f] as F
+    cd, cu = np.array((1.0, 0.0, 0.0, 0.0)), np.zeros((2, 5))
+    cf = cu[0, :2]
 
-    def gradient(f, F, P):
-        """R, g R on the float view, ||R|| and the shift."""
-        W = np.fft.irfft(wq * P, _GRID.n)
-        G = np.fft.rfft(W * f) - kin * F
-        sigma = (g * F.view(float)) @ G.view(float)
-        R = G - sigma * F
-        Rg = g * R.view(float)
-        return R, Rg, np.sqrt(Rg @ R.view(float)), max(
-            sigma, 1e-3 * max(np.abs(W).max(), 1.0))
+    def gradient():  # R, g R, g F, g akin k^2 F and ks; returns ||R||
+        np.multiply(wq, P, out=T)
+        np.fft.irfft(Tc, n, out=u)
+        np.fft.rfft(np.multiply(u, f, out=v), out=Rc)
+        np.multiply(g, F, out=gF)
+        np.multiply(g_kin, F, out=gkF)
+        (_, fw), (fkf, _) = (gFk @ FG).tolist()
+        sigma = fw - fkf  # <F, rfft(W f)> - <F, akin k^2 F>
+        np.subtract(R, np.multiply(np.add(kin, sigma, out=ks), F, out=T),
+                    out=R)
+        if not sigma >= 2e-3 * max(w_sum * P[0], 1.0):  # else shift = sigma
+            shift = max(sigma, 1e-3 * max(np.abs(u, out=v).max(), 1.0))
+            if shift != sigma:
+                np.add(kin, shift, out=ks)
+        return math.sqrt(np.multiply(g, R, out=gD).dot(R))
 
-    f = np.array(gauss if f0 is None else f0, dtype=float)
-    nrm = _GRID.spacing * np.sum(f * f)
-    if nrm <= 0:
-        raise InvalidFieldError("initial field must be nonzero")
-    f *= np.sqrt(1.0 / nrm)
-    F, P = np.fft.rfft(f), np.fft.rfft(f * f)
-    R, Rg, residual, shift = gradient(f, F, P)
-    theta, D, Z_prev, rz_prev = 1.0, 0.0, np.zeros_like(R), np.inf
+    if f0 is None:
+        f[:], Fc[:], Pc[:] = gauss, gauss_F, gauss_P
+    else:
+        f[:] = f0
+        nrm = _GRID.spacing * np.sum(f * f)
+        if nrm <= 0:
+            raise InvalidFieldError("initial field must be nonzero")
+        f *= np.sqrt(1.0 / nrm)
+        Fc[:], Pc[:] = np.fft.rfft(f), np.fft.rfft(f * f)
+    residual = gradient()
+    theta, rz_prev = 1.0, np.inf
     for it in range(1, _MAX_ITER + 1):
-        Z = R / (kin + shift)
-        rz = Rg @ Z.view(float)
-        beta = max(0.0, (rz - Rg @ Z_prev.view(float)) / rz_prev)
-        D = Z + beta * D
-        D = D if Rg @ D.view(float) > 0 else Z  # restart at <R, D> <= 0
-        D -= ((g * F.view(float)) @ D.view(float)) * F
-        slope, Z_prev, rz_prev = Rg @ D.view(float), Z, rz
-        d = np.fft.irfft(D, _GRID.n)
-        Q = np.fft.rfft(np.array((f * d, d * d)))
-        X = np.array((F, D, F, D, P, Q[0], Q[1])).view(float)
-        M = ((X * gram) @ X.T).tolist()
-        c = (*M[0][:2], M[1][1], *M[2][2:4], M[3][3], M[4][4], 4 * M[4][5],
-             4 * M[5][5] + 2 * M[4][6], 4 * M[5][6], M[6][6])
+        np.copyto(Z_prev, Z)
+        np.divide(R, ks, out=Z)
+        (rz, rzp, rd, rf), (fz, _, fd, _) = (gRF @ ZD_T).tolist()
+        beta = max(0.0, (rz - rzp) / rz_prev)
+        if not rz + beta * rd > 0:  # restart at <R, D> <= 0
+            beta = 0.0
+        proj = fz + beta * fd  # D = Z + beta D_prev - proj F, tangent
+        cd[2], cd[3] = beta, -proj
+        np.dot(cd, ZD, out=D)
+        slope, rz_prev = rz + beta * rd - proj * rf, rz
+        np.fft.irfft(Dc, n, out=d)
+        np.multiply(f, d, out=u)
+        np.multiply(d, d, out=v)
+        np.fft.rfft(uv, out=Qc)
+        np.multiply(g, D, out=gD)
+        np.multiply(g_kin, D, out=gkD)
+        np.multiply(gw, PQ, out=gPQ)
+        M = gram.dot(DQ_T).tolist()  # columns D, F, P, Q1, Q2
+        c = (M[2][1], M[2][0], M[0][0], M[3][1], M[3][0], M[1][0], M[4][2],
+             4 * M[4][3], 4 * M[5][3] + 2 * M[4][4], 4 * M[5][4], M[6][4])
         E, theta, En = _line_minimum(c, theta)
         for _ in range(60):
             if En <= E - 1e-4 * theta * slope + 1e-14 * (1 + abs(E)):
@@ -216,11 +262,13 @@ def _minimize_on_sphere(akin: float, weights: np.ndarray, lam: float,
             break
         rel_change = abs(En - E) / max(abs(En), 1e-300)
         scale = 1.0 / math.sqrt(c[0] + theta * (2.0 * c[1] + theta * c[2]))
-        F = scale * F + (scale * theta) * D
-        f = scale * f + (scale * theta) * d
-        P = scale * scale * (P + np.dot((2.0 * theta, theta * theta), Q))
+        s2 = scale * scale
+        cu[0, 0], cu[0, 1] = scale * theta, scale  # F = scale (F + theta D)
+        cu[1, 2], cu[1, 3], cu[1, 4] = s2, 2.0 * theta * s2, theta * theta * s2
+        np.dot(cu, DQ, out=FP)
+        np.dot(cf, df, out=f)
         E, before = En, residual
-        R, Rg, residual, shift = gradient(f, F, P)
+        residual = gradient()
         if rel_change < tol and max(before, residual) < np.sqrt(tol) * (
                 1 + abs(E)):
             break
@@ -228,7 +276,7 @@ def _minimize_on_sphere(akin: float, weights: np.ndarray, lam: float,
         raise ConvergenceError(
             f"sphere minimizer stalled: residual {residual:.3e} after {it} "
             "iterations", iterations=it, residual=residual)
-    return f, E, it, residual
+    return f.copy(), E, it, residual
 
 
 def solve_weighted(mu: float, akin: float, weight: Callable, lam: float,

@@ -26,6 +26,8 @@ def exp_scaled_e1(x):
     Small/moderate x uses scipy's exp1 directly; large x uses the standard
     continued fraction 1/(x+1- 1/(x+3- 4/(x+5- 9/(...)))).
     """
+    if isinstance(x, float) and 0 < x < _CF_SWITCH:  # a scalar: no masks
+        return np.exp(x) * _sc.exp1(x)
     x = np.asarray(x, dtype=float)
     if (x <= 0).any():
         raise ValueError("exp_scaled_e1 requires x > 0")

@@ -356,3 +356,64 @@ class TestConditionalAndRough:
         cert = certify_projected(np.exp(12.0), 1.0)
         vals = [conditional_full_bound(cert, c) for c in (0.0, 1.0, 2.0)]
         assert vals[0] > vals[1] > vals[2]
+
+
+def _numpy_cutoffs(B, alpha):
+    """default_cutoffs' formulas in numpy scalars: the reference its Python
+    floats reproduce bit for bit."""
+    K = B * np.log(B) ** (-4.0 / 3.0)
+    kap, lnB, Kperp = kappa(K, alpha), np.log(B), np.sqrt(B)
+    K3 = kap ** -0.5 * lnB ** 1.5
+    ln_kp = np.log(Kperp)
+    L2 = kap ** 0.2 * K3 ** -0.6 * ln_kp ** -0.6
+    return (K, K3, Kperp, kap ** 0.8 * K3 ** 0.6 * ln_kp ** -1.4,
+            float(np.sqrt(L2)), max(1, int(np.floor(1.0 / L2))))
+
+
+def _clip_weight(grid, cutoffs):
+    """The certificate's weight v^2 frac in its np.clip form."""
+    k, dk = grid.wavenumbers(), np.pi / grid.half_width
+    frac = np.clip((cutoffs.K3 - (k - dk / 2)) / dk, 0.0, 1.0)
+    val = np.log(cutoffs.Kperp ** 2 + k ** 2) - np.log1p(k ** 2)
+    return np.sqrt(np.pi * np.clip(val, 0.0, None)) ** 2 * frac
+
+
+class TestLedgerBits:
+    """The scalar ledger runs in Python floats and the weight's cutoffs in
+    np.maximum/np.minimum; every bit is the numpy and np.clip forms'."""
+
+    LNB = [7.0, 8.0, 13.7, 20.0, 30.0, 100.0, 400.0, 709.0]
+
+    @pytest.mark.parametrize("lnB", LNB)
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
+    def test_default_cutoffs(self, lnB, alpha):
+        B = np.exp(lnB)
+        cut = default_cutoffs(B, alpha)
+        assert (cut.K, cut.K3, cut.Kperp, cut.gamma, cut.L, cut.M) == \
+            _numpy_cutoffs(B, alpha)
+        v0 = np.sqrt(np.pi * np.clip(np.log(cut.Kperp ** 2 + 0.0)
+                                     - np.log1p(0.0), 0.0, None))
+        assert coupling_v(0.0, cut.Kperp) == float(v0)
+
+    def test_weight(self, monkeypatch):
+        weights = []
+
+        def capture(mu, akin, weight, lam, tol):
+            grid = oned._scaled_grid(mu)
+            weights.append((weight(grid), _clip_weight(grid, cutoffs)))
+            return oned.OneDSolution(0.0, None, 0, 0.0)
+
+        monkeypatch.setattr(certificate, "solve_weighted", capture)
+        for lnB in self.LNB:
+            for alpha in (0.5, 1.0, 2.0, 4.0):
+                cutoffs = default_cutoffs(np.exp(lnB), alpha)
+                certify_projected(np.exp(lnB), alpha, cutoffs)
+        assert len(weights) >= 3 * len(self.LNB)  # some kappa1 <= 0
+        for got, ref in weights:
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+    def test_scalar_exp_scaled_e1(self):
+        x = np.exp(np.linspace(-700.0, np.log(499.0), 4001))
+        scalar = [float(exp_scaled_e1(float(v))) for v in x]
+        assert scalar == exp_scaled_e1(x).tolist()

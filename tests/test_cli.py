@@ -279,6 +279,30 @@ class TestSweepCsv:
             format(trial_energy(parse_b(tok), 5.0).deficit, "+.8g")
             for tok in ("e40", "e700")]
 
+    def test_one_trial_energy_per_point(self, tmp_path, capsys,
+                                        monkeypatch):
+        # the stdout trial deficit is the one _sweep_point computed; stdout
+        # and the CSV bytes are the same on one worker and on two
+        from magpolaron import cli, pekar
+        calls, trial = [], pekar.trial_energy
+        monkeypatch.setattr(pekar, "trial_energy",
+                            lambda *a: calls.append(a) or trial(*a))
+        out = {}
+        for workers in ("1", "2"):
+            path = tmp_path / f"w{workers}.csv"
+            assert main(["sweep", "--B", "e10,e12,e14", "--out", str(path),
+                         "--workers", workers]) == EXIT_OK
+            out[workers] = (path.read_bytes(), capsys.readouterr().out.replace(
+                str(path), "OUT"))
+        assert len(calls) == 3  # the two-worker pass calls it in its workers
+        assert out["1"] == out["2"]
+        printed = [line.split("trial-B=")[1] for line in
+                   out["1"][1].splitlines() if "trial-B=" in line]
+        assert printed == [format(trial(np.exp(x), 1.0).deficit, "+.8g")
+                           for x in (10.0, 12.0, 14.0)]
+        assert cli.SweepRecord.trial_deficit is None  # not a CSV column
+        assert "trial_deficit" not in CSV_HEADER
+
     def test_byte_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["sweep", "--alpha", "1", "--B", "e10,e11", "--out", str(a)])
@@ -465,10 +489,37 @@ class TestCertifyCommand:
         assert main(["certify", "--B", "e300", "--K3", "1e-150"]) == \
             EXIT_INVARIANT
         captured = capfd.readouterr()
-        assert captured.err == ""
+        assert captured.err == ("error: invalid certificate: required "
+                                "validity flags fail: kappa1_positive\n")
         payload = json.loads(captured.out[:captured.out.rindex("valid=")])
         assert payload["validity"]["kappa1_positive"] is False
         assert payload["kappa1"] < -1e153
+
+    def test_invalid_certificate_says_why(self, capfd):
+        # exit 3 names the failed required flags, and only those: the
+        # advisory kappa_gap_small fails here too
+        assert main(["certify", "--B", "e20", "--alpha", "60"]) == \
+            EXIT_INVARIANT
+        captured = capfd.readouterr()
+        payload = json.loads(captured.out[:captured.out.rindex("valid=")])
+        assert not payload["validity"]["kappa_gap_small"]
+        assert captured.err.splitlines() == [
+            "error: invalid certificate: required validity flags fail: "
+            "kappa1_positive"]
+
+    def test_invalid_certificate_with_nonfinite_bound(self, capfd,
+                                                      monkeypatch):
+        # every required flag holds but p0_bound is not finite
+        import dataclasses
+        from magpolaron import certificate
+        certify = certificate.certify_projected
+        monkeypatch.setattr(certificate, "certify_projected",
+                            lambda *a: dataclasses.replace(
+                                certify(*a), p0_bound=float("nan"),
+                                valid=False))
+        assert main(["certify", "--B", "e20"]) == EXIT_INVARIANT
+        assert capfd.readouterr().err.splitlines() == [
+            "error: invalid certificate: p0_bound = nan is not finite"]
 
     def test_default_cutoff_domain(self, capfd):
         # gamma >= 1 at B = 1e3, alpha = 0: one line naming the default

@@ -487,6 +487,77 @@ class TestFlowDepth:
         assert sum(iterations) <= 0.6 * 959
 
 
+class TestWorkspace:
+    """Each flow call allocates its own workspace and writes every iteration
+    into it; the Gaussian start, its spectrum and its density's spectrum are
+    cached per grid, read-only, bit for bit what a call would compute."""
+
+    W = np.ones(oned._GRID.n // 2 + 1)
+
+    def flow(self, weights=W, f0=None):
+        return oned._minimize_on_sphere(1.0, weights, 1.0 / (2 * np.pi),
+                                        1e-10, f0)
+
+    def test_returned_field_is_its_own(self):
+        first = self.flow()[0]
+        kept = first.copy()
+        assert first.flags.owndata and first.flags.writeable
+        second = self.flow(2.0 * self.W)[0]
+        assert not np.array_equal(second, kept)
+        assert np.array_equal(first, kept)
+
+    def test_cached_start_is_read_only_and_per_call_exact(self):
+        grid = oned._GRID
+        cached = oned._flow_arrays(grid)
+        assert not any(a.flags.writeable for a in cached)
+        t = grid.points()
+        f = np.exp(-t * t / 2.0)
+        f *= np.sqrt(1.0 / (grid.spacing * np.sum(f * f)))
+        _, gauss, F, P = cached
+        assert np.array_equal(gauss, f)
+        assert np.array_equal(F, np.fft.rfft(f))
+        assert np.array_equal(P, np.fft.rfft(f * f))
+        # the cached start and the same Gaussian passed in: one flow
+        cached_run, passed = self.flow(), self.flow(f0=np.exp(-t * t / 2.0))
+        assert np.array_equal(cached_run[0], passed[0])
+        assert cached_run[1:] == passed[1:]
+
+    @pytest.mark.parametrize("width", [0.05, 0.2])
+    def test_negative_multiplier_takes_the_floor(self, width):
+        # at these narrow starts sigma < 0, so the shift is the floor
+        # 1e-3 max(|W|, 1), formed from W itself; the flow still finds the
+        # default start's minimum
+        t = oned._GRID.points()
+        _, energy, _, _ = self.flow(f0=np.exp(-t * t / (2 * width ** 2)))
+        assert energy == pytest.approx(self.flow()[1], rel=1e-10, abs=0.0)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_potential_bound(self, seed, size):
+        # max|W| <= (1/n) sum fold wq P_0 with P_0 = sum f^2 >= |P_m|: when
+        # sigma clears 2e-3 max(this bound, 1), the shift is sigma without
+        # forming |W|
+        rng = np.random.default_rng(seed)
+        grid = oned._GRID
+        f = bump_field(grid, rng).values
+        wq = size * rng.exponential(size=grid.n // 2 + 1)
+        P = np.fft.rfft(f * f)
+        W = np.fft.irfft(wq * P, grid.n)
+        fold = np.concatenate(([1.0], np.full(grid.n // 2 - 1, 2.0), [1.0]))
+        assert np.abs(W).max() <= (fold @ wq) / grid.n * P[0].real * (
+            1.0 + 1e-12)
+
+    def test_iteration_totals(self, flows):
+        # the workspace rewrite moved no iteration count: 74 on the sweep
+        # ladder, 470 on the certify ladder
+        for lnB in _SWEEP_LADDER:
+            pekar_minimize(PhysParams(np.exp(lnB), 1.0))
+        assert sum(run[-1][2] for run in flows) == 74
+        flows.clear()
+        for lnB, alpha in _CERTIFY_LADDER:
+            certify_projected(np.exp(lnB), alpha)
+        assert sum(run[-1][2] for run in flows) == 470
+
+
 class TestSolverSignatures:
     def test_solvers_own_their_grid(self):
         # oned decides the unit-width grid and samples the caller's weight
