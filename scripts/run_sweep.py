@@ -42,7 +42,7 @@ def sweep_and_fit(args) -> int:
           f"{'(B-E)/lnB^2':>12}")
     for r in records:
         lnB = np.log(r.B)
-        print(f"{lnB:5.1f} {r.deficit:14.6f} {r.trial_E - r.B:12.6f} "
+        print(f"{lnB:5.1f} {r.deficit:14.6f} {r.trial_deficit:12.6f} "
               f"{-r.deficit / lnB ** 2:12.8f}")
 
     if len(records) >= 4:

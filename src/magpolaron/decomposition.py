@@ -25,10 +25,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError, ResolutionError
-from .grids import (Field1D, density_correlation_at, density_fourier_at,
-                    kinetic, mass, quartic)
+from .grids import (Field1D, density_correlation_at, density_fourier_taps,
+                    fourier_taps, kinetic, mass, quartic)
 from .landau import effective_potential, effective_potential_fourier
-from .special import gauss_legendre_panels, geometric_edges, log_end_rule
+from .special import (gauss_legendre_panels, gauss_legendre_rows,
+                      geometric_edges, log_end_rule)
 
 DUAL_PATH_RTOL = 1e-9  # largest relative gap the two Coulomb paths may show
 
@@ -44,7 +45,9 @@ def _panel_nodes_for_kernel(f: Field1D, inner_scale: float):
     m = mass(f)
     width = m * m / c0 if c0 > 0 else g.half_width
     edges = geometric_edges(min(inner_scale, width) / 4.0, g.half_width)
-    return gauss_legendre_panels(edges, order=16)
+    # gauss_legendre_panels without its check: these edges increase
+    nodes, weights = gauss_legendre_rows(edges[:-1], edges[1:], 16)
+    return nodes.ravel(), weights.ravel()
 
 
 def longitudinal_double_integral(f: Field1D, kernel_at: Callable,
@@ -52,7 +55,7 @@ def longitudinal_double_integral(f: Field1D, kernel_at: Callable,
     """(1/2) iint f^2(x) f^2(y) kernel(x-y) dx dy for an even decaying kernel."""
     z, w = _panel_nodes_for_kernel(f, inner_scale)
     C = density_correlation_at(f, z)
-    return float(np.sum(w * C * kernel_at(z)))
+    return float((w * C * kernel_at(z)).sum())
 
 
 def fourier_side_energy(f: Field1D, weight_at: Callable) -> float:
@@ -63,18 +66,18 @@ def fourier_side_energy(f: Field1D, weight_at: Callable) -> float:
     """
     g = f.grid
     k1 = np.pi / g.half_width
-    unit_nodes, unit_weights = _fourier_rule(g.n)
-    nodes = k1 * unit_nodes
-    rho_hat = density_fourier_at(f.values ** 2, g, nodes)
+    unit_nodes, unit_weights, *taps = _fourier_rule(g.n)
+    rho_hat = density_fourier_taps(f.values ** 2, g, taps)
     power = rho_hat.real ** 2 + rho_hat.imag ** 2
-    return float(np.sum(k1 * unit_weights * power * weight_at(nodes))
+    return float((k1 * unit_weights * power * weight_at(k1 * unit_nodes)).sum()
                  / (2 * np.pi ** 2))
 
 
 @lru_cache(maxsize=None)
 def _fourier_rule(n: int):
     """fourier_side_energy's rule in units of k1 = pi/T: the log end, then
-    octaves [1, 2, 4, ..., n/2] to Nyquist; built once per n, read-only."""
+    octaves [1, 2, 4, ..., n/2] to Nyquist, with the density transform's
+    taps at its nodes, which no T moves; built once per n, read-only."""
     k_log, w_log = log_end_rule(1.0)
     k_geo, w_geo = gauss_legendre_panels(2.0 ** np.arange(n.bit_length() - 1),
                                          order=16)
@@ -82,7 +85,7 @@ def _fourier_rule(n: int):
     weights = np.concatenate([w_log, w_geo])
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return nodes, weights
+    return (nodes, weights, *fourier_taps(n, nodes))
 
 
 # ----------------------------------------------------------------------------
@@ -159,7 +162,7 @@ def kernel_remainder_coefficient(B: float) -> float:
     """Gaussian average of the log kernel over the transverse difference
     density: (1/2) int_0^inf e^{-u^2/4} K(u/sqrt(B)) u du."""
     nodes, weights = _kernel_remainder_rule()
-    return float(0.5 * np.sum(weights * log_kernel(nodes / np.sqrt(B), B)))
+    return float(0.5 * (weights * log_kernel(nodes / np.sqrt(B), B)).sum())
 
 
 @lru_cache(maxsize=None)

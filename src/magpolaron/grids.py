@@ -7,8 +7,14 @@ Conventions:
     |k| <= pi/h
   - off the dual grid, density_fourier_at (complex fine grid) and
     density_correlation_at (real, on |z| <= T) are one Gaussian-gridding
-    NUFFT (_gather), O(n log n + 32 len(k)), accurate to a few 1e-16 of
-    rho_hat(0) and of C(0); a node off the band raises ParameterError
+    NUFFT, O(n log n + 32 len(k)), accurate to a few 1e-16 of rho_hat(0)
+    and of C(0); a node off the band raises ParameterError.  Its taps (each
+    node's row of fine-grid cells and its Gaussian weights, _taps) are
+    formed per call, and _row_dots gathers them
+  - a fixed rule k = u pi/T, the same u on every grid of n samples, has
+    fixed taps: x = -k h = -2 pi u/n holds neither T nor h, so
+    fourier_taps(n, u) builds them once and density_fourier_taps pays
+    only the inverse FFT and the row dots
   - the dual grid is one-sided, k_m = m pi/T, m = 0..n/2 (rfft order), and
     every on-grid transform is an rfft/irfft pair on it; density_power forms
     only the power, so the phase e^{ikT} of t_0 = -T drops out; Parseval reads
@@ -71,14 +77,14 @@ class Field1D:
         if vals.shape != (self.grid.n,):
             raise InvalidFieldError(
                 f"expected {self.grid.n} samples, got shape {vals.shape}")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise InvalidFieldError("field samples must be finite")
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     def boundary_decayed(self) -> bool:
-        peak = float(np.max(np.abs(self.values)))
+        peak = float(np.abs(self.values).max())
         if peak == 0.0:
             return True
         edge = max(abs(self.values[0]), abs(self.values[-1]))
@@ -87,27 +93,28 @@ class Field1D:
 
 def mass(f: Field1D) -> float:
     """int f^2 dt by the periodic rectangle rule (spectral on decayed fields)."""
-    return float(f.grid.spacing * np.sum(f.values ** 2))
+    return float(f.grid.spacing * (f.values ** 2).sum())
 
 
 def kinetic(f: Field1D) -> float:
-    """int |f'|^2 dt = -int f f'' dt, -f'' by the Fourier multiplier k^2,
-    k = m pi/T: formed with m^2 and (pi/T)^2 applied last, since f k^2 f
-    leaves the doubles on a wide or narrow grid (T ~ 1e103 or 1e-103 at
-    unit mass)."""
+    """int |f'|^2 dt by Parseval from one transform F = rfft(f):
+    (h/n) sum_m fold_m k_m^2 |F_m|^2, k = m pi/T, formed with m^2 and
+    (pi/T)^2 applied last, since |F|^2 k^2 leaves the doubles on a wide or
+    narrow grid (T ~ 1e103 or 1e-103 at unit mass)."""
     if not f.boundary_decayed():
         raise DomainTooSmallError(
             "field has not decayed at the grid boundary; enlarge half_width")
     g = f.grid
-    curvature = np.fft.irfft(_mode_squares(g.n) * np.fft.rfft(f.values), g.n)
-    return float(g.spacing * np.sum(f.values * curvature)
+    spectrum = np.fft.rfft(f.values).view(float)  # (Re F_m, Im F_m) pairs
+    return float(g.spacing / g.n * ((spectrum * spectrum) @ _mode_squares(g.n))
                  * (np.pi / g.half_width) ** 2)
 
 
 @lru_cache(maxsize=None)
 def _mode_squares(n: int) -> np.ndarray:
-    """m^2, m = 0..n/2, as floats; built once per n, read-only."""
-    m2 = np.arange(n // 2 + 1) ** 2.0
+    """fold_m m^2, m = 0..n/2, each twice, for the (Re, Im) pairs of an
+    n-sample rfft; built once per n, read-only."""
+    m2 = np.repeat(one_sided_fold(n) * np.arange(n // 2 + 1) ** 2.0, 2)
     m2.setflags(write=False)
     return m2
 
@@ -115,7 +122,7 @@ def _mode_squares(n: int) -> np.ndarray:
 def quartic(f: Field1D) -> float:
     """int f^4 dt."""
     rho = f.values * f.values
-    return float(f.grid.spacing * np.sum(rho * rho))
+    return float(f.grid.spacing * (rho * rho).sum())
 
 
 def density_fourier_at(rho_vals: np.ndarray, grid: Grid1D, k: np.ndarray) -> np.ndarray:
@@ -129,14 +136,42 @@ def density_fourier_at(rho_vals: np.ndarray, grid: Grid1D, k: np.ndarray) -> np.
     ParameterError.
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    if not np.all(np.abs(k) <= np.pi / grid.spacing):
+    if not (np.abs(k) <= np.pi / grid.spacing).all():
         raise ParameterError("density_fourier_at takes |k| <= pi/h")
-    half = grid.n // 2
-    deconv = _deconvolution(grid.n)
-    spread = np.zeros(_OVERSAMPLE * grid.n, dtype=complex)
+    taps = _taps(-k * grid.spacing, _OVERSAMPLE * grid.n)
+    return grid.spacing * _row_dots(_fine_density(rho_vals, grid.n), taps)
+
+
+def fourier_taps(n: int, u: np.ndarray):
+    """Taps of density_fourier_taps at k = u pi/T, the same for every grid of
+    n samples: x = -k h = -2 pi u/n holds neither T nor h.  Built once for
+    a fixed rule, read-only; |u| <= n/2 is the band."""
+    u = np.asarray(u, dtype=float)
+    if not (np.abs(u) <= n // 2).all():
+        raise ParameterError("fourier_taps takes |u| <= n/2")
+    rows, gauss = _taps(u * (-2.0 * np.pi / n), _OVERSAMPLE * n)
+    gauss = gauss.astype(complex)  # as the fine grid: the row dots cast none
+    rows.setflags(write=False)
+    gauss.setflags(write=False)
+    return rows, gauss
+
+
+def density_fourier_taps(rho_vals: np.ndarray, grid: Grid1D, taps) -> np.ndarray:
+    """density_fourier_at at k = u pi/T from taps = fourier_taps(grid.n, u):
+    one inverse FFT and the row dots, to the same few 1e-16 of
+    rho_hat(0)."""
+    return grid.spacing * _row_dots(_fine_density(rho_vals, grid.n), taps)
+
+
+def _fine_density(rho_vals: np.ndarray, n: int) -> np.ndarray:
+    """The complex fine grid of density_fourier_at: the modes of rho,
+    deconvolved, at index m mod 2n, by one inverse FFT."""
+    half = n // 2
+    deconv = _deconvolution(n)
+    spread = np.zeros(_OVERSAMPLE * n, dtype=complex)
     spread[:half] = rho_vals[half:] * deconv[:half]
     spread[-half:] = rho_vals[:half] * deconv[half:0:-1]
-    return grid.spacing * _gather(np.fft.ifft(spread), -k * grid.spacing)
+    return np.fft.ifft(spread)
 
 
 def one_sided_fold(n: int) -> np.ndarray:
@@ -153,28 +188,35 @@ def density_power(f: Field1D) -> np.ndarray:
     measure = |rho_hat|^2 dk / 2pi = |rho_hat|^2 / 2T with the negative
     wavenumbers folded in, so C(z) = int rho(x) rho(x+z) dx
     = sum measure * cos(k z)."""
+    measure = _power(f)
+    measure *= one_sided_fold(f.grid.n)
+    return measure
+
+
+def _power(f: Field1D) -> np.ndarray:
+    """|rho_hat|^2 / 2T on the one-sided dual grid, not folded."""
     g = f.grid
     rho_hat = g.spacing * np.fft.rfft(f.values ** 2)
-    measure = (rho_hat.real ** 2 + rho_hat.imag ** 2) / (2.0 * g.half_width)
-    measure *= one_sided_fold(g.n)
-    return measure
+    return (rho_hat.real ** 2 + rho_hat.imag ** 2) / (2.0 * g.half_width)
 
 
 def density_correlation_at(f: Field1D, z: np.ndarray) -> np.ndarray:
     """C(z) = int rho(x) rho(x+z) dx on |z| <= T.
 
     The cosine series over density_power with k_m = m pi / T at x = pi z / T,
-    on the real fine grid: one irfft, which counts each m > 0 twice, with -m.
+    on the real fine grid: one irfft, which counts each m > 0 twice, with -m,
+    so it takes the power unfolded and the Nyquist m = n/2 halved.
     O(n log n + 32 len(z)); the error stays within a few 1e-16 of C(0). A z
     off |z| <= T raises ParameterError.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    if not np.all(np.abs(z) <= f.grid.half_width):
+    if not (np.abs(z) <= f.grid.half_width).all():
         raise ParameterError("density_correlation_at takes |z| <= T")
-    spread = density_power(f) * _deconvolution(f.grid.n)
-    spread[1:] *= 0.5
-    return _gather(np.fft.irfft(spread, _OVERSAMPLE * f.grid.n),
-                   z * (np.pi / f.grid.half_width))
+    spread = _power(f) * _deconvolution(f.grid.n)
+    spread[-1] *= 0.5
+    size = _OVERSAMPLE * f.grid.n
+    return _row_dots(np.fft.irfft(spread, size),
+                     _taps(z * (np.pi / f.grid.half_width), size))
 
 
 @lru_cache(maxsize=None)
@@ -188,27 +230,34 @@ def _deconvolution(n: int) -> np.ndarray:
     return deconv
 
 
-def _gather(fine: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _taps(x: np.ndarray, size: int):
     """Gaussian gridding, a type-2 NUFFT (Dutt & Rokhlin, SIAM J. Sci.
-    Comput. 14, 1993; Greengard & Lee, SIAM Rev. 46, 2004): fine is one FFT
-    of the modes |m| <= n/2 deconvolved by _deconvolution on the
-    _OVERSAMPLE-times finer grid, and each |x| <= pi gathers 2 _TAPS of its
-    values through the Gaussian e^{-(x - x_l)^2 / 4 tau}, as one row of a
-    strided window over it padded periodically to the cells
-    -size/2 - _TAPS .. size/2 + _TAPS. The rows serve floor(u) from
-    -size/2 - 1, an x rounded one ulp past -pi, to size/2; the window cannot
-    wrap, so the callers keep x in the band.
+    Comput. 14, 1993; Greengard & Lee, SIAM Rev. 46, 2004): the fine grid
+    is one FFT of the modes |m| <= n/2 deconvolved by _deconvolution on the
+    _OVERSAMPLE-times finer grid of size cells, and each |x| <= pi gathers
+    2 _TAPS of its values through the Gaussian e^{-(x - x_l)^2 / 4 tau}.
+    Returns the taps: each x's row of _row_dots' window and its weights.
     """
-    size = len(fine)
-    half = size // 2
     u = x * (size / (2.0 * np.pi))  # position in fine-grid cells
     left = np.floor(u)
     dist = (u - left)[:, None] - _TAP_OFFSETS
     # (2 pi / size)^2 / (4 tau) = pi (R - 1/2) / (R _TAPS), R = _OVERSAMPLE
-    gauss = np.exp(-np.pi * (_OVERSAMPLE - 0.5) / (_OVERSAMPLE * _TAPS)
-                   * dist * dist)
+    gauss = -np.pi * (_OVERSAMPLE - 0.5) / (_OVERSAMPLE * _TAPS) * dist
+    gauss *= dist
+    return left.astype(np.intp) + (size // 2 + 1), np.exp(gauss, out=gauss)
+
+
+def _row_dots(fine: np.ndarray, taps) -> np.ndarray:
+    """The gather of _taps: a strided window over fine, padded periodically
+    to the cells -size/2 - _TAPS .. size/2 + _TAPS, whose row r is the 2
+    _TAPS cells from r - size/2 - _TAPS on; each row of taps dots its
+    weights with its window row.  The rows serve floor(u) from -size/2 - 1,
+    an x rounded one ulp past -pi, to size/2; the window cannot wrap, so
+    the callers keep x in the band.
+    """
+    rows, gauss = taps
+    half = len(fine) // 2
     padded = np.concatenate((fine[half - _TAPS:], fine[:half + _TAPS + 1]))
-    rows = np.ndarray((size + 2, 2 * _TAPS), padded.dtype, padded, 0,
-                      2 * padded.strides)  # row r: padded[r:r + 2 _TAPS]
-    gathered = rows[left.astype(np.intp) + (half + 1)]
-    return (gauss[:, None, :] @ gathered[:, :, None])[:, 0, 0]  # row dots
+    window = np.ndarray((2 * half + 2, 2 * _TAPS), padded.dtype, padded, 0,
+                        2 * padded.strides)  # row r: padded[r:r + 2 _TAPS]
+    return (gauss[:, None, :] @ window[rows][:, :, None])[:, 0, 0]

@@ -29,11 +29,11 @@ def exp_scaled_e1(x):
     if isinstance(x, float) and 0 < x < _CF_SWITCH:  # a scalar: no masks
         return np.exp(x) * _sc.exp1(x)
     x = np.asarray(x, dtype=float)
+    if not x.size or 0 < x.min() and x.max() < _CF_SWITCH:  # without masks
+        return np.exp(x) * _sc.exp1(x)
     if (x <= 0).any():
         raise ValueError("exp_scaled_e1 requires x > 0")
     lo = x < _CF_SWITCH
-    if lo.all():  # the common case, without masks
-        return np.exp(x) * _sc.exp1(x)
     scalar = x.ndim == 0
     x, lo = np.atleast_1d(x), np.atleast_1d(lo)
     out = np.empty_like(x)

@@ -382,3 +382,49 @@ def _dense_sum(kernel, rows, cols, coeffs):
     return np.concatenate([np.zeros(0, dtype=coeffs.dtype)] + [
         kernel(np.outer(rows[i:i + chunk], cols)) @ coeffs
         for i in range(0, len(rows), chunk)])
+
+
+# ----------------------------------------------------------------------------
+# the masked forms of U and e^x E1(x) that the trimmed program forms replace
+
+
+def exp_scaled_e1_masked(x):
+    """e^x E1(x) for an array x > 0 by the masked form: scipy's exp1 below
+    500, the 80-term continued fraction above; the reference the trimmed
+    special.exp_scaled_e1 must reproduce bit for bit."""
+    x = np.asarray(x, dtype=float)
+    if (x <= 0).any():
+        raise ValueError("exp_scaled_e1 requires x > 0")
+    lo = x < 500.0
+    if lo.all():
+        return np.exp(x) * special.exp1(x)
+    scalar = x.ndim == 0
+    x, lo = np.atleast_1d(x), np.atleast_1d(lo)
+    out = np.empty_like(x)
+    out[lo] = np.exp(x[lo]) * special.exp1(x[lo])
+    xh = x[~lo]
+    v = np.zeros_like(xh)
+    for j in range(80, 0, -1):
+        v = j * j / (xh + 2 * j + 1 - v)
+    out[~lo] = 1.0 / (xh + 1 - v)
+    return out[0] if scalar else out
+
+
+def effective_potential_fourier_masked(k3, B):
+    """U(k;B) = pi e^{k^2/B} E1(k^2/B) by the masked array form, scalars
+    included: the reference the trimmed landau.effective_potential_fourier
+    must reproduce bit for bit."""
+    k = np.abs(np.asarray(k3, dtype=float))
+    scalar = k.ndim == 0
+    k = np.atleast_1d(k)
+    with np.errstate(over="ignore"):
+        x = (k / np.sqrt(B)) ** 2
+    tiny = x < 1e-12
+    out = np.pi * exp_scaled_e1_masked(np.where(tiny, 1.0, x))
+    if tiny.any():
+        with np.errstate(divide="ignore"):
+            lead = -np.euler_gamma - 2.0 * np.log(k[tiny]) + np.log(B)
+        xt = x[tiny]
+        nxt = np.multiply(xt, 1.0 + lead, out=np.zeros_like(xt), where=xt > 0)
+        out[tiny] = np.pi * (lead + nxt)
+    return float(out[0]) if scalar else out

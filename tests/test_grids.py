@@ -9,7 +9,8 @@ from magpolaron import decomposition, grids, special
 from magpolaron.decomposition import (fourier_side_energy,
                                       longitudinal_double_integral)
 from magpolaron.grids import (density_correlation_at, density_fourier_at,
-                              density_power, one_sided_fold)
+                              density_fourier_taps, density_power,
+                              fourier_taps, one_sided_fold)
 
 from conftest import bump_field, sech_field
 import oracles
@@ -303,12 +304,41 @@ class TestTrigSum:
         _check_against_dense(f, k, z)
 
 
+class TestFixedTaps:
+    """The Fourier rule's nodes k = u pi/T with taps built once per n:
+    x = -k h = -2 pi u/n, whatever T."""
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    @pytest.mark.parametrize("half_width", [5.3, 8.0, 40.0, 1e-3])
+    @pytest.mark.parametrize("b", [1.5, 4.0])
+    def test_rule_nodes_match_the_per_call_transform(self, n, half_width, b):
+        # decayed sech densities, their width a fixed share of the box
+        g = Grid1D(n, half_width)
+        rho = sech_field(g, 1.0, b * 8.0 / half_width).values ** 2
+        u, _, *taps = decomposition._fourier_rule(n)
+        fixed = density_fourier_taps(rho, g, taps)
+        k = (np.pi / half_width) * u
+        scale = g.spacing * np.sum(rho)  # rho_hat(0)
+        assert np.max(np.abs(fixed - density_fourier_at(rho, g, k))) \
+            <= 5e-16 * scale
+        assert np.max(np.abs(fixed - oracles.dense_fourier_at(rho, g, k))) \
+            <= 4e-15 * scale
+
+    def test_band(self):
+        for u in ([32.0, -32.0, 0.0], [31.999]):
+            fourier_taps(64, np.array(u))
+        for u in ([32.000001], [-33.0], [np.nan]):
+            with pytest.raises(ParameterError):
+                fourier_taps(64, np.array(u))
+
+
 @pytest.mark.parametrize("rule", [
     lambda: (grids._deconvolution(64),), lambda: (grids._mode_squares(64),),
     special._log_end_unit, lambda: decomposition._fourier_rule(64),
+    lambda: decomposition._fourier_rule(1024)[2:],
     decomposition._kernel_remainder_rule],
     ids=["deconvolution", "mode_squares", "log_end_unit", "fourier_rule",
-         "kernel_remainder_rule"])
+         "fourier_taps", "kernel_remainder_rule"])
 def test_rules_built_once_are_read_only(rule):
     # each call hands out the one cached array: a write would change every
     # later transform or quadrature, so it raises instead

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import special as sc
 
-from magpolaron import (ParameterError, effective_potential,
-                        effective_potential_fourier)
+from magpolaron import (ParameterError, PhysParams, decomposition,
+                        effective_potential, effective_potential_fourier,
+                        landau, pekar, pekar_energy, pekar_minimize,
+                        trial_energy, trial_state)
 from magpolaron.special import exp_scaled_e1, geometric_edges, log_end_rule
 
 from lemmas import (RadialTransverseDensity, effective_potential_general,
@@ -182,6 +185,81 @@ class TestEffectivePotentialFourier:
         k = 20.0 * np.sqrt(B)
         assert effective_potential_fourier(k, B) == pytest.approx(
             oracles.transverse_weight_mp(k, B), rel=1e-14)
+
+
+class TestTrimmedBits:
+    """U and e^x E1(x) skip the masks, and U takes a scalar in Python
+    floats; on every node production sends them, each bit is the masked
+    forms' of tests/oracles.py."""
+
+    @pytest.mark.parametrize("lnB", [0.5, 6.0, 20.0, 30.0, 300.0, 709.78])
+    def test_production_nodes(self, monkeypatch, lnB):
+        u_calls, e1_calls = [], []
+
+        def record(calls, fn):
+            def call(*args):
+                calls.append(args)
+                return fn(*args)
+            return call
+
+        u = record(u_calls, effective_potential_fourier)
+        monkeypatch.setattr(pekar, "effective_potential_fourier", u)
+        monkeypatch.setattr(decomposition, "effective_potential_fourier", u)
+        monkeypatch.setattr(landau, "exp_scaled_e1",
+                            record(e1_calls, exp_scaled_e1))
+        B = float(np.exp(lnB))
+        pekar_minimize(PhysParams(B, 1.0))  # _log_coupling and the cells
+        trial_energy(B, 1.0)  # _trial_rule
+        pekar_energy(trial_state(B))  # the Fourier rule
+        scalars = [k for k, _ in u_calls if np.ndim(k) == 0]
+        assert scalars and len(scalars) < len(u_calls)
+        for k, b in u_calls:
+            got = effective_potential_fourier(k, b)
+            ref = oracles.effective_potential_fourier_masked(k, b)
+            assert isinstance(got, float) == isinstance(ref, float)
+            np.testing.assert_array_equal(got, ref, strict=True)
+        for (x,) in e1_calls:
+            if np.ndim(x):
+                np.testing.assert_array_equal(
+                    exp_scaled_e1(x), oracles.exp_scaled_e1_masked(x),
+                    strict=True)
+
+    @pytest.mark.parametrize("k", [0.0, -0.0, 5e-324, 1e-200, -3.0, 1e-6,
+                                   2.0, 1e154, 1e300, np.inf, np.nan])
+    @pytest.mark.parametrize("lnB", [0.5, 20.0, 709.78])
+    def test_edges(self, k, lnB):
+        # zero, underflowing and overflowing x, the switch at 1e-12 and a
+        # k that is not a number: as a float and among an array's nodes
+        B = float(np.exp(lnB))
+        ref = oracles.effective_potential_fourier_masked(k, B)
+        assert np.array_equal(effective_potential_fourier(k, B), ref,
+                              equal_nan=True)
+        nodes = np.array([k, 1e-3, k, 7.0])
+        assert np.array_equal(
+            effective_potential_fourier(nodes, B),
+            oracles.effective_potential_fourier_masked(nodes, B),
+            equal_nan=True)
+
+    @given(st.lists(st.floats(0.0, 1e308), min_size=1, max_size=8),
+           st.floats(0.01, 709.78))
+    def test_random_nodes(self, ks, lnB):
+        # each k as a float and all of them as one array
+        B = float(np.exp(lnB))
+        for k in ks:
+            assert effective_potential_fourier(k, B) == \
+                oracles.effective_potential_fourier_masked(k, B)
+        assert np.array_equal(
+            effective_potential_fourier(np.array(ks), B),
+            oracles.effective_potential_fourier_masked(np.array(ks), B))
+
+    def test_e1_masks(self):
+        x = np.array([1e-300, 1.0, 499.0, 500.0, 1e6, np.inf])
+        for part in (x, x[:3], x[3:], x[:0], np.array([np.nan, 1.0])):
+            assert np.array_equal(exp_scaled_e1(part),
+                                  oracles.exp_scaled_e1_masked(part),
+                                  equal_nan=True)
+        with pytest.raises(ValueError):
+            exp_scaled_e1(np.array([1.0, 0.0]))
 
 
 class TestSpecialFunctionAccuracy:

@@ -11,7 +11,7 @@ from magpolaron import (Field1D, FitError, Grid1D, OneDProblem, ParameterError,
                         kinetic, main_coefficient, mass, pekar_energy,
                         pekar_minimize, quartic, scaling_identity_check,
                         trial_energy, trial_state)
-from magpolaron import certificate, cli, oned, pekar
+from magpolaron import certificate, cli, decomposition, oned, pekar
 from magpolaron.cli import SweepRecord, sweep
 from magpolaron.decomposition import fourier_side_energy
 from magpolaron.special import gauss_legendre_panels, log_end_rule
@@ -363,6 +363,13 @@ class TestCoherentRoute:
             worst = max(worst, float(np.max(rel)))
         assert worst <= 1e-13
 
+    def test_transverse_rule_size(self):
+        # 21 geometric 16-point panels on [0, 1] and six 12-point octaves on
+        # [1, 48]; its accuracy is the mpmath test above
+        s, numer = pekar._transverse_rule()
+        assert s.size == numer.size == 408 <= 512
+        assert s.min() > 0 and s.max() < 48.0
+
     @pytest.mark.parametrize("n", [1, pekar._ROWS - 1, pekar._ROWS,
                                    pekar._ROWS + 1, 240, 2000])
     @pytest.mark.parametrize("lnB", [0.01, 6.0, 30.0, 300.0])
@@ -407,6 +414,55 @@ class TestCoherentRoute:
         deficit = e.longitudinal_kinetic + e.coulomb
         gap = abs((coherent_infimum(state) - B) - deficit)
         assert gap <= 1e-12 * abs(deficit) + np.spacing(B)
+
+
+class TestTransformBudget:
+    """np.fft calls of the verification routes on the trial state: the
+    kinetic term is one rfft by Parseval; a Coulomb evaluation is the real
+    path's rfft and irfft and the Fourier path's one ifft (the fixed rule's
+    taps cost none); the coherent route adds its kinetic term to one
+    ifft."""
+
+    @pytest.fixture
+    def transforms(self, monkeypatch):
+        calls = []
+
+        def counted(name, fft):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return fft(*args, **kwargs)
+            return call
+
+        for name in ("rfft", "irfft", "fft", "ifft"):
+            monkeypatch.setattr(np.fft, name,
+                                counted(name, getattr(np.fft, name)))
+        return calls
+
+    @pytest.mark.parametrize("lnB", [6.0, 20.0, 30.0])
+    def test_each_route(self, transforms, lnB):
+        B = np.exp(lnB)
+        state = trial_state(B, 1.0)
+        budget = [(lambda: kinetic(state.f), ["rfft"]),
+                  (lambda: decomposition.coulomb_D_product(state.f, B),
+                   ["rfft", "irfft", "ifft"]),
+                  (lambda: coherent_infimum(state), ["rfft", "ifft"])]
+        for route, expected in budget:
+            transforms.clear()
+            route()
+            assert sorted(transforms) == sorted(expected)
+
+    def test_crosscheck_op(self, transforms):
+        # the benchmark's crosscheck operation: ledger, energy, coherent
+        # route and the scaling identity; five kinetic terms, four Coulomb
+        # evaluations and the coherent route's Fourier path
+        B = np.exp(20.0)
+        state = trial_state(B, 1.0)
+        decomposition.decompose(state.f, B)
+        pekar_energy(state)
+        coherent_infimum(state)
+        scaling_identity_check(B, 2.0, state.f)
+        assert len(transforms) == 18
+        assert transforms.count("ifft") == 5
 
 
 class TestSweepAndFit:

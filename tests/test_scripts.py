@@ -34,6 +34,17 @@ def test_run_sweep(tmp_path, monkeypatch, capsys):
     assert "fit: c2 =" in capsys.readouterr().out
 
 
+def test_run_sweep_prints_the_trial_deficit(tmp_path, monkeypatch, capsys):
+    # from its components: trial_E - B printed -256.000000 at e40, alpha 5
+    assert run_script("run_sweep.py", monkeypatch, "--alpha", "5",
+                      "--lnB-min", "40", "--lnB-max", "40", "--step", "1",
+                      "--out", str(tmp_path / "sweep.csv")) == EXIT_OK
+    (row,) = [line.split() for line in capsys.readouterr().out.splitlines()
+              if line.startswith(" 40.0")]
+    deficit = magpolaron.trial_energy(np.exp(40.0), 5.0).deficit
+    assert row[2] == f"{deficit:.6f}" == "-270.011894"
+
+
 def test_run_certificates(tmp_path, monkeypatch):
     assert run_script("run_certificates.py", monkeypatch, "--lnB", "12",
                       "--json-dir", str(tmp_path)) == EXIT_OK
