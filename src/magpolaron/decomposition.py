@@ -25,8 +25,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError, ResolutionError
-from .grids import (Field1D, density_correlation_at, density_fourier_taps,
-                    fourier_taps, kinetic, mass, quartic)
+from .grids import (Field1D, FourierTaps, density_correlation_at,
+                    density_fourier_at, kinetic, mass, quartic)
 from .landau import effective_potential, effective_potential_fourier
 from .special import (gauss_legendre_panels, gauss_legendre_rows,
                       geometric_edges, log_end_rule)
@@ -66,8 +66,8 @@ def fourier_side_energy(f: Field1D, weight_at: Callable) -> float:
     """
     g = f.grid
     k1 = np.pi / g.half_width
-    unit_nodes, unit_weights, *taps = _fourier_rule(g.n)
-    rho_hat = density_fourier_taps(f.values ** 2, g, taps)
+    unit_nodes, unit_weights, taps = _fourier_rule(g.n)
+    rho_hat = density_fourier_at(f.values ** 2, g, taps)
     power = rho_hat.real ** 2 + rho_hat.imag ** 2
     return float((k1 * unit_weights * power * weight_at(k1 * unit_nodes)).sum()
                  / (2 * np.pi ** 2))
@@ -85,7 +85,7 @@ def _fourier_rule(n: int):
     weights = np.concatenate([w_log, w_geo])
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return (nodes, weights, *fourier_taps(n, nodes))
+    return nodes, weights, FourierTaps(n, nodes)
 
 
 # ----------------------------------------------------------------------------

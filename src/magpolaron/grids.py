@@ -13,8 +13,8 @@ Conventions:
     formed per call, and _row_dots gathers them
   - a fixed rule k = u pi/T, the same u on every grid of n samples, has
     fixed taps: x = -k h = -2 pi u/n holds neither T nor h, so
-    fourier_taps(n, u) builds them once and density_fourier_taps pays
-    only the inverse FFT and the row dots
+    FourierTaps(n, u) builds them once, and density_fourier_at given
+    them in place of k pays only the inverse FFT and the row dots
   - the dual grid is one-sided, k_m = m pi/T, m = 0..n/2 (rfft order), and
     every on-grid transform is an rfft/irfft pair on it; density_power forms
     only the power, so the phase e^{ikT} of t_0 = -T drops out; Parseval reads
@@ -114,7 +114,9 @@ def kinetic(f: Field1D) -> float:
 def _mode_squares(n: int) -> np.ndarray:
     """fold_m m^2, m = 0..n/2, each twice, for the (Re, Im) pairs of an
     n-sample rfft; built once per n, read-only."""
-    m2 = np.repeat(one_sided_fold(n) * np.arange(n // 2 + 1) ** 2.0, 2)
+    m2 = np.arange(n // 2 + 1) ** 2.0
+    m2[1:-1] *= 2.0  # one_sided_fold's fold, exactly, with no public call
+    m2 = np.repeat(m2, 2)
     m2.setflags(write=False)
     return m2
 
@@ -125,7 +127,8 @@ def quartic(f: Field1D) -> float:
     return float(f.grid.spacing * (rho * rho).sum())
 
 
-def density_fourier_at(rho_vals: np.ndarray, grid: Grid1D, k: np.ndarray) -> np.ndarray:
+def density_fourier_at(rho_vals: np.ndarray, grid: Grid1D,
+                       k: np.ndarray | FourierTaps) -> np.ndarray:
     """rho_hat(k) = h * sum_j e^{-ik t_j} rho_j on the band |k| <= pi/h.
 
     Evaluates the trigonometric interpolant's transform. Since
@@ -133,34 +136,41 @@ def density_fourier_at(rho_vals: np.ndarray, grid: Grid1D, k: np.ndarray) -> np.
     whose mode m = j - n/2 sits at index m mod 2n of the complex fine grid.
     O(n log n + 32 len(k)); for a density rho >= 0 the error stays within a
     few 1e-16 of rho_hat(0) = h sum_j rho_j. A k off the band raises
-    ParameterError.
+    ParameterError.  k may also be FourierTaps(grid.n, u), a fixed rule
+    k = u pi/T whose taps are built once.
     """
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    if not (np.abs(k) <= np.pi / grid.spacing).all():
-        raise ParameterError("density_fourier_at takes |k| <= pi/h")
-    taps = _taps(-k * grid.spacing, _OVERSAMPLE * grid.n)
+    if isinstance(k, FourierTaps):
+        if k.n != grid.n:
+            raise ParameterError(f"taps built for n = {k.n}, not {grid.n}")
+        taps = k.rows, k.gauss
+    else:
+        k = np.atleast_1d(np.asarray(k, dtype=float))
+        if not (np.abs(k) <= np.pi / grid.spacing).all():
+            raise ParameterError("density_fourier_at takes |k| <= pi/h")
+        taps = _taps(-k * grid.spacing, _OVERSAMPLE * grid.n)
     return grid.spacing * _row_dots(_fine_density(rho_vals, grid.n), taps)
 
 
-def fourier_taps(n: int, u: np.ndarray):
-    """Taps of density_fourier_taps at k = u pi/T, the same for every grid of
-    n samples: x = -k h = -2 pi u/n holds neither T nor h.  Built once for
-    a fixed rule, read-only; |u| <= n/2 is the band."""
-    u = np.asarray(u, dtype=float)
-    if not (np.abs(u) <= n // 2).all():
-        raise ParameterError("fourier_taps takes |u| <= n/2")
-    rows, gauss = _taps(u * (-2.0 * np.pi / n), _OVERSAMPLE * n)
-    gauss = gauss.astype(complex)  # as the fine grid: the row dots cast none
-    rows.setflags(write=False)
-    gauss.setflags(write=False)
-    return rows, gauss
+@dataclass(frozen=True, eq=False)
+class FourierTaps:
+    """The taps of density_fourier_at at k = u pi/T, the same for every grid
+    of n samples: x = -k h = -2 pi u/n holds neither T nor h.  Built once
+    for a fixed rule, read-only; |u| <= n/2 is the band."""
+    n: int
+    u: np.ndarray
+    rows: np.ndarray = field(init=False, repr=False)
+    gauss: np.ndarray = field(init=False, repr=False)
 
-
-def density_fourier_taps(rho_vals: np.ndarray, grid: Grid1D, taps) -> np.ndarray:
-    """density_fourier_at at k = u pi/T from taps = fourier_taps(grid.n, u):
-    one inverse FFT and the row dots, to the same few 1e-16 of
-    rho_hat(0)."""
-    return grid.spacing * _row_dots(_fine_density(rho_vals, grid.n), taps)
+    def __post_init__(self):
+        u = np.array(self.u, dtype=float)  # its own copy
+        if not (np.abs(u) <= self.n // 2).all():
+            raise ParameterError("FourierTaps takes |u| <= n/2")
+        rows, gauss = _taps(u * (-2.0 * np.pi / self.n),
+                            _OVERSAMPLE * self.n)
+        gauss = gauss.astype(complex)  # as the fine grid: no cast in the dots
+        for name, a in (("u", u), ("rows", rows), ("gauss", gauss)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
 
 def _fine_density(rho_vals: np.ndarray, n: int) -> np.ndarray:

@@ -9,8 +9,6 @@ checks against 2D oracles; no production path needs them.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import ParameterError
@@ -37,38 +35,24 @@ def effective_potential_fourier(k3, B: float):
     Diverges logarithmically at k = 0 (inf there); arguments x = k^2/B
     below 1e-12 switch to the expansion e^x E1(x) = L + x (1 + L) + O(x^2 L),
     L = -gamma - ln x, with ln x formed from ln|k| and ln B since k^2/B
-    underflows at large B; a k^2/B that overflows gives U's limit 0.  A
-    scalar k is evaluated in Python floats, to the same bits.
+    underflows at large B; a k^2/B that overflows gives U's limit 0.
     """
     if not B > 0:
         raise ParameterError("B must be positive")
     k = np.abs(np.asarray(k3, dtype=float))
-    if k.ndim == 0:
-        return _effective_potential_fourier_at(float(k), B)
+    scalar = k.ndim == 0
+    k = np.atleast_1d(k)
     with np.errstate(over="ignore"):  # x = inf gives U = 0, its limit
         x = (k / np.sqrt(B)) ** 2  # k * k overflows where x need not
     tiny = x < 1e-12
-    if not tiny.any():
-        return np.pi * exp_scaled_e1(x)
-    out = np.pi * exp_scaled_e1(np.where(tiny, 1.0, x))  # tiny x: set below
-    kt, xt = k[tiny], x[tiny]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lead = -EULER_GAMMA - 2.0 * np.log(kt) + np.log(B)
-        small = np.pi * (lead + xt * (1.0 + lead))
-    small[kt == 0.0] = np.inf  # x (1 + L) is 0 at k = 0, where L is inf
-    out[tiny] = small
-    return out
-
-
-def _effective_potential_fourier_at(k: float, B: float) -> float:
-    """effective_potential_fourier at one k >= 0: the array path's
-    operations in the same order on Python floats (sqrt and the products
-    are correctly rounded, and ln is numpy's)."""
-    q = k / math.sqrt(B)
-    x = q * q  # inf past the doubles, where U is 0
-    if not x < 1e-12:
-        return float(np.pi * exp_scaled_e1(x))
-    if k == 0.0:
-        return math.inf
-    lead = -EULER_GAMMA - 2.0 * float(np.log(k)) + float(np.log(B))
-    return np.pi * (lead + x * (1.0 + lead))
+    if not tiny.any():  # the common case, without masks
+        out = np.pi * exp_scaled_e1(x)
+    else:
+        out = np.pi * exp_scaled_e1(np.where(tiny, 1.0, x))  # tiny: below
+        kt, xt = k[tiny], x[tiny]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lead = -EULER_GAMMA - 2.0 * np.log(kt) + np.log(B)
+            small = np.pi * (lead + xt * (1.0 + lead))
+        small[kt == 0.0] = np.inf  # x (1 + L) is 0 at k = 0, L is inf
+        out[tiny] = small
+    return float(out[0]) if scalar else out

@@ -8,9 +8,9 @@ from magpolaron import (DomainTooSmallError, Field1D, Grid1D,
 from magpolaron import decomposition, grids, special
 from magpolaron.decomposition import (fourier_side_energy,
                                       longitudinal_double_integral)
-from magpolaron.grids import (density_correlation_at, density_fourier_at,
-                              density_fourier_taps, density_power,
-                              fourier_taps, one_sided_fold)
+from magpolaron.grids import (FourierTaps, density_correlation_at,
+                              density_fourier_at, density_power,
+                              one_sided_fold)
 
 from conftest import bump_field, sech_field
 import oracles
@@ -315,8 +315,8 @@ class TestFixedTaps:
         # decayed sech densities, their width a fixed share of the box
         g = Grid1D(n, half_width)
         rho = sech_field(g, 1.0, b * 8.0 / half_width).values ** 2
-        u, _, *taps = decomposition._fourier_rule(n)
-        fixed = density_fourier_taps(rho, g, taps)
+        u, _, taps = decomposition._fourier_rule(n)
+        fixed = density_fourier_at(rho, g, taps)
         k = (np.pi / half_width) * u
         scale = g.spacing * np.sum(rho)  # rho_hat(0)
         assert np.max(np.abs(fixed - density_fourier_at(rho, g, k))) \
@@ -326,16 +326,22 @@ class TestFixedTaps:
 
     def test_band(self):
         for u in ([32.0, -32.0, 0.0], [31.999]):
-            fourier_taps(64, np.array(u))
+            FourierTaps(64, np.array(u))
         for u in ([32.000001], [-33.0], [np.nan]):
             with pytest.raises(ParameterError):
-                fourier_taps(64, np.array(u))
+                FourierTaps(64, np.array(u))
+
+    def test_taps_serve_only_their_n(self):
+        taps = FourierTaps(64, np.array([1.0, 2.5]))
+        with pytest.raises(ParameterError):
+            density_fourier_at(np.ones(128), Grid1D(128, 5.0), taps)
 
 
 @pytest.mark.parametrize("rule", [
     lambda: (grids._deconvolution(64),), lambda: (grids._mode_squares(64),),
-    special._log_end_unit, lambda: decomposition._fourier_rule(64),
-    lambda: decomposition._fourier_rule(1024)[2:],
+    special._log_end_unit, lambda: decomposition._fourier_rule(64)[:2],
+    lambda: (decomposition._fourier_rule(1024)[2].rows,
+             decomposition._fourier_rule(1024)[2].gauss),
     decomposition._kernel_remainder_rule],
     ids=["deconvolution", "mode_squares", "log_end_unit", "fourier_rule",
          "fourier_taps", "kernel_remainder_rule"])
