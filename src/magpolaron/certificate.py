@@ -134,8 +134,6 @@ def coupling_v(k3, Kperp: float):
     """Effective 1D coupling sqrt(pi) (ln(Kperp^2+k3^2) - ln(1+k3^2))^(1/2)."""
     if Kperp < 1:
         raise ParameterError("Kperp must be at least 1")
-    if isinstance(k3, float) and k3 == 0.0:  # the array path's bits
-        return math.sqrt(math.pi * max(math.log(Kperp ** 2), 0.0))
     k3 = np.asarray(k3, dtype=float)
     val = np.log(Kperp ** 2 + k3 ** 2) - np.log1p(k3 ** 2)
     out = np.sqrt(np.pi * np.maximum(val, 0.0))

@@ -26,10 +26,10 @@ import numpy as np
 
 from .errors import ParameterError, ResolutionError
 from .grids import (Field1D, FourierTaps, density_correlation_at,
-                    density_fourier_at, kinetic, mass, quartic)
+                    density_fourier_at, kinetic, mass, quartic, read_only)
 from .landau import effective_potential, effective_potential_fourier
 from .special import (gauss_legendre_panels, gauss_legendre_rows,
-                      geometric_edges, log_end_rule)
+                      geometric_edges, log_end_octaves)
 
 DUAL_PATH_RTOL = 1e-9  # largest relative gap the two Coulomb paths may show
 
@@ -75,16 +75,10 @@ def fourier_side_energy(f: Field1D, weight_at: Callable) -> float:
 
 @lru_cache(maxsize=None)
 def _fourier_rule(n: int):
-    """fourier_side_energy's rule in units of k1 = pi/T: the log end, then
-    octaves [1, 2, 4, ..., n/2] to Nyquist, with the density transform's
-    taps at its nodes, which no T moves; built once per n, read-only."""
-    k_log, w_log = log_end_rule(1.0)
-    k_geo, w_geo = gauss_legendre_panels(2.0 ** np.arange(n.bit_length() - 1),
-                                         order=16)
-    nodes = np.concatenate([k_log, k_geo])
-    weights = np.concatenate([w_log, w_geo])
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
+    """fourier_side_energy's rule in units of k1 = pi/T: log_end_octaves to
+    Nyquist, n/2, with the density transform's taps at its nodes, which no
+    T moves; built once per n, read-only."""
+    nodes, weights = log_end_octaves(n.bit_length() - 2, 16)
     return nodes, weights, FourierTaps(n, nodes)
 
 
@@ -171,10 +165,7 @@ def _kernel_remainder_rule():
     once, read-only.  The panel [0, 1e-8] of geometric_edges holds only
     ~eps^2 |ln eps|/2 ~ 1e-15 of its u (ln 2 - ln u) integrand."""
     nodes, w = gauss_legendre_panels(geometric_edges(1e-8, 20.0), order=16)
-    weights = w * np.exp(-nodes ** 2 / 4.0) * nodes
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    return read_only(nodes, w * np.exp(-nodes ** 2 / 4.0) * nodes)
 
 
 def kernel_remainder(f: Field1D, B: float) -> float:

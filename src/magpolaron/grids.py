@@ -10,11 +10,12 @@ Conventions:
     NUFFT, O(n log n + 32 len(k)), accurate to a few 1e-16 of rho_hat(0)
     and of C(0); a node off the band raises ParameterError.  Its taps (each
     node's row of fine-grid cells and its Gaussian weights, _taps) are
-    formed per call, and _row_dots gathers them
-  - a fixed rule k = u pi/T, the same u on every grid of n samples, has
-    fixed taps: x = -k h = -2 pi u/n holds neither T nor h, so
-    FourierTaps(n, u) builds them once, and density_fourier_at given
-    them in place of k pays only the inverse FFT and the row dots
+    gathered by _row_dots
+  - density_fourier_at takes its nodes as a rule k = u pi/T, the same u on
+    every grid of n samples, whose taps are fixed: x = -k h = -2 pi u/n
+    holds neither T nor h, so FourierTaps(n, u) builds them once, and a
+    transform pays only the inverse FFT and the row dots; correlation
+    nodes z are formed per call
   - the dual grid is one-sided, k_m = m pi/T, m = 0..n/2 (rfft order), and
     every on-grid transform is an rfft/irfft pair on it; density_power forms
     only the power, so the phase e^{ikT} of t_0 = -T drops out; Parseval reads
@@ -38,6 +39,15 @@ BOUNDARY_DECAY = 1e-8
 _OVERSAMPLE = 2  # fine-grid factor of the trigonometric sum
 _TAPS = 16  # Gaussian taps on each side of an off-grid point
 _TAP_OFFSETS = np.arange(1.0 - _TAPS, _TAPS + 1)  # fine cells from floor(u)
+
+
+def read_only(*arrays):
+    """The arrays, each made read-only in place, or the one array: a
+    field's samples and the rule tables built once and shared, which a
+    write would change for every later caller."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays if len(arrays) > 1 else arrays[0]
 
 
 @dataclass(frozen=True)
@@ -79,9 +89,7 @@ class Field1D:
                 f"expected {self.grid.n} samples, got shape {vals.shape}")
         if not np.isfinite(vals).all():
             raise InvalidFieldError("field samples must be finite")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", read_only(vals.copy()))
 
     def boundary_decayed(self) -> bool:
         peak = float(np.abs(self.values).max())
@@ -116,9 +124,7 @@ def _mode_squares(n: int) -> np.ndarray:
     n-sample rfft; built once per n, read-only."""
     m2 = np.arange(n // 2 + 1) ** 2.0
     m2[1:-1] *= 2.0  # one_sided_fold's fold, exactly, with no public call
-    m2 = np.repeat(m2, 2)
-    m2.setflags(write=False)
-    return m2
+    return read_only(np.repeat(m2, 2))
 
 
 def quartic(f: Field1D) -> float:
@@ -128,27 +134,20 @@ def quartic(f: Field1D) -> float:
 
 
 def density_fourier_at(rho_vals: np.ndarray, grid: Grid1D,
-                       k: np.ndarray | FourierTaps) -> np.ndarray:
-    """rho_hat(k) = h * sum_j e^{-ik t_j} rho_j on the band |k| <= pi/h.
+                       taps: FourierTaps) -> np.ndarray:
+    """rho_hat(k) = h * sum_j e^{-ik t_j} rho_j at the nodes k = u pi/T of
+    taps = FourierTaps(grid.n, u), |u| <= n/2: the band |k| <= pi/h.
 
     Evaluates the trigonometric interpolant's transform. Since
     t_j = (j - n/2) h it is h times the centred trigonometric sum at x = -k h,
     whose mode m = j - n/2 sits at index m mod 2n of the complex fine grid.
-    O(n log n + 32 len(k)); for a density rho >= 0 the error stays within a
-    few 1e-16 of rho_hat(0) = h sum_j rho_j. A k off the band raises
-    ParameterError.  k may also be FourierTaps(grid.n, u), a fixed rule
-    k = u pi/T whose taps are built once.
+    O(n log n + 32 len(u)); for a density rho >= 0 the error stays within a
+    few 1e-16 of rho_hat(0) = h sum_j rho_j.
     """
-    if isinstance(k, FourierTaps):
-        if k.n != grid.n:
-            raise ParameterError(f"taps built for n = {k.n}, not {grid.n}")
-        taps = k.rows, k.gauss
-    else:
-        k = np.atleast_1d(np.asarray(k, dtype=float))
-        if not (np.abs(k) <= np.pi / grid.spacing).all():
-            raise ParameterError("density_fourier_at takes |k| <= pi/h")
-        taps = _taps(-k * grid.spacing, _OVERSAMPLE * grid.n)
-    return grid.spacing * _row_dots(_fine_density(rho_vals, grid.n), taps)
+    if taps.n != grid.n:
+        raise ParameterError(f"taps built for n = {taps.n}, not {grid.n}")
+    return grid.spacing * _row_dots(_fine_density(rho_vals, grid.n),
+                                    (taps.rows, taps.gauss))
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,14 +161,13 @@ class FourierTaps:
     gauss: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        u = np.array(self.u, dtype=float)  # its own copy
+        u = np.array(self.u, dtype=float, ndmin=1)  # its own copy
         if not (np.abs(u) <= self.n // 2).all():
             raise ParameterError("FourierTaps takes |u| <= n/2")
         rows, gauss = _taps(u * (-2.0 * np.pi / self.n),
                             _OVERSAMPLE * self.n)
         gauss = gauss.astype(complex)  # as the fine grid: no cast in the dots
-        for name, a in (("u", u), ("rows", rows), ("gauss", gauss)):
-            a.setflags(write=False)
+        for name, a in zip(("u", "rows", "gauss"), read_only(u, rows, gauss)):
             object.__setattr__(self, name, a)
 
 
@@ -235,9 +233,7 @@ def _deconvolution(n: int) -> np.ndarray:
     read-only."""
     tau = np.pi * _TAPS / (n * n * _OVERSAMPLE * (_OVERSAMPLE - 0.5))
     m = np.arange(n // 2 + 1)
-    deconv = np.sqrt(np.pi / tau) * np.exp(tau * m * m)
-    deconv.setflags(write=False)
-    return deconv
+    return read_only(np.sqrt(np.pi / tau) * np.exp(tau * m * m))
 
 
 def _taps(x: np.ndarray, size: int):

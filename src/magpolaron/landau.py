@@ -2,10 +2,7 @@
 
 The 3D Coulomb kernel averaged over two ground transverse Gaussians, in real
 space V(z;B) and on the Fourier side U(k;B), both in closed form; the sphere
-flow's cell averages of U beside k = 0 are pekar.interaction_weights.  The
-projector kernel, the twisted kernel it leaves on plane waves and the
-average over other transverse densities are lemma objects the test suite
-checks against 2D oracles; no production path needs them.
+flow's cell averages of U beside k = 0 are pekar.interaction_weights.
 """
 from __future__ import annotations
 
@@ -45,10 +42,8 @@ def effective_potential_fourier(k3, B: float):
     with np.errstate(over="ignore"):  # x = inf gives U = 0, its limit
         x = (k / np.sqrt(B)) ** 2  # k * k overflows where x need not
     tiny = x < 1e-12
-    if not tiny.any():  # the common case, without masks
-        out = np.pi * exp_scaled_e1(x)
-    else:
-        out = np.pi * exp_scaled_e1(np.where(tiny, 1.0, x))  # tiny: below
+    out = np.pi * exp_scaled_e1(np.where(tiny, 1.0, x))  # tiny: below
+    if tiny.any():
         kt, xt = k[tiny], x[tiny]
         with np.errstate(divide="ignore", invalid="ignore"):
             lead = -EULER_GAMMA - 2.0 * np.log(kt) + np.log(B)

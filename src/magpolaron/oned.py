@@ -26,7 +26,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConvergenceError, InvalidFieldError, ParameterError
-from .grids import Field1D, Grid1D, kinetic, mass, one_sided_fold, quartic
+from .grids import (Field1D, Grid1D, kinetic, mass, one_sided_fold, quartic,
+                    read_only)
 
 SHARP_GN_Q4 = 3.0 ** 0.125
 _MAX_ITER = 5000  # sphere-flow iteration budget
@@ -113,10 +114,8 @@ def _flow_arrays(grid: Grid1D):
     g = np.repeat(grid.spacing / grid.n * one_sided_fold(grid.n), 2)
     f = np.exp(-t * t / 2.0)
     f *= np.sqrt(1.0 / (grid.spacing * np.sum(f * f)))
-    arrays = (np.array((g, g * k2, k2)), f, np.fft.rfft(f), np.fft.rfft(f * f))
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
+    return read_only(np.array((g, g * k2, k2)), f, np.fft.rfft(f),
+                     np.fft.rfft(f * f))
 
 
 def _along(c, th):

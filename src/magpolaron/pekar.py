@@ -20,11 +20,12 @@ import numpy as np
 
 from .decomposition import coulomb_D_product, fourier_side_energy
 from .errors import FitError, ParameterError
-from .grids import Field1D, Grid1D, kinetic, mass
+from .grids import Field1D, Grid1D, kinetic, mass, read_only
 from .landau import effective_potential_fourier
 from .oned import (OneDProblem, OneDSolution, closed_form_minimizer,
                    solve_weighted)
-from .special import gauss_legendre_panels, gauss_legendre_rows, log_end_rule
+from .special import (gauss_legendre_panels, gauss_legendre_rows,
+                      log_end_octaves, log_end_rule)
 
 NORMALIZATION_TOL = 1e-6
 _N_AVERAGE = 8  # dual-grid cells beside k = 0 given cell averages
@@ -141,18 +142,13 @@ def trial_energy(B: float, alpha: float) -> EnergyBreakdown:
 @lru_cache(maxsize=None)
 def _trial_rule():
     """trial_energy's nodes in units of b/16 and weights times |rho_hat|^2,
-    built once, read-only: log_end_rule(1), then 24-point Gauss-Legendre on
-    the octaves [1, 2, ..., 256], past which |rho_hat|^2 < 3e-40.  The log
-    end stops at b/16: numpy's 24-point weights are up to 1.2e-13 off at
-    panel ends, and a log end to b/4 moved the deficit by up to 1.4e-15."""
-    k_log, w_log = log_end_rule(1.0)
-    k_oct, w_oct = gauss_legendre_panels(2.0 ** np.arange(9), order=24)
-    nodes = np.concatenate([k_log, k_oct])
+    built once, read-only: log_end_octaves(8, 24), past whose last octave,
+    [128, 256], |rho_hat|^2 < 3e-40.  The log end stops at b/16: numpy's
+    24-point weights are up to 1.2e-13 off at panel ends, and a log end to
+    b/4 moved the deficit by up to 1.4e-15."""
+    nodes, weights = log_end_octaves(8, 24)
     x = (np.pi / 16.0) * nodes
-    weights = np.concatenate([w_log, w_oct]) * (x / np.sinh(x)) ** 2
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    return nodes, read_only(weights * (x / np.sinh(x)) ** 2)
 
 
 def interaction_weights(grid: Grid1D, B: float) -> np.ndarray:
@@ -246,10 +242,7 @@ def _transverse_rule():
     s1, w1 = gauss_legendre_panels(near, _RULE_ORDER)
     s2, w2 = gauss_legendre_panels(_FAR_EDGES, _FAR_ORDER)
     s = np.concatenate([s1, s2])
-    numer = np.concatenate([w1 * np.expm1(-s1), w2 * np.exp(-s2)])
-    s.setflags(write=False)
-    numer.setflags(write=False)
-    return s, numer
+    return read_only(s, np.concatenate([w1 * np.expm1(-s1), w2 * np.exp(-s2)]))
 
 
 def _transverse_weight_quadrature(k3: np.ndarray, B: float) -> np.ndarray:
@@ -275,9 +268,8 @@ def _transverse_weight_quadrature(k3: np.ndarray, B: float) -> np.ndarray:
     [0, 4^-20] is not resolved, but its integrand is at most 1 in size, so
     it is off by at most 2e-12 against a weight e^y E1(y) > 20 ln 4 - gamma
     ~ 27 there, within 7.4e-14 relative, which the 1e-13 pin against mpmath
-    covers; the tail past 48 is below e^-48 of the weight.  The rule is within 4.4e-16
-    of 40-digit mpmath on y in [1e-300, 1e300], as was the 1024-node rule
-    with the floor 1e-30 that it replaced.
+    covers; the tail past 48 is below e^-48 of the weight.  The rule is
+    within 4.4e-16 of 40-digit mpmath on y in [1e-300, 1e300].
     """
     s, numer = _transverse_rule()
     k = np.asarray(k3, dtype=float)

@@ -13,6 +13,8 @@ from functools import lru_cache
 import numpy as np
 import scipy.special as _sc
 
+from .grids import read_only
+
 EULER_GAMMA = np.euler_gamma
 
 # switch point between scipy's exp1 and the continued fraction; exp(x) is
@@ -26,8 +28,6 @@ def exp_scaled_e1(x):
     Small/moderate x uses scipy's exp1 directly; large x uses the standard
     continued fraction 1/(x+1- 1/(x+3- 4/(x+5- 9/(...)))).
     """
-    if isinstance(x, float) and 0 < x < _CF_SWITCH:  # a scalar: no masks
-        return np.exp(x) * _sc.exp1(x)
     x = np.asarray(x, dtype=float)
     if not x.size or 0 < x.min() and x.max() < _CF_SWITCH:  # without masks
         return np.exp(x) * _sc.exp1(x)
@@ -76,10 +76,7 @@ def gauss_legendre_rows(lo, hi, order):
 def _legendre_rule(order):
     """Gauss-Legendre nodes and weights on [-1, 1], computed once per order
     and returned read-only."""
-    xs, ws = np.polynomial.legendre.leggauss(order)
-    xs.setflags(write=False)
-    ws.setflags(write=False)
-    return xs, ws
+    return read_only(*np.polynomial.legendre.leggauss(order))
 
 
 def log_end_rule(k1):
@@ -96,10 +93,18 @@ def log_end_rule(k1):
 def _log_end_unit():
     """log_end_rule's e^{-s} and s-weights, built once, read-only."""
     s, w = gauss_legendre_panels([0.0, 4.0, 12.0, 28.0, 46.0], order=24)
-    unit = np.exp(-s)
-    unit.setflags(write=False)
-    w.setflags(write=False)
-    return unit, w
+    return read_only(np.exp(-s), w)
+
+
+@lru_cache(maxsize=None)
+def log_end_octaves(octaves, order):
+    """Nodes and weights for int_0^{2^octaves} g(k) dk, g log-singular at 0:
+    log_end_rule(1), then order-point Gauss-Legendre on each octave
+    [1, 2], [2, 4], ..., [2^(octaves-1), 2^octaves]; built once, read-only."""
+    k_log, w_log = log_end_rule(1.0)
+    k_oct, w_oct = gauss_legendre_panels(2.0 ** np.arange(octaves + 1), order)
+    return read_only(np.concatenate([k_log, k_oct]),
+                     np.concatenate([w_log, w_oct]))
 
 
 def geometric_edges(a, b):

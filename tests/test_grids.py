@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from magpolaron import (DomainTooSmallError, Field1D, Grid1D,
                         InvalidFieldError, ParameterError, kinetic, mass,
                         quartic)
-from magpolaron import decomposition, grids, special
+from magpolaron import decomposition, grids, pekar, special
 from magpolaron.decomposition import (fourier_side_energy,
                                       longitudinal_double_integral)
 from magpolaron.grids import (FourierTaps, density_correlation_at,
@@ -103,17 +103,19 @@ class TestFunctionals:
 
 class TestDensityFourier:
     def test_zero_frequency_is_mass(self, grid, f11):
-        m0 = density_fourier_at(f11.values ** 2, grid, 0.0)[0]
+        m0 = density_fourier_at(f11.values ** 2, grid,
+                                FourierTaps(grid.n, 0.0))[0]
         assert m0.real == pytest.approx(mass(f11), rel=1e-12)
         assert abs(m0.imag) < 1e-12
 
     def test_gaussian_transform(self):
         g = Grid1D(4096, 40.0)
         t = g.points()
-        k = g.wavenumbers()
-        k = k[np.abs(k) <= 10.0]
-        rho_hat = density_fourier_at(np.exp(-t * t) / np.sqrt(np.pi), g, k)
-        assert np.max(np.abs(rho_hat - np.exp(-k ** 2 / 4.0))) < 1e-12
+        k = g.wavenumbers()  # k_m = m pi/T: the nodes u = m
+        (m,) = np.nonzero(np.abs(k) <= 10.0)
+        rho_hat = density_fourier_at(np.exp(-t * t) / np.sqrt(np.pi), g,
+                                     FourierTaps(g.n, m))
+        assert np.max(np.abs(rho_hat - np.exp(-k[m] ** 2 / 4.0))) < 1e-12
 
     def test_parseval_random(self, grid):
         rng = np.random.default_rng(11)
@@ -188,13 +190,14 @@ def _production_nodes(f, B):
     return seen["k"], seen["z"]
 
 
-def _check_against_dense(f, k, z):
-    """The fast off-grid transforms against the dense 80-bit sums:
+def _check_against_dense(f, u, z):
+    """The fast off-grid transforms against the dense 80-bit sums, the
+    Fourier one at k = u pi/T through FourierTaps(n, u):
     |d rho_hat| <= 4e-15 h sum|rho| and |d C| <= 4e-15 C(0)."""
     g = f.grid
     rho = f.values ** 2
-    fast = density_fourier_at(rho, g, k)
-    dense = oracles.dense_fourier_at(rho, g, k)
+    fast = density_fourier_at(rho, g, FourierTaps(g.n, u))
+    dense = oracles.dense_fourier_at(rho, g, u * (np.pi / g.half_width))
     assert np.max(np.abs(fast - dense)) <= 4e-15 * g.spacing * np.sum(rho)
     c0 = np.sum(density_power(f))
     fast_c = density_correlation_at(f, z)
@@ -204,7 +207,8 @@ def _check_against_dense(f, k, z):
 
 class TestTrigSum:
     """density_fourier_at (the complex fine grid) and density_correlation_at
-    (the real one) against the dense trigonometric sums they replace."""
+    (the real one) against the dense trigonometric sums they replace; the
+    Fourier nodes are u = k T/pi, |u| <= n/2."""
 
     @pytest.mark.parametrize("n", [64, 8192])
     @pytest.mark.parametrize("lnB", [10.0, 30.0])
@@ -215,79 +219,80 @@ class TestTrigSum:
         half_width = 240.0 / lnB if n == 8192 else 8.0
         f = sech_field(Grid1D(n, half_width), 1.0, lnB / 2.0)
         k, z = _production_nodes(f, B)
+        # the weight's nodes are the rule's u at k = u pi/T
+        u = decomposition._fourier_rule(n)[0]
+        assert np.array_equal(k, (np.pi / f.grid.half_width) * u)
         # interior Gauss-Legendre nodes: both paths stay inside their band
-        assert np.all((k > 0) & (k < np.pi / f.grid.spacing))
+        assert np.all((u > 0) & (u < n // 2))
         assert np.all((z > 0) & (z < f.grid.half_width))
-        _check_against_dense(f, k, z)
+        _check_against_dense(f, u, z)
 
     @pytest.mark.parametrize("n", [64, 8192])
     def test_band_edges(self, n):
         g = Grid1D(n, 40.0)
         f = bump_field(g, np.random.default_rng(5))
-        nyquist = np.pi / g.spacing
-        k = nyquist * np.array([0.0, 1.0, -1.0, 0.5, -0.75, 1e-3, -0.999])
+        u = n // 2 * np.array([0.0, 1.0, -1.0, 0.5, -0.75, 1e-3, -0.999])
         z = np.array([0.0, g.half_width, 0.5 * g.half_width])
-        _check_against_dense(f, k, z)
+        _check_against_dense(f, u, z)
 
     @pytest.mark.parametrize("n", [64, 8192])
     def test_band_ends_exactly(self, n):
-        # T and h powers of two: x = -k h and x = pi z / T are exactly
-        # -+pi, the last fine cell each way
+        # x = -2 pi u/n at u = -+n/2, and x = pi z / T at z = -+T with T a
+        # power of two, are exactly -+pi, the last fine cell each way
         g = Grid1D(n, 8.0)
         f = bump_field(g, np.random.default_rng(7))
-        k = np.array([np.pi / g.spacing, -np.pi / g.spacing])
+        u = np.array([n // 2, -(n // 2)], dtype=float)
         z = np.array([g.half_width, -g.half_width])
-        assert (-k * g.spacing).tolist() == [-np.pi, np.pi]
+        assert (u * (-2.0 * np.pi / n)).tolist() == [-np.pi, np.pi]
         assert (z * (np.pi / g.half_width)).tolist() == [np.pi, -np.pi]
-        _check_against_dense(f, k, z)
+        _check_against_dense(f, u, z)
 
     @pytest.mark.parametrize("n", [64, 8192])
     def test_band_ends_rounded_outward(self, n):
-        # at T = 25 the callers' x at k = -+pi/h and z = -+T round to one
-        # ulp past -+pi, so -pi falls in the spare fine cell below the band
+        # at T = 25 the correlation's x at z = -+T rounds to one ulp past
+        # -+pi, so -pi falls in the spare fine cell below the band; the
+        # Fourier side's x at u = -+n/2 is -+pi at every T
         g = Grid1D(n, 25.0)
         f = bump_field(g, np.random.default_rng(9))
-        k = np.array([np.pi / g.spacing, -np.pi / g.spacing])
+        u = np.array([n // 2, -(n // 2)], dtype=float)
         z = np.array([g.half_width, -g.half_width])
-        assert np.all(np.abs(k * g.spacing) > np.pi)
         assert np.all(np.abs(z * (np.pi / g.half_width)) > np.pi)
-        _check_against_dense(f, k, z)
+        _check_against_dense(f, u, z)
 
     @pytest.mark.parametrize("n", [64, 8192])
     def test_fine_cell_boundaries(self, n):
         # x = pi l / n falls on the edge of fine cell l of the 2n-cell grid,
-        # at k = l pi / 2T and z = l h / 2, from one end of the band to the
+        # at u = l / 2 and z = l h / 2, from one end of the band to the
         # other; rounding puts some just below the edge, so floor picks
         # either neighbour
         g = Grid1D(n, 8.0)
         rng = np.random.default_rng(11)
         f = bump_field(g, rng)
         cells = np.r_[-n, 1 - n, -1, 0, 1, n - 1, n, rng.integers(-n, n, 40)]
-        _check_against_dense(f, cells * (np.pi / (2 * g.half_width)),
-                             cells * (g.spacing / 2))
+        _check_against_dense(f, cells / 2.0, cells * (g.spacing / 2))
 
     @pytest.mark.parametrize("n", [64, 8192])
     def test_single_node(self, n):
         g = Grid1D(n, 40.0)
         f = bump_field(g, np.random.default_rng(3))
-        _check_against_dense(f, np.array([0.3]), np.array([1.7]))
+        _check_against_dense(f, np.array([3.8]), np.array([1.7]))
         # a scalar node comes back as one value, on both grids
         rho = f.values ** 2
-        assert density_fourier_at(rho, g, 0.3).shape == (1,)
+        assert density_fourier_at(rho, g, FourierTaps(n, 3.8)).shape == (1,)
         assert density_correlation_at(f, 1.7).shape == (1,)
 
     @pytest.mark.parametrize("n", [64, 8192])
     def test_nodes_off_the_band_raise(self, n):
         # the gather's padded window cannot wrap as an index mod 2n did: a
-        # node past the band end is refused, not read from a wrong window
+        # node past the band end is refused, by FourierTaps on the Fourier
+        # side, not read from a wrong window
         g = Grid1D(n, 8.0)
         f = bump_field(g, np.random.default_rng(5))
-        rho = f.values ** 2
-        nyquist = np.pi / g.spacing
-        for k in (np.nextafter(nyquist, np.inf), -np.nextafter(nyquist, np.inf),
-                  -1.5 * nyquist, np.nan):
+        end = n // 2
+        for u in (np.nextafter(end, np.inf), -np.nextafter(end, np.inf),
+                  -1.5 * end, np.nan):
             with pytest.raises(ParameterError):
-                density_fourier_at(rho, g, np.array([0.0, k]))
+                FourierTaps(n, np.array([0.0, u]))
         for z in (np.nextafter(g.half_width, np.inf), -2.0 * g.half_width,
                   np.nan):
             with pytest.raises(ParameterError):
@@ -299,14 +304,15 @@ class TestTrigSum:
         g = Grid1D(n, 40.0)
         rng = np.random.default_rng(seed)
         f = bump_field(g, rng)
-        k = rng.uniform(-1.0, 1.0, 64) * np.pi / g.spacing
+        u = rng.uniform(-1.0, 1.0, 64) * (n // 2)
         z = rng.uniform(0.0, g.half_width, 64)
-        _check_against_dense(f, k, z)
+        _check_against_dense(f, u, z)
 
 
 class TestFixedTaps:
     """The Fourier rule's nodes k = u pi/T with taps built once per n:
-    x = -k h = -2 pi u/n, whatever T."""
+    x = -k h = -2 pi u/n, whatever T.  Taps built per call from the rule's
+    k on one grid, at k T/pi, give the same transform."""
 
     @pytest.mark.parametrize("n", [64, 1024])
     @pytest.mark.parametrize("half_width", [5.3, 8.0, 40.0, 1e-3])
@@ -318,8 +324,9 @@ class TestFixedTaps:
         u, _, taps = decomposition._fourier_rule(n)
         fixed = density_fourier_at(rho, g, taps)
         k = (np.pi / half_width) * u
+        per_call = FourierTaps(n, k * half_width / np.pi)
         scale = g.spacing * np.sum(rho)  # rho_hat(0)
-        assert np.max(np.abs(fixed - density_fourier_at(rho, g, k))) \
+        assert np.max(np.abs(fixed - density_fourier_at(rho, g, per_call))) \
             <= 5e-16 * scale
         assert np.max(np.abs(fixed - oracles.dense_fourier_at(rho, g, k))) \
             <= 4e-15 * scale
@@ -342,9 +349,12 @@ class TestFixedTaps:
     special._log_end_unit, lambda: decomposition._fourier_rule(64)[:2],
     lambda: (decomposition._fourier_rule(1024)[2].rows,
              decomposition._fourier_rule(1024)[2].gauss),
-    decomposition._kernel_remainder_rule],
+    decomposition._kernel_remainder_rule,
+    lambda: special._legendre_rule(16), lambda: special.log_end_octaves(8, 24),
+    pekar._trial_rule, pekar._transverse_rule],
     ids=["deconvolution", "mode_squares", "log_end_unit", "fourier_rule",
-         "fourier_taps", "kernel_remainder_rule"])
+         "fourier_taps", "kernel_remainder_rule", "legendre_rule",
+         "log_end_octaves", "trial_rule", "transverse_rule"])
 def test_rules_built_once_are_read_only(rule):
     # each call hands out the one cached array: a write would change every
     # later transform or quadrature, so it raises instead

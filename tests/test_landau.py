@@ -188,9 +188,9 @@ class TestEffectivePotentialFourier:
 
 
 class TestTrimmedBits:
-    """U and e^x E1(x) skip the masks, and U takes a scalar in Python
-    floats; on every node production sends them, each bit is the masked
-    forms' of tests/oracles.py."""
+    """e^x E1(x) skips the masks where every x is below its switch, and U
+    the fix-up of tiny x where no node needs it; on every node production
+    sends them, each bit is the masked forms' of tests/oracles.py."""
 
     @pytest.mark.parametrize("lnB", [0.5, 6.0, 20.0, 30.0, 300.0, 709.78])
     def test_production_nodes(self, monkeypatch, lnB):

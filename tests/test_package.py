@@ -5,6 +5,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "magpolaron"
+# lines of src/magpolaron/*.py when the budget was last set; a change that
+# grows src/ raises it in its own diff and says why in CHANGES.md
+SRC_LINE_BUDGET = 2234
 
 
 def _tree(path):
@@ -17,6 +20,12 @@ def _imported_modules(tree):
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             yield node.module
+
+
+def test_src_within_line_budget():
+    lines = sum(len(path.read_text().splitlines())
+                for path in PACKAGE.glob("*.py"))
+    assert lines <= SRC_LINE_BUDGET
 
 
 def test_only_special_imports_scipy():
