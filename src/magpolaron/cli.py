@@ -6,8 +6,9 @@ Exit codes: 0 success, 1 validation error, 2 convergence failure,
 by parse_b alone, accept the shorthand "eN" meaning e^N.
 Optional plain-text "key = value" config files set the subcommand's flag
 defaults; explicit flags win.  sweep runs here, one SweepRecord (CSV row) a
-point, on as many processes as --workers or MAGPOLARON_WORKERS asks; its
-trial_E is pekar.trial_energy, from the sech density's closed-form transform.
+point; with w workers (--workers or MAGPOLARON_WORKERS) this process and
+w - 1 forked children (POSIX fork) each run every w-th point.  Its trial_E is
+pekar.trial_energy, from the sech density's closed-form transform.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Sequence
 
 import numpy as np
@@ -162,18 +162,68 @@ def _sweep_point(args):
     return record
 
 
+def _share(jobs, outbox=None):
+    """The records of jobs, in order, up to the first that raises, and that
+    exception (None if none does); sent down outbox if one is given."""
+    records, failure = [], None
+    try:
+        for job in jobs:
+            records.append(_sweep_point(job))
+    except Exception as exc:
+        failure = exc
+    if outbox is None:
+        return records, failure
+    outbox.send((records, failure))
+
+
+def _fan_out(jobs, workers):
+    """The _share of jobs[i::workers] for each i: i = 0 here, the others in
+    forked children (the program already imported), each sending its own
+    down a pipe.  Every child is joined, stopped first if still running."""
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for i in range(1, workers):
+            inbox, outbox = context.Pipe(duplex=False)
+            child = context.Process(target=_share,
+                                    args=(jobs[i::workers], outbox))
+            child.start()  # flushes stdout first: nothing is written twice
+            outbox.close()  # the child's copy alone: its exit reads as EOF
+            children.append((child, inbox))
+        shares = [_share(jobs[::workers])]
+        for child, inbox in children:
+            try:
+                shares.append(inbox.recv())
+            except EOFError:
+                child.join()
+                raise ChildProcessError(f"sweep worker exited with code "
+                                        f"{child.exitcode} before sending "
+                                        "its points") from None
+        return shares
+    finally:
+        for child, inbox in children:
+            inbox.close()
+            child.terminate()  # one that has sent has nothing left to do
+            child.join()
+
+
 def sweep(B_values: Sequence[float], alpha: float, certify: bool = False,
           workers: int = 1) -> list:
     """Minimize at each B of B_values, the field itself, not its log, to tol
     1e-11; records sorted by B regardless of input or completion order.
-    Points are independent; workers > 1 fans them out."""
+    Points are independent: with w = workers > 1, every w-th point from the
+    i-th runs in forked child i, or here for i = 0.  A failure raises the
+    first failing point's exception, in input order, as one worker does."""
     jobs = [(float(B), alpha, certify) for B in B_values]
     workers = min(workers, len(jobs), os.cpu_count() or 1)  # all fork at once
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_sweep_point, jobs))
-    else:
-        records = [_sweep_point(j) for j in jobs]
+    shares = _fan_out(jobs, workers) if workers > 1 else [_share(jobs)]
+    failed = [(i + len(records) * workers, exc)
+              for i, (records, exc) in enumerate(shares) if exc is not None]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    records = [r for share, _ in shares for r in share]
     records.sort(key=lambda r: r.B)
     return records
 

@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import ParameterError, ResolutionError
 from .grids import (Field1D, FourierTaps, density_correlation_at,
-                    density_fourier_at, kinetic, mass, quartic, read_only)
+                    density_fourier_at, kinetic, mass, quartic,
+                    read_only_table)
 from .landau import effective_potential, effective_potential_fourier
 from .special import (gauss_legendre_panels, gauss_legendre_rows,
                       geometric_edges, log_end_octaves)
@@ -159,13 +160,13 @@ def kernel_remainder_coefficient(B: float) -> float:
     return float(0.5 * (weights * log_kernel(nodes / np.sqrt(B), B)).sum())
 
 
-@lru_cache(maxsize=None)
+@read_only_table
 def _kernel_remainder_rule():
     """kernel_remainder_coefficient's nodes u, weights w e^{-u^2/4} u; built
     once, read-only.  The panel [0, 1e-8] of geometric_edges holds only
     ~eps^2 |ln eps|/2 ~ 1e-15 of its u (ln 2 - ln u) integrand."""
     nodes, w = gauss_legendre_panels(geometric_edges(1e-8, 20.0), order=16)
-    return read_only(nodes, w * np.exp(-nodes ** 2 / 4.0) * nodes)
+    return nodes, w * np.exp(-nodes ** 2 / 4.0) * nodes
 
 
 def kernel_remainder(f: Field1D, B: float) -> float:

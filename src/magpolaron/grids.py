@@ -29,7 +29,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -41,13 +41,19 @@ _TAPS = 16  # Gaussian taps on each side of an off-grid point
 _TAP_OFFSETS = np.arange(1.0 - _TAPS, _TAPS + 1)  # fine cells from floor(u)
 
 
-def read_only(*arrays):
-    """The arrays, each made read-only in place, or the one array: a
-    field's samples and the rule tables built once and shared, which a
-    write would change for every later caller."""
-    for a in arrays:
+def read_only_table(build):
+    """build, cached per argument tuple, its arrays made read-only: a rule
+    table built on first use and shared, which a write would change for
+    every later caller."""
+    return lru_cache(maxsize=None)(wraps(build)(
+        lambda *args: _read_only(build(*args))))
+
+
+def _read_only(result):
+    """result, an array or a tuple of arrays, each made read-only in place."""
+    for a in result if isinstance(result, tuple) else (result,):
         a.setflags(write=False)
-    return arrays if len(arrays) > 1 else arrays[0]
+    return result
 
 
 @dataclass(frozen=True)
@@ -89,7 +95,7 @@ class Field1D:
                 f"expected {self.grid.n} samples, got shape {vals.shape}")
         if not np.isfinite(vals).all():
             raise InvalidFieldError("field samples must be finite")
-        object.__setattr__(self, "values", read_only(vals.copy()))
+        object.__setattr__(self, "values", _read_only(vals.copy()))
 
     def boundary_decayed(self) -> bool:
         peak = float(np.abs(self.values).max())
@@ -118,13 +124,13 @@ def kinetic(f: Field1D) -> float:
                  * (np.pi / g.half_width) ** 2)
 
 
-@lru_cache(maxsize=None)
+@read_only_table
 def _mode_squares(n: int) -> np.ndarray:
     """fold_m m^2, m = 0..n/2, each twice, for the (Re, Im) pairs of an
     n-sample rfft; built once per n, read-only."""
     m2 = np.arange(n // 2 + 1) ** 2.0
     m2[1:-1] *= 2.0  # one_sided_fold's fold, exactly, with no public call
-    return read_only(np.repeat(m2, 2))
+    return np.repeat(m2, 2)
 
 
 def quartic(f: Field1D) -> float:
@@ -167,7 +173,8 @@ class FourierTaps:
         rows, gauss = _taps(u * (-2.0 * np.pi / self.n),
                             _OVERSAMPLE * self.n)
         gauss = gauss.astype(complex)  # as the fine grid: no cast in the dots
-        for name, a in zip(("u", "rows", "gauss"), read_only(u, rows, gauss)):
+        for name, a in zip(("u", "rows", "gauss"),
+                           _read_only((u, rows, gauss))):
             object.__setattr__(self, name, a)
 
 
@@ -227,13 +234,13 @@ def density_correlation_at(f: Field1D, z: np.ndarray) -> np.ndarray:
                      _taps(z * (np.pi / f.grid.half_width), size))
 
 
-@lru_cache(maxsize=None)
+@read_only_table
 def _deconvolution(n: int) -> np.ndarray:
     """sqrt(pi/tau) e^{tau m^2}, m = 0..n/2, for n modes; built once per n,
     read-only."""
     tau = np.pi * _TAPS / (n * n * _OVERSAMPLE * (_OVERSAMPLE - 0.5))
     m = np.arange(n // 2 + 1)
-    return read_only(np.sqrt(np.pi / tau) * np.exp(tau * m * m))
+    return np.sqrt(np.pi / tau) * np.exp(tau * m * m)
 
 
 def _taps(x: np.ndarray, size: int):

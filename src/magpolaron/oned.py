@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConvergenceError, InvalidFieldError, ParameterError
 from .grids import (Field1D, Grid1D, kinetic, mass, one_sided_fold, quartic,
-                    read_only)
+                    read_only_table)
 
 SHARP_GN_Q4 = 3.0 ** 0.125
 _MAX_ITER = 5000  # sphere-flow iteration budget
@@ -106,7 +105,7 @@ def gn_ratio(f: Field1D) -> float:
 # core sphere minimizer
 
 
-@lru_cache(maxsize=None)
+@read_only_table
 def _flow_arrays(grid: Grid1D):
     """Read-only: [g, g k^2, k^2] (g = h fold/n) on the float view, and the
     unit-mass Gaussian start f with rfft(f), rfft(f^2), bit for bit."""
@@ -114,8 +113,7 @@ def _flow_arrays(grid: Grid1D):
     g = np.repeat(grid.spacing / grid.n * one_sided_fold(grid.n), 2)
     f = np.exp(-t * t / 2.0)
     f *= np.sqrt(1.0 / (grid.spacing * np.sum(f * f)))
-    return read_only(np.array((g, g * k2, k2)), f, np.fft.rfft(f),
-                     np.fft.rfft(f * f))
+    return np.array((g, g * k2, k2)), f, np.fft.rfft(f), np.fft.rfft(f * f)
 
 
 def _along(c, th):

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .decomposition import coulomb_D_product, fourier_side_energy
 from .errors import FitError, ParameterError
-from .grids import Field1D, Grid1D, kinetic, mass, read_only
+from .grids import Field1D, Grid1D, kinetic, mass, read_only_table
 from .landau import effective_potential_fourier
 from .oned import (OneDProblem, OneDSolution, closed_form_minimizer,
                    solve_weighted)
@@ -139,7 +138,7 @@ def trial_energy(B: float, alpha: float) -> EnergyBreakdown:
                                    _TRIAL_RTOL * abs(coulomb)), B, alpha)
 
 
-@lru_cache(maxsize=None)
+@read_only_table
 def _trial_rule():
     """trial_energy's nodes in units of b/16 and weights times |rho_hat|^2,
     built once, read-only: log_end_octaves(8, 24), past whose last octave,
@@ -148,7 +147,7 @@ def _trial_rule():
     b/4 moved the deficit by up to 1.4e-15."""
     nodes, weights = log_end_octaves(8, 24)
     x = (np.pi / 16.0) * nodes
-    return nodes, read_only(weights * (x / np.sinh(x)) ** 2)
+    return nodes, weights * (x / np.sinh(x)) ** 2
 
 
 def interaction_weights(grid: Grid1D, B: float) -> np.ndarray:
@@ -232,7 +231,7 @@ def scaling_identity_check(B: float, alpha: float, f: Field1D):
     return rel <= 1e-8, rel
 
 
-@lru_cache(maxsize=None)
+@read_only_table
 def _transverse_rule():
     """Shared nodes s and weighted numerators of the transverse integral:
     expm1(-s) on 21 geometric panels of [0, 1], e^{-s} on the octaves of
@@ -242,7 +241,7 @@ def _transverse_rule():
     s1, w1 = gauss_legendre_panels(near, _RULE_ORDER)
     s2, w2 = gauss_legendre_panels(_FAR_EDGES, _FAR_ORDER)
     s = np.concatenate([s1, s2])
-    return read_only(s, np.concatenate([w1 * np.expm1(-s1), w2 * np.exp(-s2)]))
+    return s, np.concatenate([w1 * np.expm1(-s1), w2 * np.exp(-s2)])
 
 
 def _transverse_weight_quadrature(k3: np.ndarray, B: float) -> np.ndarray:

@@ -8,12 +8,11 @@ integrates the log singularity of U(k;B) at k = 0 with.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 import scipy.special as _sc
 
-from .grids import read_only
+from .grids import read_only_table
 
 EULER_GAMMA = np.euler_gamma
 
@@ -72,11 +71,11 @@ def gauss_legendre_rows(lo, hi, order):
     return mid[:, None] + half[:, None] * xs, half[:, None] * ws
 
 
-@lru_cache(maxsize=None)
+@read_only_table
 def _legendre_rule(order):
     """Gauss-Legendre nodes and weights on [-1, 1], computed once per order
     and returned read-only."""
-    return read_only(*np.polynomial.legendre.leggauss(order))
+    return np.polynomial.legendre.leggauss(order)
 
 
 def log_end_rule(k1):
@@ -89,22 +88,21 @@ def log_end_rule(k1):
     return nodes, w * nodes
 
 
-@lru_cache(maxsize=None)
+@read_only_table
 def _log_end_unit():
     """log_end_rule's e^{-s} and s-weights, built once, read-only."""
     s, w = gauss_legendre_panels([0.0, 4.0, 12.0, 28.0, 46.0], order=24)
-    return read_only(np.exp(-s), w)
+    return np.exp(-s), w
 
 
-@lru_cache(maxsize=None)
+@read_only_table
 def log_end_octaves(octaves, order):
     """Nodes and weights for int_0^{2^octaves} g(k) dk, g log-singular at 0:
     log_end_rule(1), then order-point Gauss-Legendre on each octave
     [1, 2], [2, 4], ..., [2^(octaves-1), 2^octaves]; built once, read-only."""
     k_log, w_log = log_end_rule(1.0)
     k_oct, w_oct = gauss_legendre_panels(2.0 ** np.arange(octaves + 1), order)
-    return read_only(np.concatenate([k_log, k_oct]),
-                     np.concatenate([w_log, w_oct]))
+    return np.concatenate([k_log, k_oct]), np.concatenate([w_log, w_oct])
 
 
 def geometric_edges(a, b):

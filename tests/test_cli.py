@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import shlex
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import magpolaron
-from magpolaron import ConvergenceError
+from magpolaron import ConvergenceError, ParameterError, cli
 from magpolaron.cli import (CSV_HEADER, EXIT_CONVERGENCE, EXIT_INVARIANT,
                             EXIT_OK, EXIT_VALIDATION, build_parser, main,
                             parse_b, read_sweep_csv)
@@ -74,6 +75,40 @@ def test_cli_import_skips_integrate_and_optimize():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_the_process_machinery_out():
+    # a fresh interpreter: sweep imports multiprocessing on its first
+    # fan-out; no executor is imported (numpy.testing, under scipy.special,
+    # imports the bare concurrent.futures package itself)
+    src = str(Path(magpolaron.__file__).resolve().parents[1])
+    code = ("import sys, magpolaron.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('multiprocessing', 'concurrent.futures.process',"
+            " 'concurrent.futures.thread'))))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_module_entry_sweep_on_two_workers(tmp_path):
+    # stdout is a pipe, so block-buffered: a forked child must not write a
+    # copy of it, and the bytes must be those of one worker
+    src = str(Path(magpolaron.__file__).resolve().parents[1])
+    runs = []
+    for workers in ("1", "2"):
+        path = tmp_path / f"w{workers}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "magpolaron", "sweep", "--B", "e10,e12,e14",
+             "--workers", workers, "--out", str(path)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        runs.append((proc.stdout.replace(str(path), "OUT"), path.read_bytes()))
+    assert runs[1] == runs[0]
+    assert runs[0][0].count("\n") == 4
 
 
 def test_module_entry_minimize_at_e709():
@@ -294,7 +329,10 @@ class TestSweepCsv:
                          "--workers", workers]) == EXIT_OK
             out[workers] = (path.read_bytes(), capsys.readouterr().out.replace(
                 str(path), "OUT"))
-        assert len(calls) == 3  # the two-worker pass calls it in its workers
+        # one per point: three on one worker, then this process's share of
+        # two workers, e10 and e14 (the child's e12 is not seen here)
+        assert calls == [(np.exp(x), 1.0) for x in (10.0, 12.0, 14.0, 10.0,
+                                                    14.0)]
         assert out["1"] == out["2"]
         printed = [line.split("trial-B=")[1] for line in
                    out["1"][1].splitlines() if "trial-B=" in line]
@@ -407,6 +445,90 @@ class TestSweepCsv:
         out = tmp_path / "s.csv"
         main(["sweep", "--alpha", "1", "--B", "e10,e12", "--out", str(out)])
         assert main(["fit", "--in", str(out)]) == EXIT_VALIDATION
+
+
+class TestSweepFanOut:
+    """sweep on w workers: this process and w - 1 forked children, each on
+    every w-th point.  A forked child runs the cli._sweep_point a test has
+    monkeypatched; every test ends with no child left."""
+
+    # shares [e10 e12 e14] [e11 e13] on two workers, [e10 e13] [e11 e14]
+    # [e12] on three
+    FIVE = "e10,e11,e12,e13,e14"
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)  # three on any box
+        yield
+        assert multiprocessing.active_children() == []
+
+    @staticmethod
+    def run_sweep(capsys, tmp_path, B, workers):
+        """exit code, CSV bytes (None if none), stdout, stderr."""
+        path = tmp_path / f"w{workers}.csv"
+        code = main(["sweep", "--B", B, "--out", str(path),
+                     "--workers", str(workers)])
+        captured = capsys.readouterr()
+        return (code, path.read_bytes() if path.exists() else None,
+                captured.out.replace(str(path), "OUT"), captured.err)
+
+    @staticmethod
+    def fail_at(monkeypatch, failures):
+        """cli._sweep_point raising failures[x] at B = e^x, else a record."""
+        def point(job):
+            exc = failures.get(round(np.log(job[0])))
+            if exc is not None:
+                raise exc
+            record = cli.SweepRecord(job[0], job[1], 0.0, 0.0, 0.0, 0.0, None,
+                                     0, 0.0)
+            record.trial_deficit = 0.0
+            return record
+
+        monkeypatch.setattr(cli, "_sweep_point", point)
+
+    @pytest.mark.parametrize("B", [
+        ",".join(f"e{x}" for x in range(10, 31, 2)), "e10,e12,e14,e16,e18"],
+        ids=["ladder", "five"])
+    def test_bytes_match_one_worker(self, capsys, tmp_path, B):
+        # the 11-point ladder, and 5 points in shares of 2, 2 and 1
+        runs = [self.run_sweep(capsys, tmp_path, B, w) for w in (1, 2, 3)]
+        assert runs[0][0] == EXIT_OK and runs[0][3] == ""
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("failing", [(10, 11), (11, 13), (13, 14)])
+    def test_first_failing_point_in_input_order(self, monkeypatch, capsys,
+                                                tmp_path, failing, workers):
+        # each share stops at its own first failure and the lowest point
+        # wins: this process's e10; a child's e11 over this process's e13
+        # (three workers); a child's e13 over this process's e14 (two)
+        self.fail_at(monkeypatch, {x: ParameterError(f"bad point e{x}")
+                                   for x in failing})
+        assert self.run_sweep(capsys, tmp_path, self.FIVE, workers) == (
+            EXIT_VALIDATION, None, "", f"error: bad point e{failing[0]}\n")
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_convergence_failure_keeps_its_counts(self, monkeypatch, capsys,
+                                                  tmp_path, workers):
+        # e11 runs in a child on two and three workers: the error crosses
+        # the pipe with its iterations and residual
+        self.fail_at(monkeypatch, {11: ConvergenceError(
+            "flow stalled at e11", iterations=7, residual=0.25)})
+        assert self.run_sweep(capsys, tmp_path, self.FIVE, workers) == (
+            EXIT_CONVERGENCE, None, "", "convergence failure: flow stalled at "
+            "e11 (iterations=7, residual=0.25)\n")
+
+    def test_dead_child_is_one_error_line(self, monkeypatch, capsys,
+                                          tmp_path):
+        # a child that exits without sending: its exit code, exit 1, no
+        # traceback
+        self.fail_at(monkeypatch, {})
+        point, parent = cli._sweep_point, os.getpid()
+        monkeypatch.setattr(cli, "_sweep_point", lambda job: (
+            os._exit(9) if os.getpid() != parent else point(job)))
+        assert self.run_sweep(capsys, tmp_path, "e10,e12,e14", 2) == (
+            EXIT_VALIDATION, None, "", "error: sweep worker exited with code "
+            "9 before sending its points\n")
 
 
 class TestCertifyCommand:

@@ -1,4 +1,5 @@
 import dataclasses
+import multiprocessing
 import tracemalloc
 
 import numpy as np
@@ -482,34 +483,25 @@ class TestSweepAndFit:
             assert a == b
 
     @pytest.mark.parametrize("workers,n_jobs,cpus,expected", [
-        (64, 2, 4, 2), (64, 6, 4, 4), (3, 6, 4, 3), (64, 6, None, None)])
+        (64, 2, 4, 2), (64, 6, 4, 4), (3, 6, 4, 3), (64, 6, None, None),
+        (1, 6, 4, None)])
     def test_pool_bounded_by_jobs_and_cpus(self, monkeypatch, workers, n_jobs,
                                            cpus, expected):
-        # the pool forks every worker up front, so it must not ask for more
-        # than there are points or CPUs; no real process is started here
-        created = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                created.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        # every child forks up front, so the sweep must not run more workers
+        # than there are points or CPUs: expected workers, this process and
+        # expected - 1 children, and no child on one worker (None)
+        started = []
+        start = multiprocessing.context.ForkProcess.start
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start",
+                            lambda child: started.append(child) or start(child))
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(cli, "_sweep_point", lambda job: SweepRecord(
             job[0], job[1], 0.0, 0.0, 0.0, 0.0, None, 0, 0.0))
-        records = sweep([np.exp(10.0 + x) for x in range(n_jobs)], 1.0,
-                        workers=workers)
-        assert len(records) == n_jobs
-        assert created == ([] if expected is None else [expected])
+        Bs = [np.exp(10.0 + x) for x in range(n_jobs)]
+        records = sweep(Bs[::-1], 1.0, workers=workers)
+        assert [r.B for r in records] == Bs
+        assert len(started) == (expected or 1) - 1
+        assert multiprocessing.active_children() == []
 
     def test_synthetic_recovery(self):
         X = np.arange(10.0, 31.0, 2.0)
