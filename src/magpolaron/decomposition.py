@@ -29,8 +29,7 @@ from .grids import (Field1D, FourierTaps, density_correlation_at,
                     density_fourier_at, kinetic, mass, quartic,
                     read_only_table)
 from .landau import effective_potential, effective_potential_fourier
-from .special import (gauss_legendre_panels, gauss_legendre_rows,
-                      geometric_edges, log_end_octaves)
+from .special import gauss_legendre_panels, geometric_edges, log_end_octaves
 
 DUAL_PATH_RTOL = 1e-9  # largest relative gap the two Coulomb paths may show
 
@@ -46,9 +45,7 @@ def _panel_nodes_for_kernel(f: Field1D, inner_scale: float):
     m = mass(f)
     width = m * m / c0 if c0 > 0 else g.half_width
     edges = geometric_edges(min(inner_scale, width) / 4.0, g.half_width)
-    # gauss_legendre_panels without its check: these edges increase
-    nodes, weights = gauss_legendre_rows(edges[:-1], edges[1:], 16)
-    return nodes.ravel(), weights.ravel()
+    return gauss_legendre_panels(edges, 16)
 
 
 def longitudinal_double_integral(f: Field1D, kernel_at: Callable,

@@ -157,9 +157,11 @@ def _minimize_on_sphere(akin: float, weights: np.ndarray, lam: float,
     fractions already applied); f0, like the Gaussian default, is even on the
     periodic grid, which keeps the flow centred.  It stops once a step moves
     the energy by less than tol relative with the residuals before and after
-    it below sqrt(tol) (1 + |E|), at the budget, or when the line search runs
-    out, and returns (values, energy, iterations, residual) of the last
-    accepted field, the residual its own; ConvergenceError unless it passes.
+    it below sqrt(tol) (1 + |E|), at the budget, or when the one Armijo test
+    at the exact line minimum fails (the line search is exhausted; a NaN
+    energy fails it), and returns (values, energy, iterations, residual) of
+    the last accepted field, the residual its own; ConvergenceError unless
+    it passes.
 
     The field is its spectrum F = rfft(f), with f alongside; h sum x y is
     (h/n) sum fold Re(X conj Y), a dot product on the float views.  The
@@ -245,20 +247,16 @@ def _minimize_on_sphere(akin: float, weights: np.ndarray, lam: float,
         np.multiply(g, D, out=gD)
         np.multiply(g_kin, D, out=gkD)
         np.multiply(gw, PQ, out=gPQ)
-        M = gram.dot(DQ_T).tolist()  # columns D, F, P, Q1, Q2
-        c = (M[2][1], M[2][0], M[0][0], M[3][1], M[3][0], M[1][0], M[4][2],
-             4 * M[4][3], 4 * M[5][3] + 2 * M[4][4], 4 * M[5][4], M[6][4])
+        # rows g [D, akin k^2 D, F, akin k^2 F], (g w/2) [P, Q1, Q2] by
+        # columns D, F, P, Q1, Q2; p1 = <P, Q1>, q12 = <Q1, Q2>, ...
+        ((n2, *_), (k2, *_), (n1, n0, *_), (k1, k0, *_), (_, _, a0, p1, p2),
+         (*_, q11, q12), (*_, a4)) = gram.dot(DQ_T).tolist()
+        c = (n0, n1, n2, k0, k1, k2, a0, 4 * p1, 4 * q11 + 2 * p2, 4 * q12, a4)
         E, theta, En = _line_minimum(c, theta)
-        for _ in range(60):
-            if En <= E - 1e-4 * theta * slope + 1e-14 * (1 + abs(E)):
-                break
-            theta *= 0.5
-            En = _along(c, theta)[0]
-        else:
-            # line search exhausted: gradient is at the numerical floor
-            break
+        if not En <= E - 1e-4 * theta * slope + 1e-14 * (1 + abs(E)):
+            break  # line search exhausted: gradient at the numerical floor
         rel_change = abs(En - E) / max(abs(En), 1e-300)
-        scale = 1.0 / math.sqrt(c[0] + theta * (2.0 * c[1] + theta * c[2]))
+        scale = 1.0 / math.sqrt(n0 + theta * (2.0 * n1 + theta * n2))
         s2 = scale * scale
         cu[0, 0], cu[0, 1] = scale * theta, scale  # F = scale (F + theta D)
         cu[1, 2], cu[1, 3], cu[1, 4] = s2, 2.0 * theta * s2, theta * theta * s2

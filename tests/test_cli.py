@@ -28,10 +28,12 @@ class TestParsing:
 
     @pytest.mark.parametrize("argv", [
         ["minimize", "--B", "e710"], ["sweep", "--B", "e10,e710"],
-        ["minimize", "--B", "1e400"], ["certify", "--B", "inf"]])
+        ["minimize", "--B", "1e400"], ["certify", "--B", "inf"],
+        ["minimize", "--B", "eabc"]])
     def test_overflowing_or_nonfinite_b_refused(self, argv, capsys):
         # e^710 overflows a double: a typed refusal naming the token, with
-        # no numpy warning and no later, misleading grid error
+        # no numpy warning and no later, misleading grid error; an e token
+        # that is no number is refused the same way
         assert main(argv) == EXIT_VALIDATION
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
@@ -206,17 +208,25 @@ class TestMinimizeAndTrial:
         ["trial", "--B", "e10", "--alpha", "1e308"],
         ["minimize", "--B", "e10", "--alpha", "1e8"],
         ["minimize", "--B", "e709", "--alpha", "1e155"],
-        ["minimize", "--B", "e709", "--alpha", "1e-300"]])
-    def test_overflowing_coupling_refused(self, argv, capfd):
+        ["minimize", "--B", "e709", "--alpha", "1e-300"],
+        ["minimize", "--B", "e10", "--alpha", "1e-200"],
+        ["minimize", "--B", "e10", "--alpha", "1e-160"],
+        ["sweep", "--B", "e10,e12", "--alpha", "1e-300"]])
+    def test_overflowing_coupling_refused(self, argv, capfd, tmp_path,
+                                          monkeypatch):
         # an energy that leaves the doubles is a typed refusal, not a
         # numpy warning, a stalled flow or a printed -inf; at ln B = 709 the
         # deficit, alpha^2 times that at (B/alpha^2, 1), is -1.4e307 at
-        # alpha = 1e154 and leaves the doubles by 1e155
+        # alpha = 1e154 and leaves the doubles by 1e155.  A deficit below
+        # the normal doubles at alpha > 0 (0 at 1e-200, ~1e-316 at 1e-160)
+        # is refused too, not printed as a value or written as a 0,-0 row
+        monkeypatch.chdir(tmp_path)
         assert main(argv) == EXIT_VALIDATION
         captured = capfd.readouterr()
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "inf" not in captured.out
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_coupling_beyond_the_log_regime(self, capfd):
         # at ln B = 10 the polaron's scale b/4 reaches 20 sqrt(B) between
@@ -375,9 +385,10 @@ class TestSweepCsv:
             assert (r.E_kin3, r.E_coulomb) == (bd.longitudinal_kinetic,
                                                bd.coulomb)
 
-    @pytest.mark.parametrize("token", ["0", "-5"])
+    @pytest.mark.parametrize("token", ["0", "-5", ","])
     def test_sweep_refuses_B_at_most_one(self, token, tmp_path, capsys):
-        # np.log printed RuntimeWarnings before the refusal
+        # np.log printed RuntimeWarnings before the refusal; a list of no B
+        # values is refused before any point runs
         out = tmp_path / "s.csv"
         assert main(["sweep", "--B", token, "--out", str(out)]) \
             == EXIT_VALIDATION
@@ -413,18 +424,19 @@ class TestSweepCsv:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("column, text", [
-        ("E_coulomb", "nan"), ("B", "inf"), ("B", "0.5")])
+        ("E_coulomb", "nan"), ("B", "inf"), ("B", "0.5"), ("E_coulomb", None)])
     def test_fit_unfittable_row_exits_validation(self, tmp_path, capfd,
                                                  column, text):
         # refused before any logarithm: one error line, and no LAPACK or
-        # numpy message on the stderr descriptor
+        # numpy message on the stderr descriptor; text None drops the column
         rows = [{"B": repr(float(np.exp(x))), "alpha": "1", "E_total": "0",
                  "E_kin3": "1", "E_coulomb": "-2", "trial_E": "0",
                  "cert_bound": "", "iters": "10", "residual": "0"}
                 for x in (10.0, 12.0, 14.0, 16.0)]
         rows[1][column] = text
         out = tmp_path / "s.csv"
-        lines = [SWEEP_COLUMNS] + [list(r.values()) for r in rows]
+        header = [c for c in SWEEP_COLUMNS if text is not None or c != column]
+        lines = [header] + [[r[c] for c in header] for r in rows]
         out.write_text("".join(",".join(line) + "\n" for line in lines))
         assert main(["fit", "--in", str(out)]) == EXIT_VALIDATION
         captured = capfd.readouterr()
@@ -586,7 +598,8 @@ class TestCertifyCommand:
         ["--L", "1e-300"], ["--L", "1e200"], ["--L", "-1"],
         ["--M", "1" + "0" * 400], ["--M", "-3"], ["--C_M", "nan"],
         ["--K", "e700", "--K3", "1e200"], ["--K3", "-60"],
-        ["--K", "e700", "--Kperp", "1e200"], ["--Kperp", "-5"]])
+        ["--K", "e700", "--Kperp", "1e200"], ["--Kperp", "-5"],
+        ["--K3", "1e30"], ["--gamma", "1.5"]])
     def test_unformable_override_refused(self, flags, capfd):
         # pi^2/L^2, M as a double and the squares of the chain must exist,
         # and a NaN constant is not nonnegative: one error line, no traceback

@@ -7,7 +7,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "magpolaron"
 # lines of src/magpolaron/*.py when the budget was last set; a change that
 # grows src/ raises it in its own diff and says why in CHANGES.md
-SRC_LINE_BUDGET = 2287
+SRC_LINE_BUDGET = 2277
 
 
 def _tree(path):

@@ -273,6 +273,28 @@ _EXTREME_COUPLINGS = [(alpha, lnB) for alpha in (1e-106, 1e-120, 1e-150)
                       if float(np.exp(lnB)) / alpha ** 2 < np.inf]
 
 
+# the largest alpha each ln B takes: below the log-regime refusal at 0.5 and
+# 30 (83000 and 2.1e11 are refused), below the doubles at 709 (4.4e154 is)
+_STRONGEST_COUPLINGS = [(8.2e4, 0.5), (2.09e11, 30.0), (4.3e154, 709.0)]
+
+
+@pytest.mark.parametrize("alpha, lnB",
+                         _EXTREME_COUPLINGS + _STRONGEST_COUPLINGS)
+def test_real_path_panel_edges_increase(alpha, lnB, monkeypatch):
+    # special.geometric_edges and gauss_legendre_panels take the real path's
+    # edges on trust: on the flow's widest and narrowest grids they rise
+    # strictly from 0 to T, the first panel ending in (0, T/2]
+    seen, panels = [], decomposition.gauss_legendre_panels
+    monkeypatch.setattr(decomposition, "gauss_legendre_panels",
+                        lambda edges, order: seen.append(edges)
+                        or panels(edges, order))
+    sol, _ = pekar_minimize(PhysParams(float(np.exp(lnB)), alpha))
+    (edges,) = seen
+    T = sol.minimizer.grid.half_width
+    assert edges[0] == 0.0 and edges[-1] == T
+    assert np.all(edges[1:] > edges[:-1]) and 0 < edges[1] <= T / 2
+
+
 class TestScalingIdentity:
     @pytest.mark.parametrize("alpha, lnB",
                              _EXTREME_COUPLINGS + [(1e120, 709.0)])
