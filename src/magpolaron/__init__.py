@@ -4,16 +4,11 @@ effective 1D problem, a Coulomb-energy decomposition ledger, and certified
 lower bounds for the projected quantized-field operator."""
 
 from .certificate import (ConstantsLedger, CutoffParams, LowerBoundCertificate,
-                          analytic_infimum_floor, block_error,
-                          certificate_to_dict, certify_projected,
-                          conditional_full_bound, coupling_v, default_cutoffs,
-                          kappa, kappa1, kappa2, localization_error,
-                          total_coupling_weight)
+                          analytic_infimum_floor, certificate_to_dict,
+                          certify_projected, conditional_full_bound,
+                          default_cutoffs)
 from .decomposition import (DecompositionLedger, coulomb_D_product,
-                            d_product_fourier, d_product_real, decompose,
-                            kernel_remainder, kernel_remainder_coefficient,
-                            log_kernel, main_coefficient,
-                            smooth_remainder_bound)
+                            d_product_fourier, d_product_real, decompose)
 from .errors import (ConvergenceError, DomainTooSmallError, FitError,
                      InvalidFieldError, MagpolaronError, ParameterError,
                      ResolutionError)

@@ -104,36 +104,30 @@ class LowerBoundCertificate:
                 - led.localization_error - led.projection_constant)
 
 
-def kappa(K: float, alpha: float) -> float:
+def _kappa(K: float, alpha: float) -> float:
     """Kinetic retention 1 - 8 alpha/(pi K) after the first cutoff, the raw
     value: it is positive only for K > 8 alpha/pi, which callers check."""
     return 1.0 - 8.0 * alpha / (np.pi * K)
 
 
-def kappa1(kappa_value: float, K3: float, B: float, alpha: float) -> float:
+def _kappa1(kappa_value: float, K3: float, B: float, alpha: float) -> float:
     """Retention after the longitudinal cutoff:
     kappa - (8 alpha/(pi K3)) e^x E1(x) with x = K3^2/(2B); where x
     underflows, e^x E1(x) = -gamma - ln x with ln x from ln K3 and ln B."""
-    if not (K3 > 0 and B > 0):
-        raise ParameterError("K3 and B must be positive")
     x = K3 * K3 / B / 2.0  # not / (2B): 2B overflows from ln B ~ 709.09
     e1 = (float(exp_scaled_e1(x)) if x > 0 else
           -EULER_GAMMA - 2.0 * np.log(K3) + np.log(B) + np.log(2.0))
     return kappa_value - (8.0 * alpha / (np.pi * K3)) * e1
 
 
-def kappa2(kappa_value: float, K3: float, Kperp: float, alpha: float) -> float:
+def _kappa2(kappa_value: float, K3: float, Kperp: float, alpha: float) -> float:
     """Retention after the transverse cutoff: kappa - 2 alpha K3/(pi Kperp^2)."""
-    if Kperp < 1:
-        raise ParameterError("Kperp must be at least 1")
     with np.errstate(over="ignore"):  # pi Kperp^2 = inf: the term's limit 0
         return kappa_value - 2.0 * alpha * K3 / (np.pi * Kperp * Kperp)
 
 
-def coupling_v(k3, Kperp: float):
+def _coupling_v(k3, Kperp: float):
     """Effective 1D coupling sqrt(pi) (ln(Kperp^2+k3^2) - ln(1+k3^2))^(1/2)."""
-    if Kperp < 1:
-        raise ParameterError("Kperp must be at least 1")
     k3 = np.asarray(k3, dtype=float)
     val = np.log(Kperp ** 2 + k3 ** 2) - np.log1p(k3 ** 2)
     out = np.sqrt(np.pi * np.maximum(val, 0.0))
@@ -149,20 +143,14 @@ def total_coupling_weight(K3: float, Kperp: float) -> float:
     return float(2 * np.pi * (F(K3, Kperp) - F(K3, 1.0)))
 
 
-def localization_error(L: float) -> float:
+def _localization_error(L: float) -> float:
     """pi^2/L^2 for the cosine localization bump."""
-    if not L > 0:
-        raise ParameterError("L must be positive")
     return np.pi ** 2 / (L * L)
 
 
-def block_error(alpha: float, K3: float, L: float, gamma: float, M: int,
-                R: float) -> float:
+def _block_error(alpha: float, K3: float, L: float, gamma: float, M: int,
+                 R: float) -> float:
     """Exact block-grouping penalty alpha K3^2 L^2 R / (4 pi^2 gamma M^2)."""
-    if not (0 < gamma < 1):
-        raise ParameterError("gamma must lie in (0, 1)")
-    if M < 1:
-        raise ParameterError("M must be a positive integer")
     return alpha * K3 ** 2 * L ** 2 * R / (4.0 * np.pi ** 2 * gamma * M ** 2)
 
 
@@ -184,7 +172,7 @@ def default_cutoffs(B: float, alpha: float,
         K = B * lnB ** (-4.0 / 3.0)
     if K < Kperp:
         raise ParameterError("default cutoffs require K >= sqrt(B)")
-    kap = kappa(K, alpha)
+    kap = _kappa(K, alpha)
     if kap <= 0:
         raise ParameterError("cutoff K must exceed 8*alpha/pi")
     K3 = kap ** -0.5 * lnB ** 1.5
@@ -226,15 +214,15 @@ def certify_projected(B: float, alpha: float,
         cutoffs = default_cutoffs(B, alpha)
     K = cutoffs.K
 
-    kap = kappa(K, alpha)  # positivity is flagged, not refused
-    kap1 = kappa1(kap, cutoffs.K3, B, alpha)
-    kap2 = kappa2(kap, cutoffs.K3, cutoffs.Kperp, alpha)
+    kap = _kappa(K, alpha)  # positivity is flagged, not refused
+    kap1 = _kappa1(kap, cutoffs.K3, B, alpha)
+    kap2 = _kappa2(kap, cutoffs.K3, cutoffs.Kperp, alpha)
     R = total_coupling_weight(cutoffs.K3, cutoffs.Kperp)
-    loc = localization_error(cutoffs.L)
-    blk = block_error(alpha, cutoffs.K3, cutoffs.L, cutoffs.gamma, cutoffs.M, R)
+    loc = _localization_error(cutoffs.L)
+    blk = _block_error(alpha, cutoffs.K3, cutoffs.L, cutoffs.gamma, cutoffs.M, R)
 
     lam = alpha / (4.0 * np.pi ** 2 * (1.0 - cutoffs.gamma))
-    v0_sq = coupling_v(0.0, cutoffs.Kperp) ** 2  # v^2 peaks at k = 0
+    v0_sq = _coupling_v(0.0, cutoffs.Kperp) ** 2  # v^2 peaks at k = 0
     if not kap1 > 0:
         I_value = np.nan
     elif lam * v0_sq == 0.0:
@@ -247,7 +235,7 @@ def certify_projected(B: float, alpha: float,
             k, dk = grid.wavenumbers(), np.pi / grid.half_width
             frac = np.minimum(np.maximum((cutoffs.K3 - (k - dk / 2)) / dk,
                                          0.0), 1.0)
-            return coupling_v(k, cutoffs.Kperp) ** 2 * frac
+            return _coupling_v(k, cutoffs.Kperp) ** 2 * frac
 
         mu = min(2.0 * np.pi * lam * v0_sq / kap1 / 4.0, cutoffs.K3)
         sol = solve_weighted(mu, kap1, weight, lam, 1e-10)

@@ -120,56 +120,42 @@ def coulomb_D_product(f: Field1D, B: float):
 # decomposition terms
 
 
-def main_coefficient(B: float) -> float:
+def _main_coefficient(B: float) -> float:
     """Local-term coefficient ln(B)/2 - ln(ln(B)); needs B > e."""
     if B <= np.e:
         raise ParameterError("main coefficient defined for B > e")
     return float(np.log(B) / 2.0 - np.log(np.log(B)))
 
 
-def log_kernel(r, B: float):
+def _log_kernel(r: np.ndarray, B: float) -> np.ndarray:
     """ln(1 + sqrt(1 + (ln B)^2 r^2)) - ln(sqrt(B) r) for r > 0, B > 1."""
-    if B <= 1:
-        raise ParameterError("log kernel defined for B > 1")
-    r = np.asarray(r, dtype=float)
-    out = np.full_like(r, np.inf)
-    pos = r > 0
-    lr = np.log(B) * r[pos]
-    out[pos] = np.log1p(np.sqrt(1.0 + lr * lr)) - np.log(np.sqrt(B) * r[pos])
-    return out if out.ndim else float(out)
+    lr = np.log(B) * r
+    return np.log1p(np.sqrt(1.0 + lr * lr)) - np.log(np.sqrt(B) * r)
 
 
-def smooth_remainder_bound(f: Field1D, B: float) -> float:
+def _smooth_remainder_bound(f: Field1D, B: float) -> float:
     """Norm bound (ln B/2) m^2 + 4 (ln B)^{-1/2} m^{5/4} kin^{3/4} on the
     closure remainder, with m = int f^2 and kin = int |f'|^2."""
-    if B <= 1:
-        raise ParameterError("remainder bound defined for B > 1")
     m = mass(f)
     kin = kinetic(f)
     lnB = np.log(B)
     return float(lnB / 2.0 * m * m + 4.0 / np.sqrt(lnB) * m ** 1.25 * kin ** 0.75)
 
 
-def kernel_remainder_coefficient(B: float) -> float:
+def _kernel_remainder_coefficient(B: float) -> float:
     """Gaussian average of the log kernel over the transverse difference
     density: (1/2) int_0^inf e^{-u^2/4} K(u/sqrt(B)) u du."""
     nodes, weights = _kernel_remainder_rule()
-    return float(0.5 * (weights * log_kernel(nodes / np.sqrt(B), B)).sum())
+    return float(0.5 * (weights * _log_kernel(nodes / np.sqrt(B), B)).sum())
 
 
 @read_only_table
 def _kernel_remainder_rule():
-    """kernel_remainder_coefficient's nodes u, weights w e^{-u^2/4} u; built
+    """_kernel_remainder_coefficient's nodes u, weights w e^{-u^2/4} u; built
     once, read-only.  The panel [0, 1e-8] of geometric_edges holds only
     ~eps^2 |ln eps|/2 ~ 1e-15 of its u (ln 2 - ln u) integrand."""
     nodes, w = gauss_legendre_panels(geometric_edges(1e-8, 20.0), order=16)
     return nodes, w * np.exp(-nodes ** 2 / 4.0) * nodes
-
-
-def kernel_remainder(f: Field1D, B: float) -> float:
-    """Kernel remainder term for the product state: quartic(f) times the
-    Gaussian-averaged log kernel."""
-    return quartic(f) * kernel_remainder_coefficient(B)
 
 
 @dataclass
@@ -196,11 +182,12 @@ def decompose(f: Field1D, B: float) -> DecompositionLedger:
     remainder is introduced; the ledger records the bound it must satisfy.
     """
     d_total, err = coulomb_D_product(f, B)
-    cb = main_coefficient(B)
-    main_term = cb * quartic(f)
-    r2 = kernel_remainder(f, B)
+    cb = _main_coefficient(B)
+    q = quartic(f)
+    main_term = cb * q
+    r2 = q * _kernel_remainder_coefficient(B)
     r1 = d_total - main_term - r2
     return DecompositionLedger(
         d_total=d_total, main_coefficient=cb, main_term=main_term, r1=r1,
-        r1_bound=smooth_remainder_bound(f, B), r2=r2,
+        r1_bound=_smooth_remainder_bound(f, B), r2=r2,
         quadrature_error_estimate=err)

@@ -54,6 +54,9 @@ class OneDProblem:
         if not math.isfinite(energy):
             raise ParameterError("-b^2 a^3/12 is not a finite double at "
                                  f"a={self.mass_a}, b={self.coupling_b}")
+        if self.coupling_b > 0 and abs(energy) < np.finfo(float).tiny:
+            raise ParameterError("-b^2 a^3/12 is below the normal doubles at "
+                                 f"a={self.mass_a}, b={self.coupling_b}")
 
 
 @dataclass

@@ -111,9 +111,11 @@ def _finite(out: EnergyBreakdown, B: float, alpha: float) -> EnergyBreakdown:
                                    out.coulomb, out.coulomb_error))):
         raise ParameterError(f"energy at B={B:g}, alpha={alpha:g} is not a "
                              "finite double")
-    if alpha > 0 and abs(out.deficit) < np.finfo(float).tiny:
-        raise ParameterError(f"deficit E - B at B={B:g}, alpha={alpha:g} is "
-                             "below the normal doubles")
+    for term, value in (("deficit E - B", out.deficit),
+                        ("Coulomb energy", out.coulomb)):
+        if alpha > 0 and abs(value) < np.finfo(float).tiny:
+            raise ParameterError(f"{term} at B={B:g}, alpha={alpha:g} is "
+                                 "below the normal doubles")
     return out
 
 

@@ -5,12 +5,12 @@ import pytest
 
 from magpolaron import certificate, oned
 from magpolaron import (CutoffParams, Grid1D, ParameterError, PhysParams,
-                        analytic_infimum_floor, block_error,
-                        certificate_to_dict, certify_projected,
-                        conditional_full_bound, coupling_v, default_cutoffs,
-                        kappa, kappa1, kappa2, localization_error,
-                        pekar_minimize, solve_weighted,
-                        total_coupling_weight)
+                        analytic_infimum_floor, certificate_to_dict,
+                        certify_projected, conditional_full_bound,
+                        default_cutoffs, pekar_minimize, solve_weighted)
+from magpolaron.certificate import (_block_error, _coupling_v, _kappa, _kappa1,
+                                    _kappa2, _localization_error,
+                                    total_coupling_weight)
 from magpolaron.special import exp_scaled_e1
 
 import oracles
@@ -19,22 +19,22 @@ import oracles
 class TestKappaChain:
     def test_kappa_half(self):
         alpha = 1.3
-        assert kappa(16 * alpha / np.pi, alpha) == pytest.approx(0.5, rel=1e-12)
+        assert _kappa(16 * alpha / np.pi, alpha) == pytest.approx(0.5, rel=1e-12)
 
     def test_kappa_limit(self):
-        assert kappa(1e12, 1.0) == pytest.approx(1.0, abs=1e-11)
+        assert _kappa(1e12, 1.0) == pytest.approx(1.0, abs=1e-11)
 
     def test_kappa_standard_choice(self):
         B, alpha = np.exp(20.0), 1.0
         K = B * 20.0 ** (-4.0 / 3.0)
         # own arithmetic: 1 - kappa = 8 alpha (ln B)^(4/3) / (pi B)
         expected_gap = 8 * alpha * 20.0 ** (4.0 / 3.0) / (np.pi * B)
-        assert 1.0 - kappa(K, alpha) == pytest.approx(expected_gap, rel=1e-12)
+        assert 1.0 - _kappa(K, alpha) == pytest.approx(expected_gap, rel=1e-12)
         assert expected_gap == pytest.approx(2.849e-7, rel=1e-3)
 
     def test_kappa_domain(self):
         # kappa is the raw value; default_cutoffs refuses K <= 8 alpha/pi
-        assert kappa(200.0, 100.0) < 0
+        assert _kappa(200.0, 100.0) < 0
         with pytest.raises(ParameterError, match="8\\*alpha/pi"):
             default_cutoffs(np.exp(10.0), 100.0, 200.0)
 
@@ -44,14 +44,14 @@ class TestKappaChain:
             oracles.exp_scaled_e1_quad(1.0), rel=1e-11)
         assert exp_scaled_e1(1.0) == pytest.approx(0.5963473623, rel=1e-9)
         B, K3, alpha = 200.0, 20.0, 1.0  # x = 1
-        val = kappa1(1.0, K3, B, alpha)
+        val = _kappa1(1.0, K3, B, alpha)
         assert val == pytest.approx(
             1.0 - 8 * alpha / (np.pi * K3) * 0.5963473623231946, rel=1e-12)
 
     def test_kappa1_dominated_decay(self):
         # K3^2 >> B: the correction collapses like 2B/K3^2
         B, K3 = 10.0, 1e4
-        gap = 1.0 - kappa1(1.0, K3, B, 1.0)
+        gap = 1.0 - _kappa1(1.0, K3, B, 1.0)
         expected = (8 / (np.pi * K3)) * (2 * B / K3 ** 2)
         assert gap == pytest.approx(expected, rel=1e-3)
 
@@ -61,7 +61,7 @@ class TestKappaChain:
         for lnB in (12.0, 16.0, 20.0, 24.0):
             B = np.exp(lnB)
             K3 = lnB ** 1.5
-            gap = 1.0 - kappa1(1.0, K3, B, 1.0)
+            gap = 1.0 - _kappa1(1.0, K3, B, 1.0)
             ratios.append(gap * K3 / np.log(B / K3 ** 2))
         assert max(ratios) < 4.0
         assert max(ratios) / min(ratios) < 1.5
@@ -71,7 +71,7 @@ class TestKappaChain:
         # from ln K3 and ln B, against 40-digit mpmath
         B, K3 = float(np.exp(300.0)), 1e-150
         assert K3 * K3 / B == 0.0
-        assert kappa1(1.0, K3, B, 1.0) == pytest.approx(
+        assert _kappa1(1.0, K3, B, 1.0) == pytest.approx(
             oracles.kappa1_mp(1.0, K3, B, 1.0), rel=1e-14)
 
     @pytest.mark.parametrize("lnB", [708.7, 709.5, 709.78])
@@ -80,34 +80,34 @@ class TestKappaChain:
         # each term takes its value without a numpy warning
         B = float(np.exp(lnB))
         cut = default_cutoffs(B, 1.0)
-        kap = kappa(cut.K, 1.0)
+        kap = _kappa(cut.K, 1.0)
         with np.errstate(all="raise"):
-            assert kappa2(kap, cut.K3, cut.Kperp, 1.0) == kap
-            k1 = kappa1(kap, cut.K3, B, 1.0)
+            assert _kappa2(kap, cut.K3, cut.Kperp, 1.0) == kap
+            k1 = _kappa1(kap, cut.K3, B, 1.0)
         assert k1 == pytest.approx(oracles.kappa1_mp(kap, cut.K3, B, 1.0),
                                    rel=1e-15)
 
     def test_kappa2_values(self):
-        assert kappa2(0.9, 0.0, 10.0, 1.0) == 0.9
-        assert kappa2(1.0, 10.0, 100.0, 1.0) == pytest.approx(
+        assert _kappa2(0.9, 0.0, 10.0, 1.0) == 0.9
+        assert _kappa2(1.0, 10.0, 100.0, 1.0) == pytest.approx(
             1.0 - 20.0 / (np.pi * 1e4), rel=1e-12)
 
     def test_kappa2_default_scale(self):
         B = np.exp(20.0)
         cut = default_cutoffs(B, 1.0, B * 20.0 ** (-4.0 / 3.0))
-        kap = kappa(B * 20.0 ** (-4.0 / 3.0), 1.0)
-        gap = kap - kappa2(kap, cut.K3, cut.Kperp, 1.0)
+        kap = _kappa(B * 20.0 ** (-4.0 / 3.0), 1.0)
+        gap = kap - _kappa2(kap, cut.K3, cut.Kperp, 1.0)
         assert 0 < gap <= np.log(B) ** 3 / B
 
 
 class TestCoupling:
     def test_peak_value(self):
-        assert coupling_v(0.0, np.e) == pytest.approx(np.sqrt(2 * np.pi), rel=1e-12)
+        assert _coupling_v(0.0, np.e) == pytest.approx(np.sqrt(2 * np.pi), rel=1e-12)
 
     def test_pointwise_bound(self):
         Kperp = 50.0
         k = np.linspace(0.0, 200.0, 20)
-        assert np.all(coupling_v(k, Kperp) ** 2 <= 2 * np.pi * np.log(Kperp) + 1e-12)
+        assert np.all(_coupling_v(k, Kperp) ** 2 <= 2 * np.pi * np.log(Kperp) + 1e-12)
 
     @pytest.mark.parametrize("lnB,alpha", [(8.0, 2.0), (12.0, 1.0),
                                            (20.0, 0.5), (30.0, 2.0)])
@@ -125,15 +125,15 @@ class TestCoupling:
 
 class TestErrorTerms:
     def test_localization_at_pi(self):
-        assert localization_error(np.pi) == pytest.approx(1.0, rel=1e-12)
+        assert _localization_error(np.pi) == pytest.approx(1.0, rel=1e-12)
 
     def test_block_error_mode_scaling(self):
-        base = block_error(1.0, 50.0, 0.2, 0.5, 10, 1000.0)
-        doubled = block_error(1.0, 50.0, 0.2, 0.5, 20, 1000.0)
+        base = _block_error(1.0, 50.0, 0.2, 0.5, 10, 1000.0)
+        doubled = _block_error(1.0, 50.0, 0.2, 0.5, 20, 1000.0)
         assert doubled == pytest.approx(base / 4.0, rel=1e-12)
 
     def test_block_error_monotone_in_gamma(self):
-        vals = [block_error(1.0, 50.0, 0.2, g, 10, 1000.0)
+        vals = [_block_error(1.0, 50.0, 0.2, g, 10, 1000.0)
                 for g in (0.3, 0.6, 0.9)]
         assert vals[0] > vals[1] > vals[2]
 
@@ -143,7 +143,7 @@ class TestDefaultCutoffs:
         B = np.exp(20.0)
         K = B * 20.0 ** (-4.0 / 3.0)
         cut = default_cutoffs(B, 1.0, K)
-        kap = kappa(K, 1.0)
+        kap = _kappa(K, 1.0)
         assert cut.Kperp == pytest.approx(np.exp(10.0), rel=1e-12)
         assert cut.K3 == pytest.approx(20.0 ** 1.5 / np.sqrt(kap), rel=1e-12)
         assert cut.M >= 1
@@ -227,7 +227,7 @@ class TestEffectiveInfimum:
         def capture(mu, akin, weight, lam, tol):
             grid = oned._scaled_grid(mu)
             ratios.append(cutoffs.K3 * grid.half_width / np.pi)
-            assert weight(grid)[0] == coupling_v(0.0, cutoffs.Kperp) ** 2
+            assert weight(grid)[0] == _coupling_v(0.0, cutoffs.Kperp) ** 2
             return oned.OneDSolution(0.0, None, 0, 0.0)
 
         monkeypatch.setattr(certificate, "solve_weighted", capture)
@@ -362,7 +362,7 @@ def _numpy_cutoffs(B, alpha):
     """default_cutoffs' formulas in numpy scalars: the reference its Python
     floats reproduce bit for bit."""
     K = B * np.log(B) ** (-4.0 / 3.0)
-    kap, lnB, Kperp = kappa(K, alpha), np.log(B), np.sqrt(B)
+    kap, lnB, Kperp = _kappa(K, alpha), np.log(B), np.sqrt(B)
     K3 = kap ** -0.5 * lnB ** 1.5
     ln_kp = np.log(Kperp)
     L2 = kap ** 0.2 * K3 ** -0.6 * ln_kp ** -0.6
@@ -393,7 +393,7 @@ class TestLedgerBits:
             _numpy_cutoffs(B, alpha)
         v0 = np.sqrt(np.pi * np.clip(np.log(cut.Kperp ** 2 + 0.0)
                                      - np.log1p(0.0), 0.0, None))
-        assert coupling_v(0.0, cut.Kperp) == float(v0)
+        assert _coupling_v(0.0, cut.Kperp) == float(v0)
 
     def test_weight(self, monkeypatch):
         weights = []

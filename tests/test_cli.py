@@ -158,9 +158,11 @@ class TestOned:
 
     @pytest.mark.parametrize("flags", [
         ["--b", "nan"], ["--b", "inf"], ["--a", "inf"], ["--b", "1e160"],
-        ["--a", "1e120"]])
+        ["--a", "1e120"], ["--b", "1e-155"], ["--b", "1e-300"],
+        ["--a", "1e-300", "--b", "1"]])
     def test_nonfinite_or_overflowing_input_refused(self, flags, capsys):
-        # b^2 a^3 must be a finite double: one typed error line, no
+        # at b > 0, b^2 a^3 must be a finite normal double (a subnormal or
+        # -0 energy was printed as agreeing): one typed error line, no
         # traceback and no numpy warning
         assert main(["oned", *flags]) == EXIT_VALIDATION
         captured = capsys.readouterr()
@@ -211,7 +213,8 @@ class TestMinimizeAndTrial:
         ["minimize", "--B", "e709", "--alpha", "1e-300"],
         ["minimize", "--B", "e10", "--alpha", "1e-200"],
         ["minimize", "--B", "e10", "--alpha", "1e-160"],
-        ["sweep", "--B", "e10,e12", "--alpha", "1e-300"]])
+        ["sweep", "--B", "e10,e12", "--alpha", "1e-300"],
+        ["trial", "--B", "e10", "--alpha", "1e-320"]])
     def test_overflowing_coupling_refused(self, argv, capfd, tmp_path,
                                           monkeypatch):
         # an energy that leaves the doubles is a typed refusal, not a
@@ -219,7 +222,9 @@ class TestMinimizeAndTrial:
         # deficit, alpha^2 times that at (B/alpha^2, 1), is -1.4e307 at
         # alpha = 1e154 and leaves the doubles by 1e155.  A deficit below
         # the normal doubles at alpha > 0 (0 at 1e-200, ~1e-316 at 1e-160)
-        # is refused too, not printed as a value or written as a 0,-0 row
+        # is refused too, not printed as a value or written as a 0,-0 row,
+        # and so is the trial's Coulomb energy (~4e-320 at 1e-320), which
+        # the kinetic term hides from the deficit
         monkeypatch.chdir(tmp_path)
         assert main(argv) == EXIT_VALIDATION
         captured = capfd.readouterr()

@@ -3,10 +3,10 @@ import pytest
 
 from magpolaron import (Field1D, Grid1D, ParameterError, ResolutionError,
                         coulomb_D_product, d_product_fourier, d_product_real,
-                        decompose, kernel_remainder,
-                        kernel_remainder_coefficient, kinetic, log_kernel,
-                        main_coefficient, mass, quartic,
-                        smooth_remainder_bound, trial_state)
+                        decompose, kinetic, mass, quartic, trial_state)
+from magpolaron.decomposition import (_kernel_remainder_coefficient,
+                                      _main_coefficient,
+                                      _smooth_remainder_bound)
 
 from conftest import sech_field
 from lemmas import first_excited_radial, ground_radial, offdiag_bound_check
@@ -92,22 +92,17 @@ class TestDualPaths:
 
 class TestMainCoefficient:
     def test_values(self):
-        assert main_coefficient(np.exp(4.0)) == pytest.approx(2 - np.log(4), rel=1e-12)
-        assert main_coefficient(np.exp(np.e)) == pytest.approx(np.e / 2 - 1, rel=1e-12)
+        assert _main_coefficient(np.exp(4.0)) == pytest.approx(2 - np.log(4), rel=1e-12)
+        assert _main_coefficient(np.exp(np.e)) == pytest.approx(np.e / 2 - 1, rel=1e-12)
 
     def test_monotone_from_e3(self):
         Bs = np.exp(np.linspace(3.0, 30.0, 60))
-        vals = [main_coefficient(B) for B in Bs]
+        vals = [_main_coefficient(B) for B in Bs]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_domain_error(self):
         with pytest.raises(ParameterError):
-            main_coefficient(np.e)
-
-
-class TestLogKernel:
-    def test_zero_radius_guarded(self):
-        assert log_kernel(0.0, 10.0) == np.inf
+            _main_coefficient(np.e)
 
 
 class TestRemainderBound:
@@ -118,7 +113,7 @@ class TestRemainderBound:
         f = Field1D(g, (np.pi * 50.0 ** 2) ** -0.25 * np.exp(-t * t / (2 * 50.0 ** 2)))
         B = np.exp(10.0)
         assert mass(f) == pytest.approx(1.0, rel=1e-10)
-        assert smooth_remainder_bound(f, B) == pytest.approx(5.0, abs=1e-2)
+        assert _smooth_remainder_bound(f, B) == pytest.approx(5.0, abs=1e-2)
 
     def test_plugin_value(self):
         B = np.exp(10.0)
@@ -126,7 +121,7 @@ class TestRemainderBound:
         lnB = np.log(B)
         kin = kinetic(f)
         expected = lnB / 2 + 4 / np.sqrt(lnB) * kin ** 0.75
-        assert smooth_remainder_bound(f, B) == pytest.approx(expected, rel=1e-12)
+        assert _smooth_remainder_bound(f, B) == pytest.approx(expected, rel=1e-12)
         assert kin == pytest.approx(lnB ** 2 / 48.0, rel=1e-9)
 
     def test_monotone_in_kinetic(self, grid):
@@ -134,7 +129,7 @@ class TestRemainderBound:
         narrow = sech_field(grid, 1.0, 4.0)
         wide = sech_field(grid, 1.0, 1.0)
         assert kinetic(narrow) > kinetic(wide)
-        assert smooth_remainder_bound(narrow, B) > smooth_remainder_bound(wide, B)
+        assert _smooth_remainder_bound(narrow, B) > _smooth_remainder_bound(wide, B)
 
 
 class TestDecomposition:
@@ -157,7 +152,7 @@ class TestDecomposition:
 
     def test_zero_field_remainder(self, grid):
         f = Field1D(grid, np.zeros(grid.n))
-        assert kernel_remainder(f, np.exp(6.0)) == 0.0
+        assert decompose(f, np.exp(6.0)).r2 == 0.0
 
     @pytest.mark.parametrize("lnB", [6.0, 8.0, 10.0, 12.0])
     def test_bound_family(self, lnB):
@@ -173,13 +168,13 @@ class TestDecomposition:
         for lnB in (6.0, 8.0, 10.0, 12.0):
             B = np.exp(lnB)
             f = sech_field(Grid1D(8192, 30.0), 1.0, lnB / 2.0)
-            r2 = kernel_remainder(f, B)
+            r2 = decompose(f, B).r2
             ratios.append(r2 / (mass(f) ** 1.5 * np.sqrt(kinetic(f))))
         assert max(ratios) < 1.0
         assert max(ratios) / min(ratios) < 2.0
 
     def test_kernel_coefficient_positive_and_stable(self):
-        vals = [kernel_remainder_coefficient(np.exp(x)) for x in (6.0, 10.0, 14.0)]
+        vals = [_kernel_remainder_coefficient(np.exp(x)) for x in (6.0, 10.0, 14.0)]
         assert all(v > 0 for v in vals)
         assert all(b < a for a, b in zip(vals, vals[1:]))  # slowly decreasing
 

@@ -155,8 +155,8 @@ class TestSolveNumeric:
 
     def test_coupling_too_weak_for_a_double_grid_refused(self):
         # the returned grid's span 2 * 40 / mu must be a finite double
-        with pytest.raises(ParameterError):
-            solve_numeric(OneDProblem(1.0, 1e-306), 1e-10)
+        with pytest.raises(ParameterError, match="too small for a double"):
+            solve_weighted(1e-307, 1.0, _flat(1.0), 1.0, 1e-10)
 
     @pytest.mark.parametrize("b", [1e-3, 1.0, 10.0])
     def test_residual_in_problem_units(self, b):

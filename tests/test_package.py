@@ -1,5 +1,6 @@
 """Layout guards on the installed package: what it imports and exports."""
 import ast
+import json
 from graphlib import TopologicalSorter
 from pathlib import Path
 
@@ -7,7 +8,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "magpolaron"
 # lines of src/magpolaron/*.py when the budget was last set; a change that
 # grows src/ raises it in its own diff and says why in CHANGES.md
-SRC_LINE_BUDGET = 2277
+SRC_LINE_BUDGET = 2252
 
 
 def _tree(path):
@@ -96,7 +97,8 @@ def test_sibling_import_graph_is_acyclic():
 
 def _program_files():
     for top in ("src", "scripts", "perfbench"):
-        yield from (ROOT / top).rglob("*.py")
+        yield from (path for path in (ROOT / top).rglob("*.py")
+                    if not path.name.startswith("test_"))
 
 
 def _used_names(tree, skip=None):
@@ -151,6 +153,67 @@ def test_every_public_definition_has_a_program_use():
                     tree, skip=node if path == module else None)
                     for path, tree in trees.items()):
                 unused.append(f"{module.name}:{node.name}")
+    assert unused == []
+
+
+def _package_uses(tree, exports):
+    """(module, name) pairs the tree loads through an import of the package
+    or of one of its modules; exports maps each name the package __init__
+    brings in to its module."""
+    modules, names = {}, {}  # local binding -> module, or (module, name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            if node.level == 0:
+                if source.split(".")[0] != "magpolaron":
+                    continue
+                source = source.partition(".")[2]
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if source or alias.name in exports:
+                    names[local] = (source or exports[alias.name],
+                                    alias.name)
+                else:  # from magpolaron import pekar names a module
+                    modules[local] = alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "magpolaron":
+                    modules[alias.asname or alias.name] = \
+                        alias.name.partition(".")[2]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
+                and node.id in names:
+            yield names[node.id]
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in modules:
+            yield (modules[node.value.id] or exports.get(node.attr),
+                   node.attr)
+
+
+def test_every_public_function_is_used_outside_its_module():
+    # a function only its own module calls is private to it: each public
+    # module-level function of the package is loaded by another program
+    # file through an import, unless a per-layer metric of BENCHMARK.json
+    # names it, as perfbench's tracer wraps public functions by name.  cli
+    # is exempt: _late reaches its cmd_* functions through globals()
+    init = PACKAGE / "__init__.py"
+    exports = {alias.asname or alias.name: node.module
+               for node in _tree(init).body if isinstance(node, ast.ImportFrom)
+               for alias in node.names}
+    traced = {".".join(metric["name"].split(".")[:2]) for metric in json.loads(
+        (ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    uses = {path: set(_package_uses(_tree(path), exports))
+            for path in _program_files() if path != init}
+    unused = [f"{module.stem}.{node.name}"
+              for module in sorted(PACKAGE.glob("*.py"))
+              if module not in (init, PACKAGE / "cli.py")
+              for node in _tree(module).body
+              if isinstance(node, ast.FunctionDef)
+              and not node.name.startswith("_")
+              and f"{module.stem}.{node.name}" not in traced
+              and not any((module.stem, node.name) in used
+                          for path, used in uses.items() if path != module)]
     assert unused == []
 
 

@@ -9,12 +9,12 @@ from magpolaron import (Field1D, FitError, Grid1D, OneDProblem, ParameterError,
                         PekarProductState, PhysParams, closed_form_energy,
                         coherent_infimum, d_product_fourier, d_product_real,
                         effective_potential_fourier, fit_asymptotics,
-                        kinetic, main_coefficient, mass, pekar_energy,
+                        kinetic, mass, pekar_energy,
                         pekar_minimize, quartic, scaling_identity_check,
                         trial_energy, trial_state)
 from magpolaron import certificate, cli, decomposition, oned, pekar
 from magpolaron.cli import SweepRecord, sweep
-from magpolaron.decomposition import fourier_side_energy
+from magpolaron.decomposition import _main_coefficient, fourier_side_energy
 from magpolaron.special import gauss_legendre_panels, log_end_rule
 from magpolaron.pekar import (_log_coupling, _transverse_weight_quadrature,
                               interaction_weights)
@@ -160,7 +160,7 @@ class TestMinimize:
         for lnB in (10.0, 16.0, 22.0):
             B = np.exp(lnB)
             _, bd = pekar_minimize(PhysParams(B, 1.0), tol=1e-11)
-            delta_model = closed_form_energy(OneDProblem(1.0, main_coefficient(B)))
+            delta_model = closed_form_energy(OneDProblem(1.0, _main_coefficient(B)))
             ratios.append(abs((bd.total - B) - delta_model) / lnB)
         assert all(r < 0.25 for r in ratios)
 
