@@ -268,13 +268,16 @@ def certify_projected(B: float, alpha: float,
 def conditional_full_bound(cert: LowerBoundCertificate, C_M: float) -> float:
     """Extend the projected bound to the full operator, conditionally on the
     caller-supplied reduction constant:
-    p0_bound - C_M (ln B)^2 sqrt(K/B) - firstcut_constant."""
-    if not C_M >= 0:
-        raise ParameterError("C_M must be nonnegative")
-    lnB = np.log(cert.params.B)
-    penalty = (C_M * lnB ** 2 * np.sqrt(cert.cutoffs.K / cert.params.B)
-               + cert.ledger.firstcut_constant)
-    return cert.p0_bound - penalty
+    p0_bound - C_M (ln B)^2 sqrt(K/B) - firstcut_constant; ParameterError
+    unless C_M and that penalty are finite doubles >= 0."""
+    if not 0.0 <= C_M < math.inf:
+        raise ParameterError(f"C_M must be a finite number >= 0, got {C_M}")
+    lnB = float(np.log(cert.params.B))  # Python floats: overflow gives inf
+    penalty = C_M * lnB ** 2 * math.sqrt(cert.cutoffs.K / cert.params.B)
+    if not math.isfinite(penalty):
+        raise ParameterError(f"C_M (ln B)^2 sqrt(K/B) at C_M = {C_M} is not "
+                             "a finite double")
+    return cert.p0_bound - (penalty + cert.ledger.firstcut_constant)
 
 
 def certificate_to_dict(cert: LowerBoundCertificate) -> dict:

@@ -26,7 +26,7 @@ from . import certificate as cert_mod
 from . import decomposition as dec
 from . import pekar
 from .errors import ConvergenceError, MagpolaronError, ParameterError
-from .grids import (Field1D, Grid1D, density_power, kinetic,
+from .grids import (Field1D, Grid1D, density_correlation_at, kinetic,
                     mass as field_mass, quartic)
 from .oned import (OneDProblem, closed_form_energy, closed_form_minimizer,
                    distance_to_profile, gn_ratio, SHARP_GN_Q4, solve_numeric)
@@ -364,14 +364,13 @@ def _verify_suites():
           and abs(quartic(f11) - 1.0 / 6.0) < 1e-8)
     yield "grid functionals on the sech profile", ok, ""
 
-    # Parseval on the production transform: sum measure = h sum rho^2
+    # Parseval on the Coulomb path's own transform: C(0) = h sum rho^2
     rng = np.random.default_rng(202406)
     bump = np.zeros(grid.n)
     for _ in range(4):
         c, s, amp = rng.uniform(-4, 4), rng.uniform(0.7, 2.0), rng.uniform(0.2, 1.0)
         bump += amp * np.exp(-((t - c) / s) ** 2)
-    measure = density_power(Field1D(grid, np.sqrt(bump)))
-    lhs = np.sum(measure)
+    lhs = density_correlation_at(Field1D(grid, np.sqrt(bump)), 0.0)[0]
     rhs = grid.spacing * np.sum(bump ** 2)
     ok = abs(lhs - rhs) <= 1e-10 * abs(rhs)
     yield "Parseval identity on a random density", ok, f"rel={(lhs-rhs)/rhs:.2e}"

@@ -17,9 +17,9 @@ Conventions:
     transform pays only the inverse FFT and the row dots; correlation
     nodes z are formed per call
   - the dual grid is one-sided, k_m = m pi/T, m = 0..n/2 (rfft order), and
-    every on-grid transform is an rfft/irfft pair on it; density_power forms
-    only the power, so the phase e^{ikT} of t_0 = -T drops out; Parseval reads
-    sum measure = h * sum_j rho_j^2
+    every on-grid transform is an rfft/irfft pair on it; kinetic and
+    density_correlation_at form only the power, so the phase e^{ikT} of
+    t_0 = -T drops out; Parseval reads C(0) = h * sum_j rho_j^2
   - one_sided_fold carries the negative wavenumbers of a real field: with
     X = rfft(x), Y = rfft(y), h sum_j x_j y_j = (h/n) sum_m fold_m Re(X_m
     conj Y_m), the inner product the sphere flow runs on (see oned)
@@ -198,40 +198,27 @@ def one_sided_fold(n: int) -> np.ndarray:
     return fold
 
 
-def density_power(f: Field1D) -> np.ndarray:
-    """One-sided power of rho = f^2 on the dual grid k = f.grid.wavenumbers():
-    measure = |rho_hat|^2 dk / 2pi = |rho_hat|^2 / 2T with the negative
-    wavenumbers folded in, so C(z) = int rho(x) rho(x+z) dx
-    = sum measure * cos(k z)."""
-    measure = _power(f)
-    measure *= one_sided_fold(f.grid.n)
-    return measure
-
-
-def _power(f: Field1D) -> np.ndarray:
-    """|rho_hat|^2 / 2T on the one-sided dual grid, not folded."""
-    g = f.grid
-    rho_hat = g.spacing * np.fft.rfft(f.values ** 2)
-    return (rho_hat.real ** 2 + rho_hat.imag ** 2) / (2.0 * g.half_width)
-
-
 def density_correlation_at(f: Field1D, z: np.ndarray) -> np.ndarray:
     """C(z) = int rho(x) rho(x+z) dx on |z| <= T.
 
-    The cosine series over density_power with k_m = m pi / T at x = pi z / T,
-    on the real fine grid: one irfft, which counts each m > 0 twice, with -m,
-    so it takes the power unfolded and the Nyquist m = n/2 halved.
+    The cosine series of the power |rho_hat_m|^2 / 2T, rho_hat = h rfft(rho),
+    k_m = m pi / T, at x = pi z / T on the real fine grid: one irfft, which
+    counts each m > 0 twice, with -m, so the power goes in unfolded and the
+    Nyquist m = n/2 halved; C(0) = h sum_j rho_j^2 (Parseval).
     O(n log n + 32 len(z)); the error stays within a few 1e-16 of C(0). A z
     off |z| <= T raises ParameterError.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    if not (np.abs(z) <= f.grid.half_width).all():
+    g = f.grid
+    if not (np.abs(z) <= g.half_width).all():
         raise ParameterError("density_correlation_at takes |z| <= T")
-    spread = _power(f) * _deconvolution(f.grid.n)
+    rho_hat = g.spacing * np.fft.rfft(f.values ** 2)
+    spread = (rho_hat.real ** 2 + rho_hat.imag ** 2) / (2.0 * g.half_width)
+    spread *= _deconvolution(g.n)
     spread[-1] *= 0.5
-    size = _OVERSAMPLE * f.grid.n
+    size = _OVERSAMPLE * g.n
     return _row_dots(np.fft.irfft(spread, size),
-                     _taps(z * (np.pi / f.grid.half_width), size))
+                     _taps(z * (np.pi / g.half_width), size))
 
 
 @read_only_table

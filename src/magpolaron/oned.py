@@ -88,10 +88,13 @@ def closed_form_minimizer(p: OneDProblem) -> Field1D:
 
 
 def closed_form_energy(p: OneDProblem) -> float:
-    """Ground-state value -b^2 a^3 / 12, multiplied out from b^2 so that no
-    factor a^3 underflows on its own (a = 1e-150, b = 1e150)."""
-    a = p.mass_a
-    return -(p.coupling_b ** 2) * a * a * a / 12.0
+    """Ground-state value -b^2 a^3 / 12, multiplied out on the mantissas of
+    a and b and scaled by their binary exponents last, so that neither b^2
+    nor a^3 leaves the normal doubles on its own (a = 1e100, b = 1e-160);
+    OverflowError if the product does."""
+    ma, ea = math.frexp(p.mass_a)
+    mb, eb = math.frexp(p.coupling_b)
+    return -math.ldexp(mb ** 2 * ma * ma * ma / 12.0, 2 * eb + 3 * ea)
 
 
 def gn_ratio(f: Field1D) -> float:

@@ -6,15 +6,15 @@ integrals, transverse objects against 2D tensor Gauss-Legendre grids (the
 twisted kernel is applied to states by brute-force quadrature to test its
 norm bound), Coulomb energies against the analytic transform of the
 sech-squared density and the sampled-kernel FFT path, and the off-grid
-density transforms against their dense trigonometric sums.  They may be
-slow; they exist only under tests/.
+density transforms against their dense trigonometric sums over a power
+spectrum formed here by its own rfft.  They may be slow; they exist only
+under tests/.
 """
 import mpmath
 import numpy as np
 from scipy import integrate, special
 
 from magpolaron.errors import ResolutionError
-from magpolaron.grids import density_power
 from magpolaron.landau import effective_potential
 from magpolaron.pekar import _transverse_rule
 
@@ -339,7 +339,7 @@ def d_product_grid(f, B):
     z = np.abs(lags) * h
     trap = h * np.sum(corr * effective_potential(z, B))
 
-    k_pos, measure = f.grid.wavenumbers(), density_power(f)
+    k_pos, measure = f.grid.wavenumbers(), folded_power(f)
     c0 = float(np.sum(measure))  # C(0)
     c2 = -float(np.sum(measure * k_pos ** 2))  # C''(0)
     correction = -(h ** 2) * B * c0 / 12.0 \
@@ -363,11 +363,22 @@ def dense_fourier_at(rho_vals, grid, k):
     return (h * _dense_sum(lambda x: np.exp(-1j * x), k, t, rho)).astype(complex)
 
 
+def folded_power(f):
+    """fold_m |rho_hat_m|^2 / 2T on the one-sided dual grid m = 0..n/2,
+    rho_hat = h rfft(f^2), the negative wavenumbers folded into m = 1..n/2-1:
+    C(z) = sum_m power_m cos(m pi z / T), and C(0) = h sum rho^2."""
+    g = f.grid
+    rho_hat = g.spacing * np.fft.rfft(f.values ** 2)
+    power = (rho_hat.real ** 2 + rho_hat.imag ** 2) / (2.0 * g.half_width)
+    power[1:-1] *= 2.0
+    return power
+
+
 def dense_correlation_at(f, z):
-    """C(z) = sum_m measure_m cos(m pi z / T) over density_power by the
+    """C(z) = sum_m measure_m cos(m pi z / T) over folded_power by the
     dense sum in 80-bit arithmetic, pi being the double np.pi that the
     dual grid k_m = m pi / T is built from."""
-    measure = density_power(f)
+    measure = folded_power(f)
     theta = np.asarray(z, dtype=np.longdouble) * (np.longdouble(np.pi)
                                                   / f.grid.half_width)
     m = np.arange(len(measure)).astype(np.longdouble)

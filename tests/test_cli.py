@@ -149,10 +149,13 @@ class TestOned:
         assert "agreement within tol=1e-08: yes" in capsys.readouterr().out
 
     @pytest.mark.parametrize("a, b", [("100", "1"), ("1e-5", "1e10"),
-                                      ("1e-150", "1e150")])
+                                      ("1e-150", "1e150"), ("1e100", "1e-160"),
+                                      ("1e60", "1e-158"), ("1e200", "1e-250"),
+                                      ("1e-100", "1e160")])
     def test_agreement_relative_at_every_mass(self, a, b, capsys):
         # the gate is relative to |exact|, and every mass runs the one
-        # unit-mass problem
+        # unit-mass problem; the exact value holds where b^2 or a^3 alone
+        # leaves the normal doubles but -b^2 a^3/12 does not
         assert main(["oned", "--a", a, "--b", b]) == EXIT_OK
         assert "agreement within tol=1e-08: yes" in capsys.readouterr().out
 
@@ -604,10 +607,12 @@ class TestCertifyCommand:
         ["--M", "1" + "0" * 400], ["--M", "-3"], ["--C_M", "nan"],
         ["--K", "e700", "--K3", "1e200"], ["--K3", "-60"],
         ["--K", "e700", "--Kperp", "1e200"], ["--Kperp", "-5"],
-        ["--K3", "1e30"], ["--gamma", "1.5"]])
+        ["--K3", "1e30"], ["--gamma", "1.5"], ["--C_M", "inf"],
+        ["--C_M", "1e307"]])
     def test_unformable_override_refused(self, flags, capfd):
         # pi^2/L^2, M as a double and the squares of the chain must exist,
-        # and a NaN constant is not nonnegative: one error line, no traceback
+        # and C_M and its penalty must be finite doubles >= 0: one error
+        # line, no traceback and no numpy warning
         assert main(["certify", "--B", "e10", *flags]) == EXIT_VALIDATION
         captured = capfd.readouterr()
         err = captured.err.splitlines()

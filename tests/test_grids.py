@@ -9,8 +9,7 @@ from magpolaron import decomposition, grids, pekar, special
 from magpolaron.decomposition import (fourier_side_energy,
                                       longitudinal_double_integral)
 from magpolaron.grids import (FourierTaps, density_correlation_at,
-                              density_fourier_at, density_power,
-                              one_sided_fold)
+                              density_fourier_at, one_sided_fold)
 
 from conftest import bump_field, sech_field
 import oracles
@@ -118,19 +117,20 @@ class TestDensityFourier:
         assert np.max(np.abs(rho_hat - np.exp(-k[m] ** 2 / 4.0))) < 1e-12
 
     def test_parseval_random(self, grid):
+        # C(0) = h sum rho^2 on the Coulomb path's own transform
         rng = np.random.default_rng(11)
         f = bump_field(grid, rng)
-        measure = density_power(f)
         rhs = grid.spacing * np.sum(f.values ** 4)
-        assert np.sum(measure) == pytest.approx(rhs, rel=1e-10)
+        assert density_correlation_at(f, 0.0)[0] == pytest.approx(rhs,
+                                                                  rel=1e-10)
 
     @given(seed=st.integers(0, 10_000))
     def test_parseval_property(self, grid, seed):
         rng = np.random.default_rng(seed)
         f = bump_field(grid, rng)
-        measure = density_power(f)
         rhs = grid.spacing * np.sum(f.values ** 4)
-        assert np.sum(measure) == pytest.approx(rhs, rel=1e-10)
+        assert density_correlation_at(f, 0.0)[0] == pytest.approx(rhs,
+                                                                  rel=1e-10)
 
 
 class TestOneSidedFold:
@@ -166,12 +166,14 @@ class TestOneSidedFold:
             assert abs(spectral(wrong) - lhs) > 1e-2 * scale
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_density_power_parseval_at_both_ends(self, seed):
+    def test_correlation_parseval_at_both_ends(self, seed):
+        # C(0) counts m = 0 and the Nyquist m = n/2 once, the modes between
+        # twice: a wrong end weight misses h sum rho^2
         grid = Grid1D(256, 7.0)
         f = Field1D(grid, self.field(grid.n, np.random.default_rng(seed)))
-        measure = density_power(f)
         rhs = grid.spacing * np.sum(f.values ** 4)
-        assert np.sum(measure) == pytest.approx(rhs, rel=1e-14)
+        assert density_correlation_at(f, 0.0)[0] == pytest.approx(rhs,
+                                                                  rel=1e-14)
 
 
 def _production_nodes(f, B):
@@ -199,7 +201,7 @@ def _check_against_dense(f, u, z):
     fast = density_fourier_at(rho, g, FourierTaps(g.n, u))
     dense = oracles.dense_fourier_at(rho, g, u * (np.pi / g.half_width))
     assert np.max(np.abs(fast - dense)) <= 4e-15 * g.spacing * np.sum(rho)
-    c0 = np.sum(density_power(f))
+    c0 = np.sum(oracles.folded_power(f))
     fast_c = density_correlation_at(f, z)
     dense_c = oracles.dense_correlation_at(f, z)
     assert np.max(np.abs(fast_c - dense_c)) <= 4e-15 * c0

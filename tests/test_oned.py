@@ -62,6 +62,10 @@ class TestClosedForm:
         assert closed_form_energy(OneDProblem(1, 1)) == pytest.approx(-1 / 12)
         assert closed_form_energy(OneDProblem(2, 3)) == pytest.approx(-6.0)
         assert closed_form_energy(OneDProblem(5, 0)) == 0.0
+        # b^2 = 1e400 overflows and a^3 = 1e-300 is sub-normal on their own;
+        # the energy -1e100/12 is a finite double
+        assert closed_form_energy(OneDProblem(1e-100, 1e200)) == \
+            pytest.approx(-1e100 / 12.0, rel=1e-15)
 
     def test_problem_validation(self):
         with pytest.raises(ParameterError):
@@ -72,7 +76,7 @@ class TestClosedForm:
     @pytest.mark.parametrize("a,b", [(1.0, np.nan), (1.0, np.inf),
                                      (np.inf, 1.0), (np.nan, 1.0),
                                      (1.0, 1e160), (1e120, 1.0),
-                                     (1e-100, 1e200)])
+                                     (1e-100, 1e305)])
     def test_nonfinite_or_overflowing_problem_refused(self, a, b):
         # the closed-form energy -b^2 a^3/12 must be a finite double
         with pytest.raises(ParameterError):
